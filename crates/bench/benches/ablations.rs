@@ -90,7 +90,7 @@ fn bench_consolidation(bench: &Bench) {
     }
 }
 
-fn bench_online_vs_global(bench: &Bench) {
+fn bench_global_vs_online(bench: &Bench) {
     use apple_core::online::OnlinePlacer;
     let (classes, orch) = small_problem(20);
     // Global: one engine run over all classes.
@@ -120,6 +120,6 @@ fn main() {
     bench_aggregation(&bench);
     bench_subclass_split(&bench);
     bench_consolidation(&bench);
-    bench_online_vs_global(&bench);
+    bench_global_vs_online(&bench);
     bench.finish().expect("snapshot written");
 }

@@ -1,7 +1,7 @@
 //! Shared experiment harness: each function regenerates the data behind one
 //! table or figure of the paper. The `src/bin/*` binaries print the rows;
-//! the benches in `benches/` time the hot paths with the [`harness`]
-//! micro-bench runner and snapshot their telemetry as JSON.
+//! `benches/ablations.rs` times the DESIGN.md §5 design choices with the
+//! [`harness`] micro-bench runner and snapshots its telemetry as JSON.
 //!
 //! Experiment ↔ module map (see DESIGN.md §4 and EXPERIMENTS.md):
 //!
@@ -17,30 +17,11 @@
 //! | Fig. 11   | [`fig11_core_usage`] |
 //! | Fig. 12   | [`fig12_loss_series`] |
 //!
-//! Beyond the paper's artifacts, [`trajectory`] regenerates the committed
-//! `BENCH_plan.json` / `BENCH_failover.json` files at the repository root
-//! (monolithic vs decomposed solve, warm-cache failover re-plans; see
-//! DESIGN.md §8 and EXPERIMENTS.md), and [`online`] regenerates
-//! `BENCH_online.json` (event throughput, per-step placement latency and
-//! instance-count overhead of the online orchestration loop; DESIGN.md §9),
-//! [`dataplane`] regenerates `BENCH_dataplane.json` (compile
-//! throughput, incremental-vs-full rule operations of the data-plane
-//! compiler; DESIGN.md §10), [`recovery`] regenerates
-//! `BENCH_recovery.json` (write-ahead journal overhead, snapshot size and
-//! recovery wall time vs journal length; DESIGN.md §11), [`walk`]
-//! regenerates `BENCH_walk.json` (linear vs compiled walk-engine
-//! throughput and conformance wall-clock; DESIGN.md §12), and
-//! [`southbound`] regenerates `BENCH_southbound.json` (async southbound
-//! channel throughput vs the synchronous path and virtual barrier
-//! latency under the 70 ms install model; DESIGN.md §13).
+//! Whole-stack performance (throughput, latency, recovery, memory) is
+//! measured by the stand-alone `benchmark/` package, not here; see
+//! `benchmark/README.md`.
 
-pub mod dataplane;
 pub mod harness;
-pub mod online;
-pub mod recovery;
-pub mod southbound;
-pub mod trajectory;
-pub mod walk;
 
 use apple_core::baselines::{
     ingress_per_class, steering_consolidation, SteeringPlan, TrafficSteering,

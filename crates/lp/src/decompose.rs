@@ -306,8 +306,8 @@ impl Decomposition {
                 // feasibility-checked by the monolithic path and by
                 // `Model::max_violation`; the engine never emits one, so we
                 // simply skip it here (a violated empty row would make the
-                // whole model infeasible — callers using such models should
-                // presolve first).
+                // whole model infeasible — callers with such models must
+                // use the monolithic path).
                 continue;
             };
             let bid = block_of_root[&find(&mut parent, first.index())];

@@ -41,7 +41,6 @@ pub mod branch;
 pub mod decompose;
 pub mod export;
 pub mod model;
-pub mod presolve;
 pub mod simplex;
 pub mod solution;
 pub mod stats;
@@ -49,6 +48,5 @@ pub mod stats;
 pub use branch::{BranchConfig, MilpStats};
 pub use decompose::{solve_decomposed, DecomposeOptions, DecomposedStats, WarmCache};
 pub use model::{Cmp, LinExpr, Model, Sense, Var};
-pub use presolve::{Presolved, ReducedModel};
 pub use simplex::SimplexOptions;
 pub use solution::{LpError, Solution, SolveStats};

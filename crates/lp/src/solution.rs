@@ -117,8 +117,7 @@ impl Solution {
     /// Dual values (Lagrange multipliers), one per model constraint in
     /// insertion order, reported for the **min-oriented** problem (negate
     /// for `Sense::Max` models). `None` for solutions that did not come
-    /// from a direct simplex solve (e.g. branch-and-bound incumbents or
-    /// presolve-lifted solutions).
+    /// from a direct simplex solve (e.g. branch-and-bound incumbents).
     ///
     /// Sign convention: at optimality, tightening a `Ge` constraint's
     /// right-hand side by `ε` increases the optimum by `y·ε` with `y ≥ 0`;

@@ -27,7 +27,6 @@
 //! ```
 
 pub mod catalog;
-pub mod drf;
 pub mod instance;
 pub mod overload;
 pub mod timing;

@@ -1,8 +1,8 @@
 //! Online-loop driver: run a generated arrival/departure timeline through
 //! the [`OrchestrationLoop`] and summarise what happened.
 //!
-//! The benchmark binary (`bench_online`), the `apple online` CLI command
-//! and the chaos battery all need the same scaffolding — build a merged
+//! The `apple online` CLI command and the whole-stack benchmark
+//! (`benchmark/`) need the same scaffolding — build a merged
 //! [`EventTimeline`] over a topology's edge pairs, feed it event by event
 //! into the loop, optionally verify after every step — so it lives here
 //! once.

@@ -18,8 +18,8 @@
 //!   `span.<path>` histograms (milliseconds) plus a `span.<path>.calls`
 //!   counter.
 //! * [`json`] — a dependency-free JSON value, parser and writer, shared by
-//!   snapshot serialisation and the committed `BENCH_*.json` schema
-//!   checks in `apple-bench`.
+//!   snapshot serialisation and the `benchmark/` harness's result and
+//!   trace files.
 //!
 //! Metric names are dot-separated lowercase paths (`lp.pivots`,
 //! `engine.rounding_gap`, `span.engine.place.solve`). Histogram values are

@@ -13,9 +13,11 @@
 //! Cases span seeds × three evaluation topologies (Internet2, GEANT,
 //! UNIV1), both mutation directions (the diff is not symmetric: growth
 //! exercises the additive phases, shrinkage the subtractive ones), and an
-//! online crash/churn interleaving. Pinned-seed regressions at the bottom
-//! freeze exact report counts so a quiet change in barrier structure
-//! shows up as a diff, not a silent pass.
+//! online crash/churn interleaving. One case holds the compiler's
+//! operation-count claim (a single-sub-class churn on AS-3679 costs at
+//! least 10x fewer rule ops than a reinstall). Pinned-seed regressions at
+//! the bottom freeze exact report counts so a quiet change in barrier
+//! structure shows up as a diff, not a silent pass.
 
 use apple_nfv::core::classes::{ClassConfig, ClassSet};
 use apple_nfv::core::engine::{EngineConfig, OptimizationEngine};
@@ -23,7 +25,8 @@ use apple_nfv::core::online::{OnlineConfig, OrchestrationLoop};
 use apple_nfv::core::orchestrator::ResourceOrchestrator;
 use apple_nfv::core::rules::{generate_with, snapshot_of, RuleGenConfig};
 use apple_nfv::core::subclass::{SplitStrategy, SubclassPlan};
-use apple_nfv::dataplane::compiler::CompilerSnapshot;
+use apple_nfv::dataplane::compiler::{compile, CompilerSnapshot};
+use apple_nfv::dataplane::diff::diff;
 use apple_nfv::nf::InstanceId;
 use apple_nfv::sim::{differential_conformance, ConformanceReport};
 use apple_nfv::telemetry::NOOP;
@@ -215,6 +218,24 @@ fn online_crash_interleavings_conform() {
             "case {case}: drained timeline left billable rules installed"
         );
     }
+}
+
+/// The incremental compiler's acceptance claim: re-serving one chain
+/// stage of one sub-class on an AS-3679 deployment costs at least 10x
+/// fewer rule operations than reinstalling the whole program.
+#[test]
+fn single_subclass_churn_on_as3679_beats_reinstall_tenfold() {
+    let topo = zoo::as3679();
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x3679);
+    let base = offline_snapshot(&topo, 300, 24);
+    let after = compile(&churn_instance(&base, &mut rng));
+    let plan = diff(&compile(&base), &after);
+    let (churn_ops, full_ops) = (plan.op_count(), after.rule_count());
+    assert!(churn_ops > 0, "churn produced no plan");
+    assert!(
+        full_ops >= 10 * churn_ops,
+        "churn costs {churn_ops} ops against {full_ops} for a reinstall"
+    );
 }
 
 /// Pinned-seed regression: exact report counts for one frozen

@@ -14,8 +14,7 @@
 //! Thread counts 1, 2 and 8 are all exercised: the merge is deterministic
 //! by block index, so worker scheduling must never show through.
 //!
-//! Scenarios are deliberately small (debug-mode LP solves; the committed
-//! BENCH files cover the large topologies in release mode).
+//! Scenarios are deliberately small (debug-mode LP solves).
 
 use apple_nfv::core::classes::{ClassConfig, ClassSet};
 use apple_nfv::core::controller::{Apple, AppleConfig};

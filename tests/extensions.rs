@@ -1,14 +1,13 @@
 //! Integration tests for the paper's extension points implemented here:
 //! §X header-rewriting NFs (global sub-class tags), §V-B cross-product
-//! fallback accounting, §IV online placement, §X multi-resource (DRF)
-//! scheduling, plus the serialisation substrates.
+//! fallback accounting, §IV online placement, plus the serialisation
+//! substrates.
 
 use apple_nfv::core::classes::{ClassConfig, ClassSet, EquivalenceClass};
 use apple_nfv::core::controller::{Apple, AppleConfig};
 use apple_nfv::core::online::OnlinePlacer;
 use apple_nfv::dataplane::packet::{HostTag, Packet};
 use apple_nfv::dataplane::walk::NAT_POOL_PREFIX;
-use apple_nfv::nf::drf::drf_allocate;
 use apple_nfv::nf::VnfSpec;
 use apple_nfv::topology::{Graph, TopologyKind};
 use apple_nfv::traffic::{GravityModel, TrafficMatrix};
@@ -133,46 +132,9 @@ fn online_placer_extends_a_global_plan() {
 }
 
 #[test]
-fn drf_shares_host_resources_among_instances() {
-    // Take a loaded host from a real plan and fair-share CPU + memory among
-    // its instances.
-    let apple = plan(TopologyKind::Internet2, 64, 15);
-    let busiest = apple
-        .orchestrator()
-        .hosts()
-        .values()
-        .max_by_key(|h| h.used.cores)
-        .expect("hosts exist");
-    let demands: Vec<Vec<f64>> = apple
-        .orchestrator()
-        .instances()
-        .filter(|i| i.host_switch() == busiest.switch.0)
-        .map(|i| {
-            let r = i.spec().resources();
-            vec![f64::from(r.cores), f64::from(r.memory_mib)]
-        })
-        .collect();
-    if demands.len() < 2 {
-        return; // nothing to share
-    }
-    let capacity = vec![
-        f64::from(busiest.capacity.cores),
-        f64::from(busiest.capacity.memory_mib),
-    ];
-    let alloc = drf_allocate(&demands, &capacity);
-    // Feasible and Pareto-efficient.
-    for &u in &alloc.utilisation {
-        assert!(u <= 1.0 + 1e-9);
-    }
-    assert!(alloc.utilisation.iter().any(|&u| u > 0.99));
-    // Every instance got a positive share.
-    assert!(alloc.units.iter().all(|&x| x > 0.0));
-}
-
-#[test]
-fn engine_model_survives_lp_export_and_presolve() {
+fn engine_model_survives_lp_export() {
     // Build the real Eq. (1)-(8) model via the facade, export it, and check
-    // the presolved solve agrees with the plain solve.
+    // the exported model still solves.
     use apple_nfv::lp::{Cmp, Model, Sense};
     let mut m = Model::new(Sense::Min);
     let q1 = m.add_int_var("q_v0_FW", 0.0, 16.0, 1.0);
@@ -184,9 +146,8 @@ fn engine_model_survives_lp_export_and_presolve() {
         .unwrap();
     let text = m.to_lp_format();
     assert!(text.contains("q_v0_FW_0") && text.contains("General"));
-    let plain = m.solve_lp().unwrap();
-    let pre = m.solve_lp_presolved().unwrap();
-    assert!((plain.objective() - pre.objective()).abs() < 1e-7);
+    // All of the class can ride d2, so no firewall core is needed.
+    assert!(m.solve_lp().unwrap().objective().abs() < 1e-7);
 }
 
 #[test]
