@@ -22,8 +22,8 @@ use crate::classes::ClassSet;
 use crate::orchestrator::ResourceOrchestrator;
 use apple_lp::decompose::DecomposedStats;
 use apple_lp::{
-    solve_decomposed, BranchConfig, Cmp, DecomposeOptions, LpError, Model, Sense, SimplexOptions,
-    Solution, Var, WarmCache,
+    solve_decomposed, BranchConfig, Cmp, LpError, Model, Sense, SimplexOptions, Solution, Var,
+    WarmCache,
 };
 use apple_nf::{NfType, VnfSpec};
 use apple_telemetry::{Recorder, RecorderExt, NOOP};
@@ -70,28 +70,11 @@ impl From<LpError> for EngineError {
     }
 }
 
-/// How the engine solves each LP relaxation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveMode {
-    /// One dense simplex over the whole Eq. (1)–(8) model — the paper's
-    /// CPLEX-style baseline.
-    #[default]
-    Monolithic,
-    /// Exact q-elimination + forced-slack row stripping + connected-
-    /// component split ([`apple_lp::decompose`]); blocks solve concurrently
-    /// and independently, and a [`WarmCache`] lets re-solves skip blocks an
-    /// event did not touch. Same optimum as [`SolveMode::Monolithic`] (see
-    /// DESIGN.md §8); dense-tableau pivot cost drops from one
-    /// `O(rows·cols)` problem to many tiny ones.
-    Decomposed,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Solve exactly with branch-and-bound instead of LP-relax + round.
-    /// Only sensible for small instances (tests, ablations). Takes
-    /// precedence over `solve_mode`.
+    /// Only sensible for small instances (tests, ablations).
     pub exact: bool,
     /// Maximum rounding-repair iterations when ceiling violates host
     /// resources.
@@ -103,10 +86,6 @@ pub struct EngineConfig {
     pub consolidation_attempts: usize,
     /// Simplex options forwarded to the LP solver.
     pub simplex: SimplexOptions,
-    /// LP solve strategy (monolithic vs. decomposed parallel).
-    pub solve_mode: SolveMode,
-    /// Worker threads for decomposed block solves; `0` = one per CPU.
-    pub threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -116,8 +95,6 @@ impl Default for EngineConfig {
             max_repair_rounds: 32,
             consolidation_attempts: 24,
             simplex: SimplexOptions::default(),
-            solve_mode: SolveMode::Monolithic,
-            threads: 0,
         }
     }
 }
@@ -245,8 +222,8 @@ struct ReducedPlacement {
     model: Model,
     /// Variable map in the full layout (indices into [`Self::layout`]).
     vmap: VarMap,
-    /// Constraint-free twin of the monolithic model — same variables, same
-    /// bounds, same objective coefficients — used to index and price
+    /// Constraint-free twin of the full Eq. (1)–(8) model — same variables,
+    /// same bounds, same objective coefficients — used to index and price
     /// full-layout value vectors.
     layout: Model,
     /// Number of q variables (full indices `0..n_q`).
@@ -327,7 +304,8 @@ impl OptimizationEngine {
     /// [`OptimizationEngine::place_recorded`] with a caller-owned
     /// [`WarmCache`] that persists across calls.
     ///
-    /// Only [`SolveMode::Decomposed`] consults the cache; the Dynamic
+    /// Every LP relaxation is solved block by block
+    /// ([`apple_lp::decompose`]) and consults the cache; the Dynamic
     /// Handler keeps one alive across re-plans so that after a crash or
     /// overload event only the blocks the event actually touched are
     /// re-pivoted — every other block is answered from the cache.
@@ -380,63 +358,19 @@ impl OptimizationEngine {
         // LP relaxation + ceiling + resource repair.
         let mut extra_caps: BTreeMap<(usize, usize), u32> = BTreeMap::new();
         for _round in 0..=self.config.max_repair_rounds {
-            let (sol, vmap) = match self.config.solve_mode {
-                SolveMode::Monolithic => {
-                    let (model, vmap) = {
-                        let _s = rec.span("engine.build");
-                        self.build_model(classes, orch, QMode::Variables(&extra_caps))
-                    };
-                    let sol = {
-                        let _s = rec.span("engine.solve");
-                        model.solve_lp_with(self.config.simplex)?
-                    };
-                    (sol, vmap)
-                }
-                SolveMode::Decomposed => {
-                    let reduced = {
-                        let _s = rec.span("engine.build");
-                        self.build_reduced(classes, orch, &extra_caps)
-                    };
-                    let _s = rec.span("engine.solve");
-                    let opts = DecomposeOptions {
-                        simplex: self.config.simplex,
-                        threads: self.config.threads,
-                    };
-                    let (dsol, dstats) = solve_decomposed(&reduced.model, &opts, Some(cache))?;
-                    record_decompose(rec, &dstats);
-                    (reduced.lift(&dsol), reduced.vmap)
-                }
+            let reduced = {
+                let _s = rec.span("engine.build");
+                self.build_reduced(classes, orch, &extra_caps)
             };
-            sol.stats().record(rec, "lp");
+            let sol = {
+                let _s = rec.span("engine.solve");
+                reduced.lift(&self.solve_blocks(&reduced.model, cache, rec)?)
+            };
+            let vmap = &reduced.vmap;
             let lp_obj = sol.objective();
             let round_span = rec.span("engine.round");
-            // Ceil the q variables. `snap` first: the monolithic and
-            // decomposed paths compute q through different float pivot
-            // sequences, and a q sitting exactly on an integer must not
-            // ceil differently because one path landed at 3−1e−12 and the
-            // other at 3+1e−12.
-            let mut q_ceil: BTreeMap<(usize, usize), u32> = BTreeMap::new();
-            for (&key, &var) in &vmap.q_vars {
-                let val = snap(sol.value(var));
-                q_ceil.insert(key, (val - 1e-9).ceil().max(0.0) as u32);
-            }
-            // Check host resources after ceiling. Down hosts carry no
-            // instances (their q upper bound is zero), so only live hosts
-            // can be violated.
-            let mut violations = Vec::new();
-            for (&v, host) in orch.hosts().iter().filter(|(_, h)| h.up) {
-                let mut used = apple_nf::ResourceVector::zero();
-                for (&(qv, nf_idx), &count) in &q_ceil {
-                    if qv == v {
-                        used += VnfSpec::of(NfType::from_index(nf_idx))
-                            .resources()
-                            .times(count);
-                    }
-                }
-                if !used.fits_in(&host.capacity) {
-                    violations.push(v);
-                }
-            }
+            let q_ceil = ceil_q(&sol, vmap);
+            let violations = violated_hosts(orch, &q_ceil);
             if violations.is_empty() {
                 drop(round_span);
                 let pivots = sol.stats().pivots;
@@ -444,13 +378,13 @@ impl OptimizationEngine {
                 // instances while a d-feasibility LP still succeeds.
                 let (q_final, d_values, d_vmap) = {
                     let _s = rec.span("engine.consolidate");
-                    self.consolidate(classes, orch, q_ceil, &sol, &vmap, rec, cache)
+                    self.consolidate(classes, orch, q_ceil, &sol, vmap, rec, cache)
                 };
                 let mut placement = match (d_values, d_vmap) {
                     (Some(values), Some(vm)) => {
                         self.extract(classes, &vm, &values, lp_obj, start, pivots)
                     }
-                    _ => self.extract(classes, &vmap, sol.values(), lp_obj, start, pivots),
+                    _ => self.extract(classes, vmap, sol.values(), lp_obj, start, pivots),
                 };
                 placement.q = q_final
                     .into_iter()
@@ -468,57 +402,7 @@ impl OptimizationEngine {
                 return Ok(placement);
             }
             rec.counter("engine.repair_rounds", 1);
-            // Repair: at each violating host, cap fractional q at their LP
-            // floors (largest fractional part first) until the projected
-            // core overshoot is covered, forcing the next solve to shift
-            // load elsewhere.
-            for v in violations {
-                let host_caps = orch.hosts().get(&v).map(|h| h.capacity.cores).unwrap_or(0);
-                let mut used: u32 = q_ceil
-                    .iter()
-                    .filter(|(&(qv, _), _)| qv == v)
-                    .map(|(&(_, nf_idx), &c)| VnfSpec::of(NfType::from_index(nf_idx)).cores * c)
-                    .sum();
-                let mut fracs: Vec<((usize, usize), f64)> = vmap
-                    .q_vars
-                    .iter()
-                    .filter(|(&(qv, _), _)| qv == v)
-                    .filter_map(|(&key, &var)| {
-                        let val = snap(sol.value(var));
-                        let frac = val - val.floor();
-                        // Re-tightening an already-capped variable is fine:
-                        // its cap strictly decreases, so the loop
-                        // terminates.
-                        let tighter = extra_caps
-                            .get(&key)
-                            .is_none_or(|&cap| (val.floor() as u32) < cap);
-                        if frac > 1e-6 && tighter {
-                            Some((key, frac))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                if fracs.is_empty() {
-                    return Err(EngineError::Infeasible);
-                }
-                // Quantised (1e-6 grid) like the consolidation sort: float
-                // noise between solve modes must not reorder the caps.
-                for f in &mut fracs {
-                    f.1 = (f.1 * 1e6).round();
-                }
-                fracs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-                for (key, _) in fracs {
-                    if used <= host_caps {
-                        break;
-                    }
-                    let var = vmap.q_vars[&key];
-                    let floor = snap(sol.value(var)).floor().max(0.0) as u32;
-                    let cap = extra_caps.get(&key).map_or(floor, |&old| old.min(floor));
-                    extra_caps.insert(key, cap);
-                    used = used.saturating_sub(VnfSpec::of(NfType::from_index(key.1)).cores);
-                }
-            }
+            tighten_caps(orch, &violations, &q_ceil, &sol, vmap, &mut extra_caps)?;
         }
         // Repair budget exhausted.
         Err(EngineError::Infeasible)
@@ -575,9 +459,9 @@ impl OptimizationEngine {
             // Only instances with visible slack are worth a feasibility
             // solve; a nearly-full instance cannot be removed.
             // Utilisation is quantised to 1e-6 before filtering/sorting so
-            // that sub-tolerance float noise between solve modes cannot
-            // reorder candidates (the sort is stable, so quantised ties
-            // keep deterministic BTreeMap key order).
+            // that sub-tolerance float noise cannot reorder candidates (the
+            // sort is stable, so quantised ties keep deterministic BTreeMap
+            // key order).
             let mut cands: Vec<((usize, usize), f64)> = q
                 .iter()
                 .filter(|(_, &c)| c > 0)
@@ -604,7 +488,7 @@ impl OptimizationEngine {
                 let mut q_try = q.clone();
                 *q_try.get_mut(&key).expect("candidate exists") -= 1;
                 let (model, vm) = self.build_model(classes, orch, QMode::Fixed(&q_try));
-                if let Ok(sol) = self.solve_model(&model, cache, rec) {
+                if let Ok(sol) = self.solve_blocks(&model, cache, rec) {
                     rec.counter("engine.consolidation_removed", 1);
                     q = q_try;
                     d_values = Some(sol.values().to_vec());
@@ -642,61 +526,21 @@ impl OptimizationEngine {
     ) -> (Model, VarMap) {
         let mut model = Model::new(Sense::Min);
 
-        // Which NFs can ever be needed at which switch: n at v iff some
-        // class's path crosses v and its chain uses n.
-        let mut needed: BTreeMap<(usize, usize), bool> = BTreeMap::new();
-        for c in classes {
-            for node in c.path.iter() {
-                for nf in c.chain.nfs() {
-                    needed.insert((node.0, nf.index()), true);
-                }
-            }
-        }
-
-        // Switch popularity (total class rate crossing each switch). The
-        // pure Σq objective is heavily degenerate — any spatial spread of d
-        // is LP-optimal — so rounding a scattered solution pays a ceil at
-        // every touched (v, n). A tiny popularity-decreasing surcharge on q
-        // breaks the ties toward concentrating load at shared switches,
-        // which is exactly the multiplexing that beats the ingress
-        // strawman; the surcharge (≤ 1e-3 per instance) is far too small to
-        // distort the instance count itself.
-        let mut popularity: BTreeMap<usize, f64> = BTreeMap::new();
-        for c in classes {
-            for node in c.path.iter() {
-                *popularity.entry(node.0).or_insert(0.0) += c.rate_mbps;
-            }
-        }
-        let max_pop = popularity.values().copied().fold(1.0, f64::max);
-
-        // q variables (Eq. 7: integral, >= 0). Upper bound from host
-        // resources (cores / per-instance cores) — tightens the LP. In
-        // fixed mode no q variables exist.
+        // q variables (Eq. 7: integral, >= 0). In fixed mode no q variables
+        // exist and only the columns' keys are used.
+        let no_caps = BTreeMap::new();
+        let columns = q_columns(
+            classes,
+            orch,
+            match &qmode {
+                QMode::Variables(extra_caps) => extra_caps,
+                QMode::Fixed(_) => &no_caps,
+            },
+        );
         let mut q_vars = BTreeMap::new();
-        if let QMode::Variables(extra_caps) = &qmode {
-            for &(v, nf_idx) in needed.keys() {
-                let nf = NfType::from_index(nf_idx);
-                let spec = VnfSpec::of(nf);
-                // A down host contributes no capacity: its q stay pinned
-                // at zero so no placement can land there.
-                let host_cap = orch
-                    .hosts()
-                    .get(&v)
-                    .filter(|h| h.up)
-                    .map(|h| h.capacity)
-                    .unwrap_or_else(apple_nf::ResourceVector::zero);
-                let mut ub = host_cap
-                    .cores
-                    .checked_div(spec.cores)
-                    .map_or(f64::INFINITY, f64::from);
-                if let Some(&cap) = extra_caps.get(&(v, nf_idx)) {
-                    ub = ub.min(f64::from(cap));
-                }
-                let pop = popularity.get(&v).copied().unwrap_or(0.0);
-                let surcharge = 1e-3 * (1.0 - pop / max_pop) + 1e-6 * (v as f64);
-                let var =
-                    model.add_int_var(format!("q_v{v}_{}", nf.name()), 0.0, ub, 1.0 + surcharge);
-                q_vars.insert((v, nf_idx), var);
+        if matches!(qmode, QMode::Variables(_)) {
+            for (&key, col) in &columns {
+                q_vars.insert(key, model.add_int_var(q_name(key), 0.0, col.ub, col.price));
             }
         }
 
@@ -715,35 +559,10 @@ impl OptimizationEngine {
             d_vars.push(grid);
         }
         let dv = |h: usize, i: usize, j: usize, clen: usize| d_vars[h][i * clen + j];
-
-        // Eq. (3): sigma_{j-1}^i >= sigma_j^i for every class, position,
-        // stage >= 1.   sigma_j^i = sum_{i' <= i} d^{i'}_j.
-        for (h, c) in classes.iter().enumerate() {
-            let plen = c.path.len();
-            let clen = c.chain.len();
-            for j in 1..clen {
-                for i in 0..plen {
-                    let mut terms = Vec::with_capacity(2 * (i + 1));
-                    for i2 in 0..=i {
-                        terms.push((dv(h, i2, j - 1, clen), 1.0));
-                        terms.push((dv(h, i2, j, clen), -1.0));
-                    }
-                    model
-                        .add_constraint(terms, Cmp::Ge, 0.0)
-                        .expect("order constraint is finite");
-                }
-            }
-            // Eq. (4): sigma_j^{|P|} = 1 for every stage j.
-            for j in 0..clen {
-                let terms: Vec<_> = (0..plen).map(|i| (dv(h, i, j, clen), 1.0)).collect();
-                model
-                    .add_constraint(terms, Cmp::Eq, 1.0)
-                    .expect("coverage constraint is finite");
-            }
-        }
+        add_chain_rows(&mut model, classes, &d_vars);
 
         // Eq. (5): capacity per (v, n): sum_h T_h d <= Cap_n q.
-        for &(v, nf_idx) in needed.keys() {
+        for &(v, nf_idx) in columns.keys() {
             let nf = NfType::from_index(nf_idx);
             let cap = VnfSpec::of(nf).capacity_mbps;
             let mut terms = Vec::new();
@@ -802,11 +621,11 @@ impl OptimizationEngine {
         (model, VarMap { d_vars, q_vars })
     }
 
-    /// Builds the q-eliminated pure-d model for [`SolveMode::Decomposed`].
+    /// Builds the q-eliminated pure-d model every relaxation solves.
     ///
     /// Mirrors [`OptimizationEngine::build_model`] in
-    /// [`QMode::Variables`] exactly — same variable order, same surcharge,
-    /// same repair caps — but substitutes `q = Σ T_h·d / Cap` everywhere q
+    /// [`QMode::Variables`] — same [`q_columns`], same variable order, same
+    /// Eq. (3)/(4) rows — but substitutes `q = Σ T_h·d / Cap` everywhere q
     /// appears, which is exact at every LP optimum (see
     /// [`ReducedPlacement`]).
     fn build_reduced(
@@ -815,57 +634,13 @@ impl OptimizationEngine {
         orch: &ResourceOrchestrator,
         extra_caps: &BTreeMap<(usize, usize), u32>,
     ) -> ReducedPlacement {
-        // Same (switch, NF) incidence and popularity surcharge as the
-        // monolithic build — any divergence here would break equivalence.
-        let mut needed: BTreeMap<(usize, usize), bool> = BTreeMap::new();
-        for c in classes {
-            for node in c.path.iter() {
-                for nf in c.chain.nfs() {
-                    needed.insert((node.0, nf.index()), true);
-                }
-            }
-        }
-        let mut popularity: BTreeMap<usize, f64> = BTreeMap::new();
-        for c in classes {
-            for node in c.path.iter() {
-                *popularity.entry(node.0).or_insert(0.0) += c.rate_mbps;
-            }
-        }
-        let max_pop = popularity.values().copied().fold(1.0, f64::max);
-        let surcharge_of = |v: usize| {
-            let pop = popularity.get(&v).copied().unwrap_or(0.0);
-            1e-3 * (1.0 - pop / max_pop) + 1e-6 * (v as f64)
-        };
-
-        // Full-layout twin: q then d, identical to the monolithic build but
+        // Full-layout twin: q then d, identical to `build_model` but
         // without constraint rows — it prices and indexes lifted vectors.
+        let columns = q_columns(classes, orch, extra_caps);
         let mut layout = Model::new(Sense::Min);
         let mut q_vars = BTreeMap::new();
-        let mut q_ub: Vec<f64> = Vec::new();
-        for &(v, nf_idx) in needed.keys() {
-            let nf = NfType::from_index(nf_idx);
-            let spec = VnfSpec::of(nf);
-            let host_cap = orch
-                .hosts()
-                .get(&v)
-                .filter(|h| h.up)
-                .map(|h| h.capacity)
-                .unwrap_or_else(apple_nf::ResourceVector::zero);
-            let mut ub = host_cap
-                .cores
-                .checked_div(spec.cores)
-                .map_or(f64::INFINITY, f64::from);
-            if let Some(&cap) = extra_caps.get(&(v, nf_idx)) {
-                ub = ub.min(f64::from(cap));
-            }
-            let var = layout.add_int_var(
-                format!("q_v{v}_{}", nf.name()),
-                0.0,
-                ub,
-                1.0 + surcharge_of(v),
-            );
-            q_vars.insert((v, nf_idx), var);
-            q_ub.push(ub);
+        for (&key, col) in &columns {
+            q_vars.insert(key, layout.add_int_var(q_name(key), 0.0, col.ub, col.price));
         }
         let n_q = q_vars.len();
 
@@ -883,7 +658,7 @@ impl OptimizationEngine {
             for (i, node) in c.path.iter().enumerate() {
                 for (j, nf) in c.chain.nfs().iter().enumerate() {
                     let cap = VnfSpec::of(*nf).capacity_mbps;
-                    let obj = (1.0 + surcharge_of(node.0)) * c.rate_mbps / cap;
+                    let obj = columns[&(node.0, nf.index())].price * c.rate_mbps / cap;
                     let name = format!("d_c{}_{i}_{j}", c.id.0);
                     grid.push(model.add_var(name.clone(), 0.0, 1.0, obj));
                     lgrid.push(layout.add_var(name, 0.0, 1.0, 0.0));
@@ -893,35 +668,12 @@ impl OptimizationEngine {
             layout_d.push(lgrid);
         }
         let dv = |h: usize, i: usize, j: usize, clen: usize| d_vars[h][i * clen + j];
-
-        // Eq. (3) / Eq. (4), verbatim from the monolithic build.
-        for (h, c) in classes.iter().enumerate() {
-            let plen = c.path.len();
-            let clen = c.chain.len();
-            for j in 1..clen {
-                for i in 0..plen {
-                    let mut terms = Vec::with_capacity(2 * (i + 1));
-                    for i2 in 0..=i {
-                        terms.push((dv(h, i2, j - 1, clen), 1.0));
-                        terms.push((dv(h, i2, j, clen), -1.0));
-                    }
-                    model
-                        .add_constraint(terms, Cmp::Ge, 0.0)
-                        .expect("order constraint is finite");
-                }
-            }
-            for j in 0..clen {
-                let terms: Vec<_> = (0..plen).map(|i| (dv(h, i, j, clen), 1.0)).collect();
-                model
-                    .add_constraint(terms, Cmp::Eq, 1.0)
-                    .expect("coverage constraint is finite");
-            }
-        }
+        add_chain_rows(&mut model, classes, &d_vars);
 
         // Eq. (5) + q upper bound, q eliminated: Σ_h T_h·d ≤ Cap·ub. Also
         // collects the recovery terms q* = Σ T_h·d / Cap.
         let mut q_terms: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n_q);
-        for (k, &(v, nf_idx)) in q_vars.keys().enumerate() {
+        for (&(v, nf_idx), col) in &columns {
             let nf = NfType::from_index(nf_idx);
             let cap = VnfSpec::of(nf).capacity_mbps;
             let mut terms = Vec::new();
@@ -938,9 +690,9 @@ impl OptimizationEngine {
             if terms.is_empty() {
                 continue;
             }
-            if q_ub[k].is_finite() {
+            if col.ub.is_finite() {
                 model
-                    .add_constraint(terms, Cmp::Le, cap * q_ub[k])
+                    .add_constraint(terms, Cmp::Le, cap * col.ub)
                     .expect("capacity constraint is finite");
             }
         }
@@ -990,33 +742,20 @@ impl OptimizationEngine {
         }
     }
 
-    /// Solves an already-built model per the configured [`SolveMode`],
-    /// recording simplex (and, where applicable, decomposition) stats.
-    /// Used by the consolidation descent, whose fixed-q feasibility models
-    /// are pure-d and decompose directly.
-    fn solve_model(
+    /// Solves a pure-d model block by block through the warm cache,
+    /// recording decomposition and simplex stats. Both the q-eliminated
+    /// relaxation and the consolidation descent's fixed-q feasibility
+    /// models go through here.
+    fn solve_blocks(
         &self,
         model: &Model,
         cache: &mut WarmCache,
         rec: &dyn Recorder,
     ) -> Result<Solution, LpError> {
-        match self.config.solve_mode {
-            SolveMode::Monolithic => {
-                let sol = model.solve_lp_with(self.config.simplex)?;
-                sol.stats().record(rec, "lp");
-                Ok(sol)
-            }
-            SolveMode::Decomposed => {
-                let opts = DecomposeOptions {
-                    simplex: self.config.simplex,
-                    threads: self.config.threads,
-                };
-                let (sol, dstats) = solve_decomposed(model, &opts, Some(cache))?;
-                record_decompose(rec, &dstats);
-                sol.stats().record(rec, "lp");
-                Ok(sol)
-            }
-        }
+        let (sol, dstats) = solve_decomposed(model, &self.config.simplex, Some(cache))?;
+        record_decompose(rec, &dstats);
+        sol.stats().record(rec, "lp");
+        Ok(sol)
     }
 
     fn extract(
@@ -1060,12 +799,213 @@ impl OptimizationEngine {
     }
 }
 
+/// One `q[v][n]` column of Eq. (1)–(8).
+struct QColumn {
+    /// Upper bound from host resources (cores / per-instance cores) —
+    /// tightens the LP — lowered further by any repair cap. A down host
+    /// contributes no capacity: its q stay pinned at zero so no placement
+    /// can land there.
+    ub: f64,
+    /// Objective coefficient `1 + surcharge`.
+    price: f64,
+}
+
+/// The q columns by `(switch, NF index)`: n at v iff some class's path
+/// crosses v and its chain uses n.
+fn q_columns(
+    classes: &ClassSet,
+    orch: &ResourceOrchestrator,
+    extra_caps: &BTreeMap<(usize, usize), u32>,
+) -> BTreeMap<(usize, usize), QColumn> {
+    // Switch popularity (total class rate crossing each switch). The pure
+    // Σq objective is heavily degenerate — any spatial spread of d is
+    // LP-optimal — so rounding a scattered solution pays a ceil at every
+    // touched (v, n). A tiny popularity-decreasing surcharge on q breaks
+    // the ties toward concentrating load at shared switches, which is
+    // exactly the multiplexing that beats the ingress strawman; the
+    // surcharge (≤ 1e-3 per instance) is far too small to distort the
+    // instance count itself.
+    let mut popularity: BTreeMap<usize, f64> = BTreeMap::new();
+    for c in classes {
+        for node in c.path.iter() {
+            *popularity.entry(node.0).or_insert(0.0) += c.rate_mbps;
+        }
+    }
+    let max_pop = popularity.values().copied().fold(1.0, f64::max);
+
+    let mut columns = BTreeMap::new();
+    for c in classes {
+        for node in c.path.iter() {
+            for nf in c.chain.nfs() {
+                let v = node.0;
+                columns.entry((v, nf.index())).or_insert_with(|| {
+                    let host_cap = orch
+                        .hosts()
+                        .get(&v)
+                        .filter(|h| h.up)
+                        .map(|h| h.capacity)
+                        .unwrap_or_else(apple_nf::ResourceVector::zero);
+                    let mut ub = host_cap
+                        .cores
+                        .checked_div(VnfSpec::of(*nf).cores)
+                        .map_or(f64::INFINITY, f64::from);
+                    if let Some(&cap) = extra_caps.get(&(v, nf.index())) {
+                        ub = ub.min(f64::from(cap));
+                    }
+                    let surcharge = 1e-3 * (1.0 - popularity[&v] / max_pop) + 1e-6 * (v as f64);
+                    QColumn {
+                        ub,
+                        price: 1.0 + surcharge,
+                    }
+                });
+            }
+        }
+    }
+    columns
+}
+
+fn q_name((v, nf_idx): (usize, usize)) -> String {
+    format!("q_v{v}_{}", NfType::from_index(nf_idx).name())
+}
+
+/// Adds, for every class over its `|P_h| × |C_h|` d grid, Eq. (3) — chain
+/// order, `σ_{j−1}^i ≥ σ_j^i` at every position `i` and stage `j ≥ 1`,
+/// with `σ_j^i = Σ_{i' ≤ i} d^{i'}_j` — and Eq. (4) — coverage,
+/// `σ_j^{|P|} = 1` for every stage.
+fn add_chain_rows(model: &mut Model, classes: &ClassSet, d_vars: &[Vec<Var>]) {
+    for (c, grid) in classes.iter().zip(d_vars) {
+        let plen = c.path.len();
+        let clen = c.chain.len();
+        for j in 1..clen {
+            for i in 0..plen {
+                let mut terms = Vec::with_capacity(2 * (i + 1));
+                for i2 in 0..=i {
+                    terms.push((grid[i2 * clen + j - 1], 1.0));
+                    terms.push((grid[i2 * clen + j], -1.0));
+                }
+                model
+                    .add_constraint(terms, Cmp::Ge, 0.0)
+                    .expect("order constraint is finite");
+            }
+        }
+        for j in 0..clen {
+            let terms: Vec<_> = (0..plen).map(|i| (grid[i * clen + j], 1.0)).collect();
+            model
+                .add_constraint(terms, Cmp::Eq, 1.0)
+                .expect("coverage constraint is finite");
+        }
+    }
+}
+
+/// Ceils the q variables of a relaxation. `snap` first: q is recovered as
+/// a float sum of d terms, and a q sitting exactly on an integer must not
+/// ceil differently because one pivot sequence landed at 3−1e−12 and
+/// another at 3+1e−12.
+fn ceil_q(sol: &Solution, vmap: &VarMap) -> BTreeMap<(usize, usize), u32> {
+    vmap.q_vars
+        .iter()
+        .map(|(&key, &var)| {
+            let val = snap(sol.value(var));
+            (key, (val - 1e-9).ceil().max(0.0) as u32)
+        })
+        .collect()
+}
+
+/// Live hosts whose resources the ceiled counts exceed. Down hosts carry
+/// no instances (their q upper bound is zero), so only live hosts can be
+/// violated.
+fn violated_hosts(
+    orch: &ResourceOrchestrator,
+    q_ceil: &BTreeMap<(usize, usize), u32>,
+) -> Vec<usize> {
+    let mut violations = Vec::new();
+    for (&v, host) in orch.hosts().iter().filter(|(_, h)| h.up) {
+        let mut used = apple_nf::ResourceVector::zero();
+        for (&(qv, nf_idx), &count) in q_ceil {
+            if qv == v {
+                used += VnfSpec::of(NfType::from_index(nf_idx))
+                    .resources()
+                    .times(count);
+            }
+        }
+        if !used.fits_in(&host.capacity) {
+            violations.push(v);
+        }
+    }
+    violations
+}
+
+/// Repair: at each violating host, cap fractional q at their LP floors
+/// (largest fractional part first) until the projected core overshoot is
+/// covered, forcing the next solve to shift load elsewhere.
+///
+/// # Errors
+///
+/// [`EngineError::Infeasible`] when a violating host has no fractional q
+/// left to tighten.
+fn tighten_caps(
+    orch: &ResourceOrchestrator,
+    violations: &[usize],
+    q_ceil: &BTreeMap<(usize, usize), u32>,
+    sol: &Solution,
+    vmap: &VarMap,
+    extra_caps: &mut BTreeMap<(usize, usize), u32>,
+) -> Result<(), EngineError> {
+    for &v in violations {
+        let host_caps = orch.hosts().get(&v).map(|h| h.capacity.cores).unwrap_or(0);
+        let mut used: u32 = q_ceil
+            .iter()
+            .filter(|(&(qv, _), _)| qv == v)
+            .map(|(&(_, nf_idx), &c)| VnfSpec::of(NfType::from_index(nf_idx)).cores * c)
+            .sum();
+        let mut fracs: Vec<((usize, usize), f64)> = vmap
+            .q_vars
+            .iter()
+            .filter(|(&(qv, _), _)| qv == v)
+            .filter_map(|(&key, &var)| {
+                let val = snap(sol.value(var));
+                let frac = val - val.floor();
+                // Re-tightening an already-capped variable is fine: its
+                // cap strictly decreases, so the loop terminates.
+                let tighter = extra_caps
+                    .get(&key)
+                    .is_none_or(|&cap| (val.floor() as u32) < cap);
+                if frac > 1e-6 && tighter {
+                    Some((key, frac))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        if fracs.is_empty() {
+            return Err(EngineError::Infeasible);
+        }
+        // Quantised (1e-6 grid) like the consolidation sort: sub-tolerance
+        // float noise must not reorder the caps.
+        for f in &mut fracs {
+            f.1 = (f.1 * 1e6).round();
+        }
+        fracs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        for (key, _) in fracs {
+            if used <= host_caps {
+                break;
+            }
+            let var = vmap.q_vars[&key];
+            let floor = snap(sol.value(var)).floor().max(0.0) as u32;
+            let cap = extra_caps.get(&key).map_or(floor, |&old| old.min(floor));
+            extra_caps.insert(key, cap);
+            used = used.saturating_sub(VnfSpec::of(NfType::from_index(key.1)).cores);
+        }
+    }
+    Ok(())
+}
+
 /// Snaps a float to the nearest integer when within 1e-6 of it.
 ///
-/// The monolithic and decomposed solves reach the same optimum through
-/// different pivot sequences, so recovered values agree only to roughly
-/// solver tolerance; snapping before any floor/ceil keeps the two modes'
-/// discrete rounding decisions identical.
+/// Equivalent pivot sequences (the reduced model's, or the full
+/// Eq. (1)–(8) relaxation the tests use as oracle) reach the same optimum
+/// only to roughly solver tolerance; snapping before any floor/ceil keeps
+/// the discrete rounding decisions identical.
 fn snap(v: f64) -> f64 {
     if (v - v.round()).abs() < 1e-6 {
         v.round()
@@ -1076,7 +1016,7 @@ fn snap(v: f64) -> f64 {
 
 /// Emits decomposition statistics under the `engine.decompose` prefix:
 /// counters `solves`, `warm_hits`, `warm_misses`, `dropped_rows` and
-/// `pivots`, plus gauges `blocks`, `largest_block_vars` and `threads`.
+/// `pivots`, plus gauges `blocks` and `largest_block_vars`.
 fn record_decompose(rec: &dyn Recorder, s: &DecomposedStats) {
     if !rec.enabled() {
         return;
@@ -1091,7 +1031,6 @@ fn record_decompose(rec: &dyn Recorder, s: &DecomposedStats) {
         "engine.decompose.largest_block_vars",
         s.largest_block_vars as f64,
     );
-    rec.gauge("engine.decompose.threads", s.threads_used as f64);
     for &p in &s.block_pivots {
         rec.observe("engine.decompose.block_pivots", p as f64);
     }
@@ -1230,18 +1169,100 @@ mod tests {
         ));
     }
 
+    fn gravity_classes(
+        topo: &apple_topology::Topology,
+        load: f64,
+        seed: u64,
+        max_classes: usize,
+    ) -> ClassSet {
+        let tm = GravityModel::new(load, seed).base_matrix(topo);
+        let cfg = ClassConfig {
+            max_classes,
+            ..Default::default()
+        };
+        ClassSet::build(topo, &tm, &cfg)
+    }
+
+    /// The LP-level oracle behind DESIGN.md §8: at every repair round the
+    /// full Eq. (1)–(8) relaxation (q and d variables, one plain simplex)
+    /// and the lifted q-eliminated block solve agree on the objective and
+    /// on every ceiled q. Returns the number of repair rounds it walked.
+    fn assert_reduced_matches_full(classes: &ClassSet, orch: &ResourceOrchestrator) -> usize {
+        let engine = OptimizationEngine::default();
+        let simplex = engine.config.simplex;
+        let mut extra_caps = BTreeMap::new();
+        for round in 0..=engine.config.max_repair_rounds {
+            let (full, full_map) = engine.build_model(classes, orch, QMode::Variables(&extra_caps));
+            let full_sol = full.solve_lp_with(simplex).expect("full relaxation");
+            let reduced = engine.build_reduced(classes, orch, &extra_caps);
+            let (dsol, _) =
+                solve_decomposed(&reduced.model, &simplex, None).expect("reduced relaxation");
+            let lifted = reduced.lift(&dsol);
+            assert!(
+                (full_sol.objective() - lifted.objective()).abs() < 1e-9,
+                "round {round}: LP objective {} vs {}",
+                full_sol.objective(),
+                lifted.objective()
+            );
+            for (key, &var) in &full_map.q_vars {
+                let (f, r) = (full_sol.value(var), lifted.value(reduced.vmap.q_vars[key]));
+                assert!(
+                    (snap(f) - snap(r)).abs() < 1e-6,
+                    "round {round}: q{key:?} {f} vs {r}"
+                );
+            }
+            let q_ceil = ceil_q(&lifted, &reduced.vmap);
+            assert_eq!(ceil_q(&full_sol, &full_map), q_ceil, "round {round}");
+            let violations = violated_hosts(orch, &q_ceil);
+            if violations.is_empty() {
+                return round;
+            }
+            tighten_caps(
+                orch,
+                &violations,
+                &q_ceil,
+                &lifted,
+                &reduced.vmap,
+                &mut extra_caps,
+            )
+            .expect("repairable");
+        }
+        panic!("repair budget exhausted");
+    }
+
+    #[test]
+    fn reduced_model_matches_full_relaxation() {
+        let internet2 = zoo::internet2();
+        let orch = ResourceOrchestrator::with_uniform_hosts(&internet2, 64);
+        for seed in [0, 7, 23, 5] {
+            assert_reduced_matches_full(&gravity_classes(&internet2, 3_000.0, seed, 10), &orch);
+        }
+        let line = zoo::line(4);
+        let orch = ResourceOrchestrator::with_uniform_hosts(&line, 64);
+        for seed in [0, 1, 2] {
+            assert_reduced_matches_full(&gravity_classes(&line, 1_000.0, seed, 8), &orch);
+        }
+        // Elephant regime: per-class rates exceed instance capacity, so
+        // ceiling overshoots a host and the repair rounds (extra_caps) run.
+        let univ1 = zoo::univ1();
+        let orch = ResourceOrchestrator::with_uniform_hosts(&univ1, 64);
+        let rounds = assert_reduced_matches_full(&gravity_classes(&univ1, 9_000.0, 0, 8), &orch);
+        assert!(rounds > 0, "UNIV1 at 9 Gbps no longer needs a repair round");
+        // Busiest host down: its q upper bounds drop to zero in both models.
+        let classes = gravity_classes(&internet2, 3_000.0, 11, 8);
+        let mut orch = ResourceOrchestrator::with_uniform_hosts(&internet2, 64);
+        let probe = OptimizationEngine::default()
+            .place(&classes, &orch)
+            .unwrap();
+        let busy = probe.q_entries().next().expect("nonempty plan").0;
+        orch.fail_host(busy).expect("host up");
+        assert_reduced_matches_full(&classes, &orch);
+    }
+
     #[test]
     fn internet2_end_to_end_placement() {
         let topo = zoo::internet2();
-        let tm = GravityModel::new(3_000.0, 5).base_matrix(&topo);
-        let classes = ClassSet::build(
-            &topo,
-            &tm,
-            &ClassConfig {
-                max_classes: 20,
-                ..Default::default()
-            },
-        );
+        let classes = gravity_classes(&topo, 3_000.0, 5, 20);
         let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
         let engine = OptimizationEngine::new(EngineConfig::default());
         let p = engine.place(&classes, &orch).unwrap();

@@ -943,17 +943,16 @@ pub struct ReplanReport {
 /// The Dynamic Handler's re-balancing is deliberately local; the durable
 /// answer to drift, overloads and crashes is to *re-run the Optimization
 /// Engine* against the current host state. A `Replanner` owns the engine
-/// plus a [`WarmCache`] that lives across re-plans: in
-/// [`SolveMode::Decomposed`](crate::engine::SolveMode) every placement
-/// block whose inputs an event did not touch is answered from the cache
-/// instead of being re-pivoted, so a single host failure re-solves only the
+/// plus a [`WarmCache`] that lives across re-plans: every placement block
+/// whose inputs an event did not touch is answered from the cache instead
+/// of being re-pivoted, so a single host failure re-solves only the
 /// classes that actually cross the failed host.
 ///
 /// # Example
 ///
 /// ```
 /// use apple_core::classes::{ClassConfig, ClassSet};
-/// use apple_core::engine::{EngineConfig, SolveMode};
+/// use apple_core::engine::EngineConfig;
 /// use apple_core::failover::Replanner;
 /// use apple_core::orchestrator::ResourceOrchestrator;
 /// use apple_topology::zoo;
@@ -963,7 +962,7 @@ pub struct ReplanReport {
 /// let tm = GravityModel::new(2_000.0, 0).base_matrix(&topo);
 /// let classes = ClassSet::build(&topo, &tm, &ClassConfig { max_classes: 8, ..Default::default() });
 /// let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-/// let mut rp = Replanner::new(EngineConfig { solve_mode: SolveMode::Decomposed, ..Default::default() });
+/// let mut rp = Replanner::new(EngineConfig::default());
 /// let first = rp.replan(&classes, &orch)?;
 /// let second = rp.replan(&classes, &orch)?; // nothing changed:
 /// assert_eq!(second.warm_misses, 0);        // every block hits the cache
@@ -978,9 +977,7 @@ pub struct Replanner {
 }
 
 impl Replanner {
-    /// Creates a re-planner. The cache only pays off with
-    /// [`SolveMode::Decomposed`](crate::engine::SolveMode); monolithic
-    /// solves ignore it.
+    /// Creates a re-planner with a cold cache.
     pub fn new(config: EngineConfig) -> Replanner {
         Replanner {
             engine: OptimizationEngine::new(config),
@@ -1403,8 +1400,6 @@ mod tests {
 
     #[test]
     fn replan_after_host_failure_avoids_down_host() {
-        use crate::engine::SolveMode;
-
         let topo = zoo::internet2();
         let tm = GravityModel::new(3_000.0, 23).base_matrix(&topo);
         let classes = ClassSet::build(
@@ -1416,10 +1411,7 @@ mod tests {
             },
         );
         let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let mut rp = Replanner::new(EngineConfig {
-            solve_mode: SolveMode::Decomposed,
-            ..Default::default()
-        });
+        let mut rp = Replanner::new(EngineConfig::default());
         let before = rp.replan(&classes, &orch).unwrap();
         assert_eq!(before.down_hosts, 0);
         // Fail the busiest switch's host and re-plan: nothing may be
@@ -1437,8 +1429,6 @@ mod tests {
 
     #[test]
     fn replan_reuses_untouched_blocks_across_a_failure() {
-        use crate::engine::SolveMode;
-
         let topo = zoo::internet2();
         let tm = GravityModel::new(3_000.0, 29).base_matrix(&topo);
         let classes = ClassSet::build(
@@ -1450,10 +1440,7 @@ mod tests {
             },
         );
         let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let mut rp = Replanner::new(EngineConfig {
-            solve_mode: SolveMode::Decomposed,
-            ..Default::default()
-        });
+        let mut rp = Replanner::new(EngineConfig::default());
         let first = rp.replan(&classes, &orch).unwrap();
         assert!(first.warm_misses > 0, "cold cache must miss");
 

@@ -11,9 +11,9 @@
 //!   forwarding path + same policy chain, §IV-A),
 //! * [`engine`] — the Optimization Engine: the ILP of Eq. (1)–(8), solved
 //!   by LP relaxation + rounding (exact branch-and-bound available for
-//!   validation); [`engine::SolveMode::Decomposed`] substitutes the q
-//!   variables out, splits the LP into independent per-class blocks and
-//!   solves them concurrently (DESIGN.md §8),
+//!   validation); every relaxation substitutes the q variables out,
+//!   splits into independent per-class blocks and solves them through a
+//!   warm cache (DESIGN.md §8),
 //! * [`subclass`] — sub-class construction (§V-A): monotone coupling of the
 //!   per-stage spatial distributions into concrete VNF-instance sequences,
 //!   realised by consistent hashing or prefix splitting,

@@ -1423,7 +1423,7 @@ mod tests {
         assert!(!uses_bad_combo, "order violated by reuse");
     }
 
-    fn drain_timeline(resolve_every: u64) -> OrchestrationLoop {
+    fn drain_timeline(resolve_every: u64, rec: &dyn Recorder) -> OrchestrationLoop {
         use apple_traffic::arrivals::{ArrivalConfig, EventTimeline};
         let topo = zoo::internet2();
         let pairs: Vec<(NodeId, NodeId)> = (0..4)
@@ -1446,7 +1446,7 @@ mod tests {
             },
         );
         for e in timeline.events() {
-            looper.step(e, &apple_telemetry::NOOP);
+            looper.step(e, rec);
             looper.check_ledger().expect("ledger truthful after step");
         }
         looper
@@ -1454,7 +1454,7 @@ mod tests {
 
     #[test]
     fn loop_serves_and_drains() {
-        let looper = drain_timeline(0);
+        let looper = drain_timeline(0, &apple_telemetry::NOOP);
         assert!(looper.events_processed() > 0);
         assert_eq!(looper.live_count(), 0, "timeline drained");
         assert_eq!(looper.shed_count(), 0);
@@ -1464,10 +1464,20 @@ mod tests {
 
     #[test]
     fn loop_resolves_periodically() {
-        let looper = drain_timeline(20);
+        let looper = drain_timeline(20, &apple_telemetry::NOOP);
         assert!(looper.resolves() > 0, "re-solves must have run");
         assert_eq!(looper.live_count(), 0);
         assert_eq!(looper.instance_count(), 0);
+    }
+
+    #[test]
+    fn default_config_resolves_hit_the_warm_cache() {
+        // Twelve pairs stay live across the re-solves; with no engine option
+        // set, the loop's Replanner answers their blocks from its cache.
+        let rec = apple_telemetry::MemoryRecorder::new();
+        drain_timeline(20, &rec);
+        let hits = rec.snapshot().counter("failover.replan_warm_hits");
+        assert!(hits > Some(0), "warm hits {hits:?}");
     }
 
     #[test]

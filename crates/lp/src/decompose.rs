@@ -1,4 +1,4 @@
-//! Connected-component decomposition and parallel block solve.
+//! Connected-component decomposition and block-by-block solve.
 //!
 //! The placement LPs APPLE generates are *nearly* block-diagonal: the
 //! per-class chain-order and coverage rows (Eq. 2–4) never couple classes,
@@ -16,11 +16,13 @@
 //!    component, each component becomes an independent sub-[`Model`]
 //!    (*block*), and variables appearing in no row are *pinned* analytically
 //!    to the bound their objective coefficient favours.
-//! 3. [`Decomposition::solve`] solves the blocks concurrently on a
-//!    [`std::thread::scope`] worker pool and merges the block optima back
-//!    into the original variable space. Independence makes the merge exact:
-//!    the union of block optima is an optimum of the whole model, and the
-//!    merged duals (block duals where kept, 0 for stripped rows) certify it.
+//! 3. [`Decomposition::solve`] solves the blocks one after another and
+//!    merges the block optima back into the original variable space.
+//!    Independence makes the merge exact: the union of block optima is an
+//!    optimum of the whole model, and the merged duals (block duals where
+//!    kept, 0 for stripped rows) certify it. There is no worker pool: the
+//!    placement LPs either shatter into blocks of a fraction of a
+//!    millisecond each or stay one coupled block (DESIGN.md §8).
 //!
 //! A [`WarmCache`] keyed by a structural fingerprint of each block lets
 //! re-solves skip every block the caller did not touch — the Dynamic
@@ -35,7 +37,8 @@
 //!
 //! ```
 //! use apple_lp::{Cmp, Model, Sense};
-//! use apple_lp::decompose::{solve_decomposed, DecomposeOptions, WarmCache};
+//! use apple_lp::decompose::{solve_decomposed, WarmCache};
+//! use apple_lp::SimplexOptions;
 //!
 //! // Two independent sub-problems in one model.
 //! let mut m = Model::new(Sense::Min);
@@ -44,11 +47,11 @@
 //! m.add_constraint([(x, 1.0)], Cmp::Ge, 3.0)?;
 //! m.add_constraint([(y, 1.0)], Cmp::Ge, 4.0)?;
 //! let mut cache = WarmCache::default();
-//! let (sol, stats) = solve_decomposed(&m, &DecomposeOptions::default(), Some(&mut cache))?;
+//! let (sol, stats) = solve_decomposed(&m, &SimplexOptions::default(), Some(&mut cache))?;
 //! assert_eq!(stats.blocks, 2);
 //! assert!((sol.objective() - 11.0).abs() < 1e-9);
 //! // A second solve of the same model hits the cache for every block.
-//! let (_, stats2) = solve_decomposed(&m, &DecomposeOptions::default(), Some(&mut cache))?;
+//! let (_, stats2) = solve_decomposed(&m, &SimplexOptions::default(), Some(&mut cache))?;
 //! assert_eq!(stats2.warm_hits, 2);
 //! # Ok::<(), apple_lp::LpError>(())
 //! ```
@@ -57,19 +60,7 @@ use crate::model::{Cmp, Model, Sense, Var};
 use crate::simplex::SimplexOptions;
 use crate::solution::{LpError, Solution, SolveStats};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Tuning knobs for the decomposed solve.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DecomposeOptions {
-    /// Options forwarded to each block's simplex run.
-    pub simplex: SimplexOptions,
-    /// Worker threads for block solves; `0` means one per available CPU
-    /// (never more than the number of blocks to solve).
-    pub threads: usize,
-}
 
 /// Outcome statistics of one decomposed solve.
 #[derive(Debug, Clone, Default)]
@@ -78,8 +69,6 @@ pub struct DecomposedStats {
     pub blocks: usize,
     /// Variables in the largest block.
     pub largest_block_vars: usize,
-    /// Rows in the largest block.
-    pub largest_block_rows: usize,
     /// Inequality rows dropped by [`strip_forced_slack_rows`].
     pub dropped_rows: usize,
     /// Variables pinned analytically (no row references them).
@@ -90,13 +79,6 @@ pub struct DecomposedStats {
     pub warm_misses: usize,
     /// Simplex pivots summed over solved blocks.
     pub pivots: usize,
-    /// Phase-1 pivots summed over solved blocks.
-    pub phase1_pivots: usize,
-    /// Worker threads used.
-    pub threads_used: usize,
-    /// Wall-clock milliseconds per *solved* block (cache hits excluded),
-    /// in block order.
-    pub block_ms: Vec<f64>,
     /// Simplex pivots per block in block order (warm hits report the
     /// pivot count of the cached solve).
     pub block_pivots: Vec<usize>,
@@ -303,11 +285,11 @@ impl Decomposition {
         for (ri, norm) in normalized.iter().enumerate() {
             let Some(&(first, _)) = norm.terms().first() else {
                 // Empty row: constant-only, belongs to no block. It is
-                // feasibility-checked by the monolithic path and by
+                // feasibility-checked by `Model::solve_lp` and by
                 // `Model::max_violation`; the engine never emits one, so we
                 // simply skip it here (a violated empty row would make the
                 // whole model infeasible — callers with such models must
-                // use the monolithic path).
+                // use `Model::solve_lp`).
                 continue;
             };
             let bid = block_of_root[&find(&mut parent, first.index())];
@@ -371,10 +353,9 @@ impl Decomposition {
     /// decomposition was built from, or the stripped twin sharing its
     /// variable layout).
     ///
-    /// Blocks run concurrently on up to `opts.threads` scoped workers; with
-    /// a `cache`, blocks whose structural fingerprint matches a previous
-    /// solve are answered without pivoting. Merging is deterministic: block
-    /// results are combined in block order regardless of completion order.
+    /// Blocks are solved in block order with `simplex` options; with a
+    /// `cache`, blocks whose structural fingerprint matches a previous
+    /// solve are answered without pivoting.
     ///
     /// # Errors
     ///
@@ -385,7 +366,7 @@ impl Decomposition {
     pub fn solve(
         &self,
         model: &Model,
-        opts: &DecomposeOptions,
+        simplex: &SimplexOptions,
         mut cache: Option<&mut WarmCache>,
     ) -> Result<(Solution, DecomposedStats), LpError> {
         assert_eq!(
@@ -401,67 +382,30 @@ impl Decomposition {
         };
         for b in &self.blocks {
             stats.largest_block_vars = stats.largest_block_vars.max(b.model.var_count());
-            stats.largest_block_rows = stats.largest_block_rows.max(b.model.constraint_count());
         }
 
-        // Resolve cache hits up front (the cache is not shared with workers).
-        let mut results: Vec<Option<Result<BlockResult, LpError>>> = vec![None; self.blocks.len()];
-        let mut to_solve: Vec<usize> = Vec::with_capacity(self.blocks.len());
-        let mut fingerprints: Vec<u128> = Vec::with_capacity(self.blocks.len());
-        for (i, b) in self.blocks.iter().enumerate() {
+        // Answer each block from the cache, or solve and remember it.
+        let mut results: Vec<Result<BlockResult, LpError>> = Vec::with_capacity(self.blocks.len());
+        for b in &self.blocks {
             let fp = fingerprint(&b.model);
-            fingerprints.push(fp);
-            match cache.as_ref().and_then(|c| c.entries.get(&fp)) {
-                Some(hit) => {
-                    stats.warm_hits += 1;
-                    results[i] = Some(hit.clone().map(|mut r| {
-                        r.warm = true;
-                        r
-                    }));
-                }
-                None => to_solve.push(i),
+            if let Some(hit) = cache.as_ref().and_then(|c| c.entries.get(&fp)) {
+                stats.warm_hits += 1;
+                results.push(hit.clone());
+                continue;
             }
+            stats.warm_misses += 1;
+            let r = solve_block(b, simplex);
+            if let Some(c) = cache.as_mut() {
+                c.insert(fp, &r);
+            }
+            results.push(r);
         }
-        stats.warm_misses = to_solve.len();
         if let Some(c) = cache.as_mut() {
             c.hits += stats.warm_hits as u64;
             c.misses += stats.warm_misses as u64;
         }
 
-        // Solve the misses, in parallel when asked and worthwhile.
-        let threads = effective_threads(opts.threads, to_solve.len());
-        stats.threads_used = threads;
-        let solved: Vec<(usize, Result<BlockResult, LpError>)> = if threads <= 1 {
-            to_solve
-                .iter()
-                .map(|&i| (i, solve_block(&self.blocks[i], &opts.simplex)))
-                .collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let out: Mutex<Vec<(usize, Result<BlockResult, LpError>)>> =
-                Mutex::new(Vec::with_capacity(to_solve.len()));
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = to_solve.get(k) else { break };
-                        let r = solve_block(&self.blocks[i], &opts.simplex);
-                        out.lock()
-                            .expect("worker panicked holding lock")
-                            .push((i, r));
-                    });
-                }
-            });
-            out.into_inner().expect("scope joined all workers")
-        };
-        for (i, r) in solved {
-            if let Some(c) = cache.as_mut() {
-                c.insert(fingerprints[i], &r);
-            }
-            results[i] = Some(r);
-        }
-
-        // Merge deterministically, reporting the lowest-indexed error.
+        // Merge in block order, reporting the lowest-indexed error.
         let mut values = vec![0.0; self.n_vars];
         for &(g, pin) in &self.pinned {
             match pin {
@@ -472,7 +416,7 @@ impl Decomposition {
         let mut duals = vec![0.0; self.n_rows];
         let mut agg = SolveStats::default();
         for (b, r) in self.blocks.iter().zip(results) {
-            let r = r.expect("every block resolved")?;
+            let r = r?;
             for (local, &g) in b.vars.iter().enumerate() {
                 values[g] = r.values[local];
             }
@@ -484,13 +428,9 @@ impl Decomposition {
             agg.pivots += r.stats.pivots;
             agg.phase1_pivots += r.stats.phase1_pivots;
             agg.phase1_elapsed += r.stats.phase1_elapsed;
-            if !r.warm {
-                stats.block_ms.push(r.stats.elapsed.as_secs_f64() * 1e3);
-            }
             stats.block_pivots.push(r.stats.pivots);
         }
         stats.pivots = agg.pivots;
-        stats.phase1_pivots = agg.phase1_pivots;
         agg.elapsed = start.elapsed();
         let objective = model.objective_of(&values);
         let sol = Solution::assemble(values, objective, agg).with_duals(duals);
@@ -504,7 +444,6 @@ struct BlockResult {
     values: Vec<f64>,
     duals: Option<Vec<f64>>,
     stats: SolveStats,
-    warm: bool,
 }
 
 fn solve_block(block: &Block, simplex: &SimplexOptions) -> Result<BlockResult, LpError> {
@@ -513,14 +452,7 @@ fn solve_block(block: &Block, simplex: &SimplexOptions) -> Result<BlockResult, L
         values: sol.values().to_vec(),
         duals: sol.duals().map(<[f64]>::to_vec),
         stats: sol.stats(),
-        warm: false,
     })
-}
-
-fn effective_threads(requested: usize, work: usize) -> usize {
-    let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let t = if requested == 0 { auto } else { requested };
-    t.clamp(1, work.max(1))
 }
 
 /// Content-addressed cache of solved blocks.
@@ -631,16 +563,16 @@ impl Fnv {
 /// Same as [`Decomposition::solve`].
 pub fn solve_decomposed(
     model: &Model,
-    opts: &DecomposeOptions,
+    simplex: &SimplexOptions,
     cache: Option<&mut WarmCache>,
 ) -> Result<(Solution, DecomposedStats), LpError> {
     let stripped = strip_forced_slack_rows(model);
     let decomp = Decomposition::of(&stripped.model);
-    let (sol, mut stats) = decomp.solve(&stripped.model, opts, cache)?;
+    let (sol, mut stats) = decomp.solve(&stripped.model, simplex, cache)?;
     stats.dropped_rows = stripped.dropped;
     // Lift duals from stripped to original rows; recompute the objective in
-    // the original model's term order so monolithic and decomposed paths
-    // agree bit-for-bit on identical value vectors.
+    // the original model's term order so it agrees bit-for-bit with
+    // `Model::solve_lp` on identical value vectors.
     let mut duals = vec![0.0; model.constraint_count()];
     if let Some(stripped_duals) = sol.duals() {
         for (si, &ri) in stripped.kept_rows.iter().enumerate() {
@@ -681,7 +613,7 @@ mod tests {
             .unwrap();
         let d = Decomposition::of(&m);
         assert_eq!(d.blocks().len(), 2);
-        let (sol, stats) = d.solve(&m, &DecomposeOptions::default(), None).unwrap();
+        let (sol, stats) = d.solve(&m, &SimplexOptions::default(), None).unwrap();
         close(sol.objective(), 3.0 + 2.0 * 4.0);
         assert_eq!(stats.blocks, 2);
         assert_eq!(stats.warm_misses, 2);
@@ -707,7 +639,7 @@ mod tests {
                 vars.push((a, b));
             }
             let mono = m.solve_lp().unwrap();
-            let (dec, stats) = solve_decomposed(&m, &DecomposeOptions::default(), None).unwrap();
+            let (dec, stats) = solve_decomposed(&m, &SimplexOptions::default(), None).unwrap();
             close(mono.objective(), dec.objective());
             assert!(m.max_violation(dec.values()) < 1e-7, "trial {trial}");
             assert_eq!(stats.blocks, groups);
@@ -728,7 +660,7 @@ mod tests {
         let s = strip_forced_slack_rows(&m);
         assert_eq!(s.dropped, 2);
         assert_eq!(s.kept_rows, vec![1]);
-        let (sol, _) = solve_decomposed(&m, &DecomposeOptions::default(), None).unwrap();
+        let (sol, _) = solve_decomposed(&m, &SimplexOptions::default(), None).unwrap();
         close(sol.objective(), 1.0);
         // Dropped rows report zero duals at the original indices.
         let duals = sol.duals().unwrap();
@@ -753,7 +685,7 @@ mod tests {
         let free = m.add_var("free", 3.0, 9.0, 0.0); // indifferent → lower
         let x = m.add_var("x", 0.0, 10.0, 1.0);
         m.add_constraint([(x, 1.0)], Cmp::Ge, 2.0).unwrap();
-        let (sol, stats) = solve_decomposed(&m, &DecomposeOptions::default(), None).unwrap();
+        let (sol, stats) = solve_decomposed(&m, &SimplexOptions::default(), None).unwrap();
         assert_eq!(stats.pinned_vars, 3);
         close(sol.value(lo), 1.0);
         close(sol.value(hi), 7.0);
@@ -768,7 +700,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 1.0, 1.0);
         m.add_constraint([(x, 1.0)], Cmp::Ge, 0.5).unwrap();
         assert_eq!(
-            solve_decomposed(&m, &DecomposeOptions::default(), None).map(|_| ()),
+            solve_decomposed(&m, &SimplexOptions::default(), None).map(|_| ()),
             Err(LpError::Unbounded)
         );
     }
@@ -781,7 +713,7 @@ mod tests {
         m.add_constraint([(x, 1.0)], Cmp::Ge, 5.0).unwrap(); // infeasible block
         m.add_constraint([(y, 1.0)], Cmp::Ge, 1.0).unwrap(); // fine
         assert_eq!(
-            solve_decomposed(&m, &DecomposeOptions::default(), None).map(|_| ()),
+            solve_decomposed(&m, &SimplexOptions::default(), None).map(|_| ()),
             Err(LpError::Infeasible)
         );
     }
@@ -794,8 +726,7 @@ mod tests {
         m.add_constraint([(x, 1.0)], Cmp::Ge, 2.0).unwrap();
         m.add_constraint([(y, 1.0)], Cmp::Ge, 3.0).unwrap();
         let mut cache = WarmCache::default();
-        let (s1, st1) =
-            solve_decomposed(&m, &DecomposeOptions::default(), Some(&mut cache)).unwrap();
+        let (s1, st1) = solve_decomposed(&m, &SimplexOptions::default(), Some(&mut cache)).unwrap();
         assert_eq!((st1.warm_hits, st1.warm_misses), (0, 2));
         // Touch only y's block.
         let mut m2 = Model::new(Sense::Min);
@@ -804,7 +735,7 @@ mod tests {
         m2.add_constraint([(x2, 1.0)], Cmp::Ge, 2.0).unwrap();
         m2.add_constraint([(y2, 1.0)], Cmp::Ge, 4.0).unwrap();
         let (s2, st2) =
-            solve_decomposed(&m2, &DecomposeOptions::default(), Some(&mut cache)).unwrap();
+            solve_decomposed(&m2, &SimplexOptions::default(), Some(&mut cache)).unwrap();
         assert_eq!((st2.warm_hits, st2.warm_misses), (1, 1));
         close(s1.value(x), s2.value(x2));
         close(s2.value(y2), 4.0);
@@ -820,47 +751,11 @@ mod tests {
         let mut cache = WarmCache::default();
         for _ in 0..2 {
             assert_eq!(
-                solve_decomposed(&m, &DecomposeOptions::default(), Some(&mut cache)).map(|_| ()),
+                solve_decomposed(&m, &SimplexOptions::default(), Some(&mut cache)).map(|_| ()),
                 Err(LpError::Infeasible)
             );
         }
         assert_eq!((cache.hits, cache.misses), (1, 1));
-    }
-
-    #[test]
-    fn multi_threaded_solve_is_deterministic() {
-        let mut m = Model::new(Sense::Min);
-        let mut state = 11u64;
-        for g in 0..12 {
-            let a = m.add_var(format!("a{g}"), 0.0, 5.0, 1.0 + rng(&mut state));
-            let b = m.add_var(format!("b{g}"), 0.0, 5.0, 1.0 + rng(&mut state));
-            m.add_constraint([(a, 1.0), (b, 1.0)], Cmp::Ge, 2.0 + rng(&mut state))
-                .unwrap();
-        }
-        let serial = solve_decomposed(
-            &m,
-            &DecomposeOptions {
-                threads: 1,
-                ..Default::default()
-            },
-            None,
-        )
-        .unwrap()
-        .0;
-        for threads in [2, 8] {
-            let par = solve_decomposed(
-                &m,
-                &DecomposeOptions {
-                    threads,
-                    ..Default::default()
-                },
-                None,
-            )
-            .unwrap()
-            .0;
-            assert_eq!(serial.values(), par.values(), "threads={threads}");
-            assert_eq!(serial.objective(), par.objective());
-        }
     }
 
     #[test]
@@ -881,7 +776,7 @@ mod tests {
     fn constraint_free_model_fully_pinned() {
         let mut m = Model::new(Sense::Min);
         let x = m.add_var("x", 2.0, 9.0, 1.0);
-        let (sol, stats) = solve_decomposed(&m, &DecomposeOptions::default(), None).unwrap();
+        let (sol, stats) = solve_decomposed(&m, &SimplexOptions::default(), None).unwrap();
         assert_eq!(stats.blocks, 0);
         assert_eq!(stats.pinned_vars, 1);
         close(sol.value(x), 2.0);

@@ -14,11 +14,11 @@
 //!   variables ([`branch`]), used both to get exact optima on small
 //!   instances and to validate the LP-relax-and-round pipeline the paper
 //!   uses at scale,
-//! * a **decomposed parallel solve** ([`decompose`]): forced-slack rows are
+//! * a **decomposed solve** ([`decompose`]): forced-slack rows are
 //!   stripped, the model splits into connected components of the
-//!   variable-incidence graph, blocks solve concurrently on scoped threads
-//!   and merge deterministically; a content-addressed [`WarmCache`] lets
-//!   re-solves skip untouched blocks entirely (DESIGN.md §8).
+//!   variable-incidence graph, blocks solve one by one and merge in block
+//!   order; a content-addressed [`WarmCache`] lets re-solves skip untouched
+//!   blocks entirely (DESIGN.md §8).
 //!
 //! # Example
 //!
@@ -46,7 +46,7 @@ pub mod solution;
 pub mod stats;
 
 pub use branch::{BranchConfig, MilpStats};
-pub use decompose::{solve_decomposed, DecomposeOptions, DecomposedStats, WarmCache};
+pub use decompose::{solve_decomposed, DecomposedStats, WarmCache};
 pub use model::{Cmp, LinExpr, Model, Sense, Var};
 pub use simplex::SimplexOptions;
 pub use solution::{LpError, Solution, SolveStats};

@@ -4,7 +4,6 @@
 //! measurements in §VII–VIII: 3.9–4.6 s OpenStack ClickOS boot, 70 ms rule
 //! installation, 30 ms ClickOS reconfiguration.
 //!
-//! * [`events`] — a time-ordered event queue,
 //! * [`metrics`] — time-series collectors and summary statistics,
 //! * [`replay`] — the Fig. 12 experiment: replay a traffic-matrix series
 //!   against a planned deployment, with or without fast failover, and
@@ -42,7 +41,6 @@
 
 pub mod chaos;
 pub mod detector;
-pub mod events;
 pub mod failover_lab;
 pub mod inflight_conformance;
 pub mod metrics;

@@ -104,8 +104,8 @@ impl Default for WalkEngineConfig {
 }
 
 /// Resolves a requested thread count against the machine and the amount of
-/// work, mirroring the decomposed-solver convention.
-fn effective_threads(requested: usize, work: usize) -> usize {
+/// work: `0` means one per CPU, never more than one per job.
+fn worker_count(requested: usize, work: usize) -> usize {
     let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let t = if requested == 0 { auto } else { requested };
     t.clamp(1, work.max(1))
@@ -120,7 +120,7 @@ pub fn walk_batch<E: WalkEngine + Sync + ?Sized>(
     jobs: &[(Packet, &Path)],
     threads: usize,
 ) -> Vec<Result<WalkRecord, WalkError>> {
-    let threads = effective_threads(threads, jobs.len());
+    let threads = worker_count(threads, jobs.len());
     if threads <= 1 || jobs.len() < 2 {
         return jobs.iter().map(|(p, path)| engine.walk(*p, path)).collect();
     }

@@ -33,7 +33,6 @@
 pub mod arrivals;
 pub mod flows;
 pub mod gravity;
-pub mod io;
 pub mod matrix;
 pub mod series;
 

@@ -13,13 +13,11 @@
 //! ```
 //!
 //! `<TOPO>` is `internet2`, `geant`, `univ1`, `as3679`, `fat-tree:K`, or
-//! `jellyfish:N:D`. `plan`, `replay`, `chaos` and `online` also take
-//! `--solve-mode mono|decomposed` and `--threads N` to pick the placement
-//! LP strategy (see `apple_lp::decompose`).
+//! `jellyfish:N:D`.
 
 use apple_nfv::core::classes::{ClassConfig, ClassSet};
 use apple_nfv::core::controller::{Apple, AppleConfig};
-use apple_nfv::core::engine::{EngineConfig, OptimizationEngine, SolveMode};
+use apple_nfv::core::engine::OptimizationEngine;
 use apple_nfv::core::online::OnlineConfig;
 use apple_nfv::core::orchestrator::ResourceOrchestrator;
 use apple_nfv::core::recovery::{
@@ -28,7 +26,7 @@ use apple_nfv::core::recovery::{
 };
 use apple_nfv::core::rules::{generate_with, snapshot_of, RuleGenConfig};
 use apple_nfv::core::subclass::{SplitStrategy, SubclassPlan};
-use apple_nfv::dataplane::compiler::compile_recorded;
+use apple_nfv::dataplane::compiler::{compile_recorded, CompilerSnapshot};
 use apple_nfv::dataplane::diff::diff_recorded;
 use apple_nfv::dataplane::fastpath::CompiledProgram;
 use apple_nfv::dataplane::southbound::SouthboundConfig;
@@ -81,13 +79,6 @@ const USAGE: &str = "usage:
 
 TOPO: internet2 | geant | univ1 | as3679 | fat-tree:K | jellyfish:N:D
 
-plan, replay, chaos and online additionally accept:
-  --solve-mode mono|decomposed   placement LP strategy (default mono);
-                                 decomposed splits the LP into independent
-                                 blocks and solves them concurrently
-  --threads N                    worker threads for decomposed solves
-                                 (0 = one per CPU; ignored for mono)
-
 --telemetry json prints the run's metric snapshot (counters, gauges,
 histograms) as JSON on stdout after the normal output.
 
@@ -119,9 +110,9 @@ against the full-recompile cost.
 walk plans and compiles a deployment, derives its packet-probe battery and
 replays it --repeats times through the chosen walk engine: `linear` is the
 reference first-match scan, `compiled` (default) the per-switch LPM-trie /
-exact-match fast path of DESIGN.md 12. --threads N fans the battery out
-over scoped worker threads (0 = one per CPU). Prints walks/sec; exits
-non-zero if any probe fails to walk.
+exact-match fast path of DESIGN.md 12. --threads N (walk and southbound
+only) fans the battery out over scoped worker threads (0 = one per CPU).
+Prints walks/sec; exits non-zero if any probe fails to walk.
 
 southbound plans and compiles a deployment, models a single-sub-class
 churn step, and pushes the incremental update plan through the seeded
@@ -148,7 +139,6 @@ struct Flags {
     stats: bool,
     incremental: bool,
     telemetry: bool,
-    solve_mode: SolveMode,
     threads: usize,
     snapshot_every: u64,
     kill_at: u64,
@@ -174,7 +164,6 @@ impl Default for Flags {
             stats: false,
             incremental: false,
             telemetry: false,
-            solve_mode: SolveMode::Monolithic,
             threads: 0,
             snapshot_every: 64,
             kill_at: 0,
@@ -193,14 +182,45 @@ impl Flags {
                 max_classes: self.classes,
                 ..Default::default()
             },
-            engine: EngineConfig {
-                solve_mode: self.solve_mode,
-                threads: self.threads,
+            ..Default::default()
+        }
+    }
+
+    /// The online timeline and loop configuration these flags describe
+    /// (`online` and `recover`).
+    fn online_run_config(&self) -> OnlineRunConfig {
+        OnlineRunConfig {
+            arrivals: ArrivalConfig {
+                arrival_rate: self.rate,
+                seed: self.seed,
+                ..Default::default()
+            },
+            horizon_secs: self.horizon,
+            online: OnlineConfig {
+                resolve_every: self.resolve_every,
+                max_churn: 64,
+                seed: self.seed,
                 ..Default::default()
             },
             ..Default::default()
         }
     }
+}
+
+/// Plans a deployment and lowers it into the compiler snapshot that
+/// `compile`, `walk` and `southbound` start from.
+fn planned_snapshot(topo: &Topology, flags: &Flags) -> Result<CompilerSnapshot, String> {
+    let tm = GravityModel::new(flags.load, flags.seed).base_matrix(topo);
+    let classes = ClassSet::build(topo, &tm, &flags.apple_config().classes);
+    let mut orch = ResourceOrchestrator::with_uniform_hosts(topo, 64);
+    let placement = OptimizationEngine::default()
+        .place(&classes, &orch)
+        .map_err(|e| e.to_string())?;
+    let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
+    let config = RuleGenConfig::default();
+    let prog = generate_with(topo, &classes, &plan, &placement, &mut orch, &config)
+        .map_err(|e| e.to_string())?;
+    snapshot_of(topo, &classes, &plan, &prog.assignment, &orch, &config).map_err(|e| e.to_string())
 }
 
 /// In-memory recorder when `--telemetry json` was given, `None` otherwise;
@@ -251,11 +271,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--telemetry" => match num("--telemetry")?.as_str() {
                 "json" => f.telemetry = true,
                 other => return Err(format!("unknown telemetry format `{other}`")),
-            },
-            "--solve-mode" => match num("--solve-mode")?.as_str() {
-                "mono" | "monolithic" => f.solve_mode = SolveMode::Monolithic,
-                "decomposed" => f.solve_mode = SolveMode::Decomposed,
-                other => return Err(format!("unknown solve mode `{other}`")),
             },
             "--threads" => f.threads = num("--threads")?.parse().map_err(|_| "bad --threads")?,
             "--dot" => f.dot = true,
@@ -478,26 +493,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
             let topo = parse_topo(spec)?;
             let flags = parse_flags(flag_args)?;
-            let cfg = OnlineRunConfig {
-                arrivals: ArrivalConfig {
-                    arrival_rate: flags.rate,
-                    seed: flags.seed,
-                    ..Default::default()
-                },
-                horizon_secs: flags.horizon,
-                online: OnlineConfig {
-                    resolve_every: flags.resolve_every,
-                    max_churn: 64,
-                    engine: EngineConfig {
-                        solve_mode: flags.solve_mode,
-                        threads: flags.threads,
-                        ..Default::default()
-                    },
-                    seed: flags.seed,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
+            let cfg = flags.online_run_config();
             let timeline = build_timeline(&topo, &cfg);
             let mem = make_recorder(&flags);
             let (looper, report) =
@@ -530,26 +526,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
             let topo = parse_topo(spec)?;
             let flags = parse_flags(flag_args)?;
-            let cfg = OnlineRunConfig {
-                arrivals: ArrivalConfig {
-                    arrival_rate: flags.rate,
-                    seed: flags.seed,
-                    ..Default::default()
-                },
-                horizon_secs: flags.horizon,
-                online: OnlineConfig {
-                    resolve_every: flags.resolve_every,
-                    max_churn: 64,
-                    engine: EngineConfig {
-                        solve_mode: flags.solve_mode,
-                        threads: flags.threads,
-                        ..Default::default()
-                    },
-                    seed: flags.seed,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
+            let cfg = flags.online_run_config();
             let timeline = build_timeline(&topo, &cfg);
             let setup = RecoverySetup {
                 topo: topo.clone(),
@@ -682,29 +659,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
             let topo = parse_topo(spec)?;
             let flags = parse_flags(flag_args)?;
-            let tm = GravityModel::new(flags.load, flags.seed).base_matrix(&topo);
-            let classes = ClassSet::build(
-                &topo,
-                &tm,
-                &ClassConfig {
-                    max_classes: flags.classes,
-                    ..Default::default()
-                },
-            );
-            let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-            let placement = OptimizationEngine::new(EngineConfig {
-                solve_mode: flags.solve_mode,
-                threads: flags.threads,
-                ..Default::default()
-            })
-            .place(&classes, &orch)
-            .map_err(|e| e.to_string())?;
-            let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
-            let config = RuleGenConfig::default();
-            let prog = generate_with(&topo, &classes, &plan, &placement, &mut orch, &config)
-                .map_err(|e| e.to_string())?;
-            let snap = snapshot_of(&topo, &classes, &plan, &prog.assignment, &orch, &config)
-                .map_err(|e| e.to_string())?;
+            let snap = planned_snapshot(&topo, &flags)?;
             let mem = make_recorder(&flags);
             let rec = recorder_ref(&mem);
             let compiled = compile_recorded(&snap, rec);
@@ -747,29 +702,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
             let topo = parse_topo(spec)?;
             let flags = parse_flags(flag_args)?;
-            let tm = GravityModel::new(flags.load, flags.seed).base_matrix(&topo);
-            let classes = ClassSet::build(
-                &topo,
-                &tm,
-                &ClassConfig {
-                    max_classes: flags.classes,
-                    ..Default::default()
-                },
-            );
-            let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-            let placement = OptimizationEngine::new(EngineConfig {
-                solve_mode: flags.solve_mode,
-                threads: flags.threads,
-                ..Default::default()
-            })
-            .place(&classes, &orch)
-            .map_err(|e| e.to_string())?;
-            let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
-            let config = RuleGenConfig::default();
-            let prog = generate_with(&topo, &classes, &plan, &placement, &mut orch, &config)
-                .map_err(|e| e.to_string())?;
-            let snap = snapshot_of(&topo, &classes, &plan, &prog.assignment, &orch, &config)
-                .map_err(|e| e.to_string())?;
+            let snap = planned_snapshot(&topo, &flags)?;
             let program = compile_recorded(&snap, &NOOP);
             let probes = conformance_probes(&snap, &snap);
             if probes.is_empty() {
@@ -820,29 +753,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
             let topo = parse_topo(spec)?;
             let flags = parse_flags(flag_args)?;
-            let tm = GravityModel::new(flags.load, flags.seed).base_matrix(&topo);
-            let classes = ClassSet::build(
-                &topo,
-                &tm,
-                &ClassConfig {
-                    max_classes: flags.classes,
-                    ..Default::default()
-                },
-            );
-            let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-            let placement = OptimizationEngine::new(EngineConfig {
-                solve_mode: flags.solve_mode,
-                threads: flags.threads,
-                ..Default::default()
-            })
-            .place(&classes, &orch)
-            .map_err(|e| e.to_string())?;
-            let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
-            let config = RuleGenConfig::default();
-            let prog = generate_with(&topo, &classes, &plan, &placement, &mut orch, &config)
-                .map_err(|e| e.to_string())?;
-            let snap = snapshot_of(&topo, &classes, &plan, &prog.assignment, &orch, &config)
-                .map_err(|e| e.to_string())?;
+            let snap = planned_snapshot(&topo, &flags)?;
             // The same single-sub-class churn step `compile --incremental`
             // models: one chain stage re-served by a fresh instance.
             let mut churned = snap.clone();
@@ -892,16 +803,9 @@ fn run(args: &[String]) -> Result<(), String> {
             let topo = parse_topo(spec)?;
             let flags = parse_flags(flag_args)?;
             let tm = GravityModel::new(flags.load, flags.seed).base_matrix(&topo);
-            let classes = ClassSet::build(
-                &topo,
-                &tm,
-                &ClassConfig {
-                    max_classes: flags.classes,
-                    ..Default::default()
-                },
-            );
+            let classes = ClassSet::build(&topo, &tm, &flags.apple_config().classes);
             let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-            let engine = OptimizationEngine::new(Default::default());
+            let engine = OptimizationEngine::default();
             print!("{}", engine.export_lp(&classes, &orch));
             Ok(())
         }

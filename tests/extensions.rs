@@ -10,7 +10,7 @@ use apple_nfv::dataplane::packet::{HostTag, Packet};
 use apple_nfv::dataplane::walk::NAT_POOL_PREFIX;
 use apple_nfv::nf::VnfSpec;
 use apple_nfv::topology::{Graph, TopologyKind};
-use apple_nfv::traffic::{GravityModel, TrafficMatrix};
+use apple_nfv::traffic::GravityModel;
 
 fn plan(kind: TopologyKind, seed: u64, classes: usize) -> Apple {
     let topo = kind.build();
@@ -165,15 +165,5 @@ fn topologies_round_trip_and_export() {
         assert!(parsed.is_connected());
         let dot = topo.graph.to_dot();
         assert!(dot.contains("graph topology"));
-    }
-}
-
-#[test]
-fn traffic_matrices_round_trip() {
-    for kind in TopologyKind::evaluation_trio() {
-        let topo = kind.build();
-        let tm = GravityModel::new(5_000.0, 65).base_matrix(&topo);
-        let parsed = TrafficMatrix::from_csv(&tm.to_csv()).expect("parse");
-        assert_eq!(parsed, tm);
     }
 }
