@@ -1112,13 +1112,22 @@ impl OrchestrationLoop {
             return (0, 0);
         }
         let _s = rec.span("dataplane.sync");
-        self.sync_tags();
-        let snap = self.build_dataplane_snapshot(&self.tags);
-        let target = apple_dataplane::compiler::compile_recorded(&snap, rec);
+        {
+            let _t = rec.span("dataplane.sync.tags");
+            self.sync_tags();
+        }
+        let target = {
+            let _l = rec.span("dataplane.sync.lower");
+            let snap = self.build_dataplane_snapshot(&self.tags);
+            apple_dataplane::compiler::compile_recorded(&snap, rec)
+        };
         let Some(installed) = self.compiled.as_mut() else {
             return (0, 0); // unreachable: compiler presence checked above
         };
-        let plan = apple_dataplane::diff::diff_recorded(installed, &target, rec);
+        let plan = {
+            let _d = rec.span("dataplane.sync.diff");
+            apple_dataplane::diff::diff_recorded(installed, &target, rec)
+        };
         let mut wait_ms = 0u64;
         if let Some(chan) = self.southbound.as_mut() {
             // Async path: enqueue the whole plan, then await each
@@ -1127,21 +1136,31 @@ impl OrchestrationLoop {
             // its op set. The fault-free channel cannot fail, so the ops
             // bill matches the synchronous path bitwise.
             let submitted = chan.now_ms();
-            chan.submit_plan(&plan);
+            {
+                let _sb = rec.span("dataplane.sync.southbound");
+                chan.submit_plan(&plan);
+            }
             let mut last_ack = submitted;
             while chan.pending() > 0 {
-                let events = chan
-                    .advance(3_600_000)
-                    .expect("fault-free southbound channel cannot fail");
+                let events = {
+                    let _sb = rec.span("dataplane.sync.southbound");
+                    chan.advance(3_600_000)
+                        .expect("fault-free southbound channel cannot fail")
+                };
                 for ev in events {
                     let apple_dataplane::southbound::SouthboundEvent::Barrier(done) = ev else {
                         continue;
                     };
-                    apple_dataplane::diff::apply_batch_unchecked(installed, &done.batch);
+                    {
+                        let _a = rec.span("dataplane.sync.apply");
+                        apple_dataplane::diff::apply_batch_unchecked(installed, &done.batch);
+                    }
                     if let Some(fp) = self.fastpath.as_mut() {
+                        let _f = rec.span("dataplane.sync.fastpath");
                         fp.rebuild_delta(&done.batch);
                     }
                     if let Some(obs) = self.dp_observer.as_mut() {
+                        let _o = rec.span("dataplane.sync.observer");
                         obs.on_barrier(&done.batch);
                     }
                     last_ack = done.completed_ms;
@@ -1156,11 +1175,16 @@ impl OrchestrationLoop {
             // commit in order (the uncapped path is infallible — no
             // phantom error).
             for batch in plan.batches() {
-                apple_dataplane::diff::apply_batch_unchecked(installed, batch);
+                {
+                    let _a = rec.span("dataplane.sync.apply");
+                    apple_dataplane::diff::apply_batch_unchecked(installed, batch);
+                }
                 if let Some(fp) = self.fastpath.as_mut() {
+                    let _f = rec.span("dataplane.sync.fastpath");
                     fp.rebuild_delta(batch);
                 }
                 if let Some(obs) = self.dp_observer.as_mut() {
+                    let _o = rec.span("dataplane.sync.observer");
                     obs.on_barrier(batch);
                 }
             }
