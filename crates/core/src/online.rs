@@ -25,11 +25,14 @@ use crate::engine::EngineConfig;
 use crate::failover::{DynamicHandler, Replanner, ShareState};
 use crate::orchestrator::{ControlOps, ResourceOrchestrator};
 use crate::transition::{apply_transition_with, plan_transition_from_live};
+use apple_dataplane::compiler::{CompilerSnapshot, RuleProgram, SubclassSpec};
+use apple_dataplane::diff::{DiffScope, UpdateBatch};
+use apple_dataplane::fastpath::CompiledProgram;
 use apple_nf::{InstanceId, VnfSpec};
 use apple_telemetry::{Recorder, RecorderExt};
 use apple_topology::{NodeId, Topology};
 use apple_traffic::arrivals::{FlowEvent, FlowEventKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Errors from online placement.
@@ -352,6 +355,199 @@ pub struct LiveClass {
     pub decision: OnlineDecision,
 }
 
+/// The live classes. Reads go through `Deref`; every write goes through a
+/// method that records the key it wrote, so the data-plane sync learns
+/// which classes an event touched from the table itself rather than from
+/// each call site remembering to say so.
+#[derive(Debug, Default)]
+pub(crate) struct LiveTable {
+    map: BTreeMap<LiveKey, LiveClass>,
+    touched: BTreeSet<LiveKey>,
+}
+
+impl std::ops::Deref for LiveTable {
+    type Target = BTreeMap<LiveKey, LiveClass>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.map
+    }
+}
+
+impl LiveTable {
+    pub(crate) fn insert(&mut self, key: LiveKey, lc: LiveClass) {
+        self.touched.insert(key);
+        self.map.insert(key, lc);
+    }
+
+    fn remove(&mut self, key: &LiveKey) -> Option<LiveClass> {
+        let lc = self.map.remove(key)?;
+        self.touched.insert(*key);
+        Some(lc)
+    }
+
+    /// Empties the table (every key it held is touched).
+    fn take(&mut self) -> BTreeMap<LiveKey, LiveClass> {
+        self.touch_all();
+        std::mem::take(&mut self.map)
+    }
+
+    /// Moves a live class to its new aggregate rate. Not recorded: the
+    /// rate is the one class field the compiler does not lower.
+    fn rerate(&mut self, key: &LiveKey, class: EquivalenceClass) {
+        let lc = self.map.get_mut(key).expect("re-rated class is live");
+        debug_assert_eq!(
+            EquivalenceClass {
+                rate_mbps: class.rate_mbps,
+                ..lc.class.clone()
+            },
+            class,
+            "a re-rate changes the rate only"
+        );
+        lc.class = class;
+    }
+
+    fn touch_all(&mut self) {
+        self.touched.extend(self.map.keys().copied());
+    }
+}
+
+/// What the data plane holds for the live classes: the [`SubclassSpec`]
+/// last lowered for each key, the devices each spec put rules on, and the
+/// tags in use. The sync compares a touched key's fresh spec against this
+/// to find the devices to re-lower.
+#[derive(Debug, Default)]
+pub(crate) struct Lowered {
+    specs: BTreeMap<LiveKey, SubclassSpec>,
+    /// Keys whose classification rules sit on each ingress switch.
+    by_ingress: BTreeMap<usize, BTreeSet<LiveKey>>,
+    /// Keys with a chain stage on each host.
+    by_host: BTreeMap<usize, BTreeSet<LiveKey>>,
+    /// Tags below `next_tag` that no lowered spec carries.
+    free_tags: BTreeSet<u16>,
+    /// One past the highest tag ever handed out.
+    next_tag: u16,
+}
+
+impl Lowered {
+    /// The spec last lowered per live key, in snapshot (key) order.
+    pub(crate) fn specs(&self) -> &BTreeMap<LiveKey, SubclassSpec> {
+        &self.specs
+    }
+
+    /// Swaps the spec lowered for `key` (`None` = the class is gone) and
+    /// returns the previous one.
+    fn replace(&mut self, key: LiveKey, new: Option<SubclassSpec>) -> Option<SubclassSpec> {
+        let old = self.specs.remove(&key);
+        if let Some(old) = &old {
+            unindex(&mut self.by_ingress, old.ingress(), &key);
+            for v in old.stage_hosts() {
+                unindex(&mut self.by_host, v, &key);
+            }
+        }
+        if let Some(new) = new {
+            self.by_ingress
+                .entry(new.ingress())
+                .or_default()
+                .insert(key);
+            for v in new.stage_hosts() {
+                self.by_host.entry(v).or_default().insert(key);
+            }
+            self.specs.insert(key, new);
+        }
+        old
+    }
+
+    /// The specs classified at `switch`, in key (snapshot) order.
+    fn ingress_specs(&self, switch: usize) -> impl Iterator<Item = &SubclassSpec> {
+        self.indexed(&self.by_ingress, switch)
+    }
+
+    /// The specs with a stage at `host`, in key (snapshot) order.
+    fn host_specs(&self, host: usize) -> impl Iterator<Item = &SubclassSpec> {
+        self.indexed(&self.by_host, host)
+    }
+
+    fn indexed<'a>(
+        &'a self,
+        index: &'a BTreeMap<usize, BTreeSet<LiveKey>>,
+        device: usize,
+    ) -> impl Iterator<Item = &'a SubclassSpec> {
+        let keys = index.get(&device).into_iter().flatten();
+        keys.map(|key| &self.specs[key])
+    }
+
+    /// The lowest tag no spec carries. Tags released during a sync only
+    /// come back through [`Self::release_tags`] at its end, so a sync never
+    /// hands out a tag that was installed when it began.
+    fn take_lowest_tag(&mut self) -> u16 {
+        self.free_tags.pop_first().unwrap_or_else(|| {
+            let tag = self.next_tag;
+            self.next_tag = tag.checked_add(1).expect("fewer than 65 536 live classes");
+            tag
+        })
+    }
+
+    fn release_tags(&mut self, tags: impl IntoIterator<Item = u16>) {
+        self.free_tags.extend(tags);
+    }
+
+    /// Re-derives the free-tag pool from the specs (after a restore).
+    fn rebuild_tag_pool(&mut self) {
+        let used: BTreeSet<u16> = self.specs.values().map(|s| s.tag).collect();
+        self.next_tag = used.last().map_or(0, |&t| t + 1);
+        self.free_tags = (0..self.next_tag).filter(|t| !used.contains(t)).collect();
+    }
+}
+
+fn unindex(index: &mut BTreeMap<usize, BTreeSet<LiveKey>>, device: usize, key: &LiveKey) {
+    if let Some(keys) = index.get_mut(&device) {
+        keys.remove(key);
+        if keys.is_empty() {
+            index.remove(&device);
+        }
+    }
+}
+
+/// Lowers one live class into the compiler's sub-class form. Every live
+/// class is one sub-class (the online model serves whole classes) with a
+/// globally unique tag, so rewriting chains can match tag-only (§X)
+/// without a separate allocation walk.
+fn spec_of(lc: &LiveClass, tag: u16) -> SubclassSpec {
+    let nfs = lc.class.chain.nfs();
+    SubclassSpec {
+        class: u64::from(tag),
+        class_name: format!("c{tag}"),
+        sub: 0,
+        tag,
+        global: nfs.iter().any(|&nf| VnfSpec::of(nf).rewrites_headers()),
+        path: lc.class.path.iter().map(|n| n.0).collect(),
+        src_prefix: lc.class.src_prefix,
+        dst_prefix: lc.class.dst_prefix,
+        proto: lc.class.proto,
+        dst_ports: lc.class.dst_ports.clone(),
+        prefixes: vec![lc.class.src_prefix],
+        stage_positions: lc.decision.stage_positions.clone(),
+        stage_nfs: nfs.to_vec(),
+        instances: lc.decision.stage_instances.clone(),
+    }
+}
+
+/// The header-rewriting instances (§X source NAT) a spec steers through.
+fn rewriters_of(spec: &SubclassSpec) -> impl Iterator<Item = InstanceId> + '_ {
+    spec.instances
+        .iter()
+        .zip(&spec.stage_nfs)
+        .filter(|(_, &nf)| VnfSpec::of(nf).rewrites_headers())
+        .map(|(&inst, _)| inst)
+}
+
+/// Whether `spec` steers through exactly the decision `lc` is served by —
+/// the condition for a live class to keep its tag across a sync.
+fn same_decision(spec: &SubclassSpec, lc: &LiveClass) -> bool {
+    spec.stage_positions == lc.decision.stage_positions
+        && spec.instances == lc.decision.stage_instances
+}
+
 /// Configuration of the [`OrchestrationLoop`].
 #[derive(Debug, Clone, Default)]
 pub struct OnlineConfig {
@@ -370,9 +566,9 @@ pub struct OnlineConfig {
     /// Seed for control-plane retry jitter.
     pub seed: u64,
     /// Maintain an incrementally patched compiled rule program: each step
-    /// that changes the serving state compiles the new snapshot, diffs it
-    /// against the installed program, and applies only the delta (cost
-    /// scales with churn, not topology size).
+    /// that changes the serving state re-lowers the devices the change
+    /// touched, diffs them against the installed program, and applies only
+    /// the delta (work and cost scale with churn, not topology size).
     pub compile_rules: bool,
     /// Route each sync's update plan through the asynchronous southbound
     /// channel instead of applying it synchronously: batches are enqueued
@@ -467,29 +663,24 @@ pub struct OrchestrationLoop {
     pub(crate) orch: ResourceOrchestrator,
     pub(crate) replanner: Replanner,
     pub(crate) ops: ControlOps,
-    pub(crate) live: BTreeMap<LiveKey, LiveClass>,
+    pub(crate) live: LiveTable,
     pub(crate) rejected: BTreeMap<LiveKey, EquivalenceClass>,
     pub(crate) events_seen: u64,
     /// The incrementally patched installed program (None = compiler off).
-    pub(crate) compiled: Option<apple_dataplane::compiler::RuleProgram>,
+    pub(crate) compiled: Option<RuleProgram>,
     /// The compiled fast-path mirror of [`Self::compiled`]: the same
     /// installed state lowered into per-switch LPM tries and exact-match
     /// tag tables ([`apple_dataplane::fastpath::CompiledProgram`]), patched
     /// per update-plan barrier through `rebuild_delta` so it is never
     /// rebuilt from scratch during churn.
-    pub(crate) fastpath: Option<apple_dataplane::fastpath::CompiledProgram>,
-    /// Persistent per-live-class data-plane tags. Lowest-unused allocation
+    pub(crate) fastpath: Option<CompiledProgram>,
+    /// The sub-class spec [`Self::compiled`] holds for each live class as
+    /// of the last sync, persistent tag included. Lowest-unused allocation
     /// on placement, freed on departure: tags must survive unrelated churn
     /// (index-derived tags would shift on every removal and spuriously
-    /// rewrite the whole program).
-    pub(crate) tags: BTreeMap<LiveKey, u16>,
-    /// The serving decision each tag was allocated for, as of the last
-    /// sync: `(stage_positions, stage_instances)`. A live class whose
-    /// decision moved is re-tagged (two-phase versioning, see
-    /// [`Self::sync_tags`]).
-    pub(crate) tag_decisions: BTreeMap<LiveKey, (Vec<usize>, Vec<InstanceId>)>,
-    /// Whether the serving state changed since the last data-plane sync.
-    pub(crate) dp_dirty: bool,
+    /// rewrite the whole program). A live class whose decision moved since
+    /// is re-tagged (two-phase versioning, see [`Self::allocate_tags`]).
+    pub(crate) lowered: Lowered,
     /// Barrier observer: called after each update-plan batch is applied to
     /// the installed mirror (the journal's per-phase barrier commit hook).
     pub(crate) dp_observer: Option<Box<dyn DataplaneObserver>>,
@@ -500,6 +691,30 @@ pub struct OrchestrationLoop {
     pub(crate) southbound: Option<apple_dataplane::southbound::SouthboundChannel>,
 }
 
+/// Commits one acked barrier: the installed mirror, then the fast path,
+/// then the observer — in that order on both the synchronous and the
+/// southbound arm of the sync.
+fn commit_barrier(
+    installed: &mut RuleProgram,
+    fastpath: &mut Option<CompiledProgram>,
+    observer: &mut Option<Box<dyn DataplaneObserver>>,
+    batch: &UpdateBatch,
+    rec: &dyn Recorder,
+) {
+    {
+        let _a = rec.span("dataplane.sync.apply");
+        apple_dataplane::diff::apply_batch_unchecked(installed, batch);
+    }
+    if let Some(fp) = fastpath {
+        let _f = rec.span("dataplane.sync.fastpath");
+        fp.rebuild_delta(batch);
+    }
+    if let Some(obs) = observer {
+        let _o = rec.span("dataplane.sync.observer");
+        obs.on_barrier(batch);
+    }
+}
+
 /// Observes data-plane barriers as `OrchestrationLoop::sync_dataplane`
 /// applies an update plan batch by batch. The journaled controller
 /// ([`crate::recovery`]) uses this to mirror each barrier onto the
@@ -508,7 +723,7 @@ pub struct OrchestrationLoop {
 /// one barrier ahead of the last journaled commit.
 pub trait DataplaneObserver: fmt::Debug {
     /// Called after `batch` has been applied to the installed program.
-    fn on_barrier(&mut self, batch: &apple_dataplane::diff::UpdateBatch);
+    fn on_barrier(&mut self, batch: &UpdateBatch);
 }
 
 impl OrchestrationLoop {
@@ -527,13 +742,8 @@ impl OrchestrationLoop {
         cfg: OnlineConfig,
         ops: ControlOps,
     ) -> Self {
-        let compiled = cfg
-            .compile_rules
-            .then(apple_dataplane::compiler::RuleProgram::default);
-        let fastpath = cfg
-            .compile_rules
-            .then(apple_dataplane::fastpath::CompiledProgram::default);
-        let dp_dirty = compiled.is_some();
+        let compiled = cfg.compile_rules.then(RuleProgram::default);
+        let fastpath = cfg.compile_rules.then(CompiledProgram::default);
         let southbound = cfg
             .southbound
             .map(apple_dataplane::southbound::SouthboundChannel::new);
@@ -544,23 +754,22 @@ impl OrchestrationLoop {
             replanner: Replanner::new(cfg.engine.clone()),
             ops,
             cfg,
-            live: BTreeMap::new(),
+            live: LiveTable::default(),
             rejected: BTreeMap::new(),
             events_seen: 0,
             compiled,
             fastpath,
-            tags: BTreeMap::new(),
-            tag_decisions: BTreeMap::new(),
-            dp_dirty,
+            lowered: Lowered::default(),
             dp_observer: None,
             southbound,
         }
     }
 
-    /// Installs (or clears) the data-plane barrier observer. Crate-private:
-    /// only the journaled wrapper ([`crate::recovery::JournaledLoop`])
-    /// threads one through.
-    pub(crate) fn set_dp_observer(&mut self, obs: Option<Box<dyn DataplaneObserver>>) {
+    /// Installs (or clears) the data-plane barrier observer, which sees
+    /// every batch of every sync's update plan as it commits. The journaled
+    /// wrapper ([`crate::recovery::JournaledLoop`]) threads its own through
+    /// here; tests use it to hold the loop's plans to a full recompute.
+    pub fn set_dp_observer(&mut self, obs: Option<Box<dyn DataplaneObserver>>) {
         self.dp_observer = obs;
     }
 
@@ -586,12 +795,7 @@ impl OrchestrationLoop {
         if self.cfg.resolve_every > 0 && self.events_seen.is_multiple_of(self.cfg.resolve_every) {
             self.resolve(rec, &mut report);
         }
-        if self.dp_dirty {
-            self.dp_dirty = false;
-            let (ops, wait_ms) = self.sync_dataplane(rec);
-            report.dataplane_ops = ops;
-            report.southbound_wait_ms = wait_ms;
-        }
+        (report.dataplane_ops, report.southbound_wait_ms) = self.sync_dataplane(rec);
         report
     }
 
@@ -614,7 +818,6 @@ impl OrchestrationLoop {
                 report.placed += 1;
                 report.launched += decision.launched.len() as u32;
                 self.live.insert(key, LiveClass { class, decision });
-                self.mark_dp_dirty();
             }
             Err(e) => {
                 if matches!(e, OnlineError::JumboClass { .. }) {
@@ -623,10 +826,6 @@ impl OrchestrationLoop {
                 rec.counter("online.shed_events", 1);
                 report.shed += 1;
                 self.rejected.insert(key, class);
-                // The caller may have removed the key from `live` on the
-                // way here (re-rate, crash); a sync is cheap when nothing
-                // actually changed (empty diff).
-                self.mark_dp_dirty();
             }
         }
     }
@@ -661,7 +860,7 @@ impl OrchestrationLoop {
     ) {
         // The caller checked membership, but re-placement paths can recurse
         // through here; degrade to a fresh placement instead of panicking.
-        let Some(lc) = self.live.get_mut(&key) else {
+        let Some(lc) = self.live.get(&key) else {
             self.place_or_shed(key, class, rec, report);
             return;
         };
@@ -671,7 +870,7 @@ impl OrchestrationLoop {
             for &id in &lc.decision.stage_instances {
                 self.placer.adjust(id, delta);
             }
-            lc.class = class;
+            self.live.rerate(&key, class);
             return;
         }
         // Growth: per-instance headroom check (an instance serving k
@@ -691,7 +890,7 @@ impl OrchestrationLoop {
             for &id in &lc.decision.stage_instances {
                 self.placer.adjust(id, delta);
             }
-            lc.class = class;
+            self.live.rerate(&key, class);
             return;
         }
         // No slack: release and re-place at the new rate.
@@ -759,7 +958,6 @@ impl OrchestrationLoop {
                     self.placer.adjust(id, -lc.class.rate_mbps);
                 }
                 self.retire_idle(&lc.decision.stage_instances, rec, report);
-                self.mark_dp_dirty();
             }
             self.rejected.remove(&key);
         }
@@ -847,7 +1045,7 @@ impl OrchestrationLoop {
         // Re-map every class (heaviest first) onto the new fleet; the DP
         // reuses engine-placed instances at cost 0, so launches here are
         // rare. Classes that no longer fit are shed explicitly.
-        let live_old = std::mem::take(&mut self.live);
+        let live_old = self.live.take();
         let rejected_old = std::mem::take(&mut self.rejected);
         let mut all: Vec<(LiveKey, EquivalenceClass)> = live_old
             .into_iter()
@@ -890,9 +1088,6 @@ impl OrchestrationLoop {
         }
         rec.counter("online.instance_crashes", 1);
         self.placer.forget(id);
-        // The instance is gone even if no live class referenced it, so the
-        // hosts-in-use set (host-match rules) may have changed.
-        self.mark_dp_dirty();
         let affected: Vec<LiveKey> = self
             .live
             .iter()
@@ -916,19 +1111,8 @@ impl OrchestrationLoop {
         }
         // Crashes are out-of-band (not a timeline step), so sync here: the
         // failover path must install its repair delta immediately.
-        if self.dp_dirty {
-            self.dp_dirty = false;
-            self.sync_dataplane(rec);
-        }
+        self.sync_dataplane(rec);
         affected.len()
-    }
-
-    /// Flags the installed program as stale; no-op when the compiler is
-    /// disabled.
-    fn mark_dp_dirty(&mut self) {
-        if self.compiled.is_some() {
-            self.dp_dirty = true;
-        }
     }
 
     /// Turns the data-plane compiler on mid-run (the config flag does the
@@ -936,16 +1120,16 @@ impl OrchestrationLoop {
     /// program as one delta from empty.
     pub fn enable_dataplane_compiler(&mut self) {
         if self.compiled.is_none() {
-            self.compiled = Some(apple_dataplane::compiler::RuleProgram::default());
-            self.fastpath = Some(apple_dataplane::fastpath::CompiledProgram::default());
-            self.dp_dirty = true;
+            self.compiled = Some(RuleProgram::default());
+            self.fastpath = Some(CompiledProgram::default());
+            self.live.touch_all();
         }
     }
 
     /// The incrementally maintained installed rule program, when the
     /// compiler is enabled. Reflects the state as of the last completed
     /// step (syncs run at step end).
-    pub fn dataplane_program(&self) -> Option<&apple_dataplane::compiler::RuleProgram> {
+    pub fn dataplane_program(&self) -> Option<&RuleProgram> {
         self.compiled.as_ref()
     }
 
@@ -955,25 +1139,45 @@ impl OrchestrationLoop {
     /// sync — callers get switch-rate lookups
     /// ([`apple_dataplane::walk::WalkEngine`]) without ever paying a full
     /// recompile.
-    pub fn dataplane_fastpath(&self) -> Option<&apple_dataplane::fastpath::CompiledProgram> {
+    pub fn dataplane_fastpath(&self) -> Option<&CompiledProgram> {
         self.fastpath.as_ref()
     }
 
-    /// The compiler snapshot of the current serving state, when the
-    /// compiler is enabled. Tags are computed through the same pure
-    /// allocator the sync uses, so this is safe to call even between a
-    /// state change and the step-end sync (a live key without a persisted
-    /// tag gets the tag the next sync would assign it).
-    pub fn dataplane_snapshot(&self) -> Option<apple_dataplane::compiler::CompilerSnapshot> {
+    /// The compiler snapshot of the whole current serving state, when the
+    /// compiler is enabled — what [`apple_dataplane::compiler::compile`]
+    /// turns into the program the step-end sync leaves installed. The loop
+    /// itself never builds it outside debug assertions; journal recovery,
+    /// tests and the benchmark's correctness gate do. Tags are computed
+    /// through the pure allocator the sync is held to, so this is safe to
+    /// call even between a state change and the step-end sync (a live key
+    /// without a persisted tag gets the tag the next sync would assign it).
+    pub fn dataplane_snapshot(&self) -> Option<CompilerSnapshot> {
         self.compiled.as_ref()?;
-        let effective = Self::allocate_tags(&self.live, &self.tags, &self.tag_decisions);
-        Some(self.build_dataplane_snapshot(&effective))
+        let tags = Self::allocate_tags(&self.live, self.lowered.specs());
+        let specs = self.live.iter().map(|(key, lc)| spec_of(lc, tags[key]));
+        Some(self.snapshot_of(specs.collect()))
     }
 
-    /// Frees dead tags and allocates lowest-unused tags for new live keys,
-    /// with two safeguards that together give per-packet consistency
-    /// through every update plan (the conformance battery's "no transient
-    /// chain bypass" tier):
+    /// Wraps sub-class specs (in live-key order) into a snapshot of the
+    /// current fleet.
+    pub(crate) fn snapshot_of(&self, subclasses: Vec<SubclassSpec>) -> CompilerSnapshot {
+        let mut rewriters: Vec<InstanceId> = subclasses.iter().flat_map(rewriters_of).collect();
+        rewriters.sort_unstable();
+        rewriters.dedup();
+        CompilerSnapshot {
+            switches: self.orch.hosts().keys().copied().collect(),
+            hosts: self.orch.hosts_in_use().into_iter().collect(),
+            rewriters,
+            subclasses,
+            compress: true,
+        }
+    }
+
+    /// The tag map a sync must leave behind, as a pure function of the live
+    /// set and the specs the previous sync lowered: dead tags are freed and
+    /// new live keys get the lowest unused tag, with two safeguards that
+    /// together give per-packet consistency through every update plan (the
+    /// conformance battery's "no transient chain bypass" tier):
     ///
     /// * **Two-phase versioning** — a live class whose serving decision
     ///   (stage positions or instances) moved since its tag was allocated
@@ -987,47 +1191,21 @@ impl OrchestrationLoop {
     ///   equal fresh tag would steer newly classified packets into them.
     ///   Quarantined tags become reusable at the next sync, once the old
     ///   rules are gone.
-    fn sync_tags(&mut self) {
-        self.tags = Self::allocate_tags(&self.live, &self.tags, &self.tag_decisions);
-        self.tag_decisions = self
-            .live
-            .iter()
-            .map(|(k, lc)| {
-                (
-                    *k,
-                    (
-                        lc.decision.stage_positions.clone(),
-                        lc.decision.stage_instances.clone(),
-                    ),
-                )
-            })
-            .collect();
-    }
-
-    /// The pure tag-allocation function behind [`Self::sync_tags`]: given
-    /// the live set and the previous sync's `(tags, tag_decisions)`,
-    /// returns the tag map the next sync will install. Keeping this pure
-    /// lets [`Self::dataplane_snapshot`] predict the post-sync snapshot
-    /// without mutating state.
+    ///
+    /// [`Self::sync_dataplane`] reaches the same map by re-tagging only the
+    /// keys an event touched; this whole-state form is its oracle and lets
+    /// [`Self::dataplane_snapshot`] predict the post-sync snapshot without
+    /// mutating state.
     pub(crate) fn allocate_tags(
         live: &BTreeMap<LiveKey, LiveClass>,
-        tags: &BTreeMap<LiveKey, u16>,
-        tag_decisions: &BTreeMap<LiveKey, (Vec<usize>, Vec<InstanceId>)>,
+        lowered: &BTreeMap<LiveKey, SubclassSpec>,
     ) -> BTreeMap<LiveKey, u16> {
-        let quarantined: std::collections::BTreeSet<u16> = tags.values().copied().collect();
-        let mut next: BTreeMap<LiveKey, u16> = tags
+        let mut used: BTreeSet<u16> = lowered.values().map(|s| s.tag).collect();
+        let mut next: BTreeMap<LiveKey, u16> = lowered
             .iter()
-            .filter(|(k, _)| {
-                live.get(*k).is_some_and(|lc| {
-                    tag_decisions.get(*k).is_some_and(|(pos, inst)| {
-                        *pos == lc.decision.stage_positions && *inst == lc.decision.stage_instances
-                    })
-                })
-            })
-            .map(|(&k, &t)| (k, t))
+            .filter(|(k, spec)| live.get(*k).is_some_and(|lc| same_decision(spec, lc)))
+            .map(|(&k, spec)| (k, spec.tag))
             .collect();
-        let mut used = quarantined;
-        used.extend(next.values().copied());
         let missing: Vec<LiveKey> = live
             .keys()
             .filter(|k| !next.contains_key(*k))
@@ -1044,89 +1222,181 @@ impl OrchestrationLoop {
         next
     }
 
-    /// Lowers the live serving state into a compiler snapshot. Every live
-    /// class is one sub-class (the online model serves whole classes) with
-    /// a globally unique tag, so rewriting chains can match tag-only (§X)
-    /// without a separate allocation walk.
-    pub(crate) fn build_dataplane_snapshot(
-        &self,
-        tags: &BTreeMap<LiveKey, u16>,
-    ) -> apple_dataplane::compiler::CompilerSnapshot {
-        use apple_dataplane::compiler::{CompilerSnapshot, SubclassSpec};
-
-        let mut rewriters: Vec<InstanceId> = Vec::new();
-        let mut subclasses = Vec::with_capacity(self.live.len());
-        for (key, lc) in &self.live {
-            // `tags` comes from `allocate_tags`, which covers every live
-            // key by construction; an absent key would mean the maps were
-            // built from different live sets, so skip rather than panic.
-            let Some(&tag) = tags.get(key) else {
-                debug_assert!(false, "tag map misses live key {key:?}");
-                continue;
-            };
-            let nfs = lc.class.chain.nfs();
-            let global = nfs.iter().any(|&nf| VnfSpec::of(nf).rewrites_headers());
-            for (&inst, &nf) in lc.decision.stage_instances.iter().zip(nfs) {
-                if VnfSpec::of(nf).rewrites_headers() {
-                    rewriters.push(inst);
-                }
-            }
-            subclasses.push(SubclassSpec {
-                class: u64::from(tag),
-                class_name: format!("c{tag}"),
-                sub: 0,
-                tag,
-                global,
-                path: lc.class.path.iter().map(|n| n.0).collect(),
-                src_prefix: lc.class.src_prefix,
-                dst_prefix: lc.class.dst_prefix,
-                proto: lc.class.proto,
-                dst_ports: lc.class.dst_ports.clone(),
-                prefixes: vec![lc.class.src_prefix],
-                stage_positions: lc.decision.stage_positions.clone(),
-                stage_nfs: nfs.to_vec(),
-                instances: lc.decision.stage_instances.clone(),
-            });
-        }
-        rewriters.sort_unstable();
-        rewriters.dedup();
-        CompilerSnapshot {
-            switches: self.orch.hosts().keys().copied().collect(),
-            hosts: self.orch.hosts_in_use().into_iter().collect(),
-            rewriters,
-            subclasses,
-            compress: true,
-        }
+    /// Whether the installed program is behind the serving state: a key
+    /// was written, or the scaffold no longer matches the hosts in use
+    /// (always so before the first sync). False between steps — every step
+    /// ends in a sync — except before the first one.
+    pub(crate) fn sync_pending(&self) -> bool {
+        self.compiled.as_ref().is_some_and(|installed| {
+            !self.live.touched.is_empty()
+                || !self
+                    .stale_scaffold(installed, &self.orch.hosts_in_use())
+                    .is_empty()
+        })
     }
 
-    /// Compiles the current snapshot, diffs it against the installed
-    /// program and applies the delta in place. Returns the rule operations
-    /// billed and the virtual southbound wait (0 on the synchronous
-    /// path). Telemetry: `dataplane.sync` span, `dataplane.plans` /
-    /// `dataplane.rule_ops` counters, `dataplane.program_rules` gauge;
-    /// with the southbound channel also `southbound.barriers`,
-    /// `southbound.retries` counters and the `southbound.barrier_wait_ms`
-    /// histogram.
+    /// The switches whose hosts-in-use bit is not the installed one (or
+    /// that have no table yet) and the hosts that appeared or vanished.
+    fn stale_scaffold(&self, installed: &RuleProgram, in_use: &BTreeSet<usize>) -> DiffScope {
+        let mut scope = DiffScope::default();
+        for &sw in self.orch.hosts().keys() {
+            if installed.switches.get(&sw).map(|s| s.has_host) != Some(in_use.contains(&sw)) {
+                scope.switches.insert(sw);
+            }
+        }
+        scope.hosts.extend(
+            in_use
+                .iter()
+                .filter(|h| !installed.hosts.contains_key(h))
+                .chain(installed.hosts.keys().filter(|h| !in_use.contains(h))),
+        );
+        scope
+    }
+
+    /// Re-establishes what a snapshot taken at a sync point recorded as
+    /// installed: the spec lowered for each live key (its tag, and the
+    /// decision it was lowered for), the program those specs compile to and
+    /// its fast-path mirror. A key stays pending only where the snapshot's
+    /// decision is not the one serving the class now.
+    pub(crate) fn restore_dataplane(
+        &mut self,
+        tags: &BTreeMap<LiveKey, u16>,
+        decisions: BTreeMap<LiveKey, (Vec<usize>, Vec<InstanceId>)>,
+    ) {
+        for (key, (stage_positions, instances)) in decisions {
+            let (Some(lc), Some(&tag)) = (self.live.get(&key), tags.get(&key)) else {
+                continue;
+            };
+            let spec = SubclassSpec {
+                stage_positions,
+                instances,
+                ..spec_of(lc, tag)
+            };
+            self.lowered.replace(key, Some(spec));
+        }
+        self.lowered.rebuild_tag_pool();
+        let snap = self.snapshot_of(self.lowered.specs().values().cloned().collect());
+        let prog = apple_dataplane::compiler::compile(&snap);
+        self.fastpath = Some(CompiledProgram::new(&prog));
+        self.compiled = Some(prog);
+        let lowered = self.lowered.specs();
+        self.live.touched = (self.live.map.iter())
+            .filter(|(key, lc)| !lowered.get(key).is_some_and(|spec| same_decision(spec, lc)))
+            .map(|(&key, _)| key)
+            .collect();
+    }
+
+    /// Brings the installed program up to the serving state at the cost of
+    /// what changed since the last sync: re-tags the live keys that were
+    /// written (bitwise what [`Self::allocate_tags`] yields on the whole
+    /// state), re-lowers only the devices their old or new specs put rules
+    /// on plus the switches whose hosts-in-use bit flipped, diffs those
+    /// devices against the installed program and applies the delta in
+    /// place. Does nothing when nothing changed. Returns the rule
+    /// operations billed and the virtual southbound wait (0 on the
+    /// synchronous path). Telemetry: `dataplane.sync` span with children
+    /// `dataplane.sync.{tags,lower,diff,southbound,apply,fastpath,observer}`,
+    /// `dataplane.compile` / `dataplane.diff` spans,
+    /// `dataplane.rules_compiled` (rules actually lowered),
+    /// `dataplane.plans` / `dataplane.rule_ops` counters,
+    /// `dataplane.program_rules` gauge; with the southbound channel also
+    /// `southbound.barriers`, `southbound.retries` counters and the
+    /// `southbound.barrier_wait_ms` histogram.
     fn sync_dataplane(&mut self, rec: &dyn Recorder) -> (u64, u64) {
-        if self.compiled.is_none() {
+        let touched = std::mem::take(&mut self.live.touched);
+        let Some(installed) = self.compiled.as_ref() else {
+            return (0, 0);
+        };
+        let in_use = self.orch.hosts_in_use();
+        let mut scope = self.stale_scaffold(installed, &in_use);
+        if touched.is_empty() && scope.is_empty() {
             return (0, 0);
         }
         let _s = rec.span("dataplane.sync");
+        let oracle =
+            cfg!(debug_assertions).then(|| Self::allocate_tags(&self.live, self.lowered.specs()));
+
+        // Touched keys in key order: keep the tag while the decision
+        // stands, else take the lowest tag not installed when this sync
+        // began (released tags return to the pool only below).
+        let mut tags: Vec<(LiveKey, Option<u16>)> = Vec::with_capacity(touched.len());
         {
             let _t = rec.span("dataplane.sync.tags");
-            self.sync_tags();
+            let mut released = Vec::new();
+            for key in touched {
+                let (old, lc) = (self.lowered.specs().get(&key), self.live.get(&key));
+                let kept = old
+                    .zip(lc)
+                    .filter(|(spec, lc)| same_decision(spec, lc))
+                    .map(|(spec, _)| spec.tag);
+                if kept.is_none() {
+                    released.extend(old.map(|spec| spec.tag));
+                }
+                let tag = lc.map(|_| kept.unwrap_or_else(|| self.lowered.take_lowest_tag()));
+                tags.push((key, tag));
+            }
+            self.lowered.release_tags(released);
         }
+
         let target = {
             let _l = rec.span("dataplane.sync.lower");
-            let snap = self.build_dataplane_snapshot(&self.tags);
-            apple_dataplane::compiler::compile_recorded(&snap, rec)
+            for (key, tag) in tags {
+                let new = tag.map(|tag| spec_of(&self.live[&key], tag));
+                if self.lowered.specs().get(&key) == new.as_ref() {
+                    continue;
+                }
+                let old = self.lowered.replace(key, new);
+                for spec in old.iter().chain(self.lowered.specs().get(&key)) {
+                    scope.switches.insert(spec.ingress());
+                    scope.hosts.extend(spec.stage_hosts());
+                    scope.rewriters.extend(rewriters_of(spec));
+                }
+            }
+            let mut target = RuleProgram::default();
+            let _c = rec.span("dataplane.compile");
+            for &sw in &scope.switches {
+                let rules = apple_dataplane::compiler::lower_switch(
+                    sw,
+                    in_use.contains(&sw),
+                    self.lowered.ingress_specs(sw),
+                    true,
+                );
+                target.switches.insert(sw, rules);
+            }
+            for &host in &scope.hosts {
+                let staged: Vec<&SubclassSpec> = self.lowered.host_specs(host).collect();
+                if staged.is_empty() && !in_use.contains(&host) {
+                    continue;
+                }
+                target
+                    .rewriters
+                    .extend(staged.iter().flat_map(|spec| rewriters_of(spec)));
+                target
+                    .hosts
+                    .insert(host, apple_dataplane::compiler::lower_host(host, staged));
+            }
+            rec.counter("dataplane.rules_compiled", target.rule_count() as u64);
+            target
         };
-        let Some(installed) = self.compiled.as_mut() else {
-            return (0, 0); // unreachable: compiler presence checked above
-        };
+        debug_assert_eq!(
+            oracle,
+            Some(
+                self.lowered
+                    .specs()
+                    .iter()
+                    .map(|(&key, spec)| (key, spec.tag))
+                    .collect()
+            ),
+            "re-tagging the touched keys must equal allocating over the whole state"
+        );
+
+        let installed = self
+            .compiled
+            .as_mut()
+            .expect("compiler presence checked above");
         let plan = {
             let _d = rec.span("dataplane.sync.diff");
-            apple_dataplane::diff::diff_recorded(installed, &target, rec)
+            apple_dataplane::diff::diff_scoped(installed, &target, &scope, rec)
         };
         let mut wait_ms = 0u64;
         if let Some(chan) = self.southbound.as_mut() {
@@ -1151,18 +1421,13 @@ impl OrchestrationLoop {
                     let apple_dataplane::southbound::SouthboundEvent::Barrier(done) = ev else {
                         continue;
                     };
-                    {
-                        let _a = rec.span("dataplane.sync.apply");
-                        apple_dataplane::diff::apply_batch_unchecked(installed, &done.batch);
-                    }
-                    if let Some(fp) = self.fastpath.as_mut() {
-                        let _f = rec.span("dataplane.sync.fastpath");
-                        fp.rebuild_delta(&done.batch);
-                    }
-                    if let Some(obs) = self.dp_observer.as_mut() {
-                        let _o = rec.span("dataplane.sync.observer");
-                        obs.on_barrier(&done.batch);
-                    }
+                    commit_barrier(
+                        installed,
+                        &mut self.fastpath,
+                        &mut self.dp_observer,
+                        &done.batch,
+                        rec,
+                    );
                     last_ack = done.completed_ms;
                     rec.counter("southbound.barriers", 1);
                     rec.counter("southbound.retries", done.retries);
@@ -1171,37 +1436,33 @@ impl OrchestrationLoop {
             }
             wait_ms = last_ack.saturating_sub(submitted);
         } else {
-            // Apply barrier by barrier so the observer sees each batch
-            // commit in order (the uncapped path is infallible — no
-            // phantom error).
+            // Commit barrier by barrier so the observer sees each batch in
+            // order (the uncapped path is infallible — no phantom error).
             for batch in plan.batches() {
-                {
-                    let _a = rec.span("dataplane.sync.apply");
-                    apple_dataplane::diff::apply_batch_unchecked(installed, batch);
-                }
-                if let Some(fp) = self.fastpath.as_mut() {
-                    let _f = rec.span("dataplane.sync.fastpath");
-                    fp.rebuild_delta(batch);
-                }
-                if let Some(obs) = self.dp_observer.as_mut() {
-                    let _o = rec.span("dataplane.sync.observer");
-                    obs.on_barrier(batch);
-                }
+                commit_barrier(
+                    installed,
+                    &mut self.fastpath,
+                    &mut self.dp_observer,
+                    batch,
+                    rec,
+                );
             }
         }
         let stats = plan.stats();
+        rec.counter("dataplane.plans", 1);
+        rec.counter("dataplane.rule_ops", stats.total() as u64);
+        rec.gauge("dataplane.program_rules", installed.rule_count() as f64);
         debug_assert_eq!(
-            *installed, target,
+            self.compiled,
+            self.dataplane_snapshot()
+                .map(|snap| apple_dataplane::compiler::compile(&snap)),
             "incremental patch must reproduce the full compile"
         );
         debug_assert_eq!(
             self.fastpath,
-            Some(apple_dataplane::fastpath::CompiledProgram::new(installed)),
+            self.compiled.as_ref().map(CompiledProgram::new),
             "delta-patched fast path must equal a fresh compile of the installed program"
         );
-        rec.counter("dataplane.plans", 1);
-        rec.counter("dataplane.rule_ops", stats.total() as u64);
-        rec.gauge("dataplane.program_rules", target.rule_count() as f64);
         (stats.total() as u64, wait_ms)
     }
 
@@ -1593,6 +1854,66 @@ mod tests {
             0,
             "only pass-by defaults remain"
         );
+    }
+
+    /// A growing class with no slack is released and re-placed, possibly
+    /// retiring the instances it left. That write must reach the switches
+    /// like any other: pinned because the re-place arm once installed its
+    /// decision without telling the data plane, which left vSwitch rules
+    /// steering to torn-down instances (12 275 stale steps of 52 656 on
+    /// these timelines).
+    #[test]
+    fn rerate_replacement_reaches_the_dataplane() {
+        use apple_dataplane::switch::VSwitchVerdict;
+        use apple_traffic::arrivals::{ArrivalConfig, EventTimeline};
+        let topo = zoo::internet2();
+        // 72 ordered pairs: every pair among nine of the twelve PoPs.
+        let pairs: Vec<(NodeId, NodeId)> = (0..9)
+            .flat_map(|s| (0..9).map(move |d| (NodeId(s), NodeId(d))))
+            .filter(|(s, d)| s != d)
+            .collect();
+        let mut replaced = 0u32;
+        for (mean_rate_mbps, host_cores) in [(40.0, 64), (300.0, 6)] {
+            for seed in 0..6 {
+                let arrivals = ArrivalConfig {
+                    arrival_rate: 0.5,
+                    mean_duration_secs: 4.0,
+                    mean_rate_mbps,
+                    seed,
+                };
+                let timeline = EventTimeline::generate(&pairs, &arrivals, 6.0);
+                let orch = ResourceOrchestrator::with_uniform_hosts(&topo, host_cores);
+                let cfg = OnlineConfig {
+                    compile_rules: true,
+                    ..Default::default()
+                };
+                let mut looper = OrchestrationLoop::new(&topo, orch, cfg);
+                for (n, e) in timeline.events().iter().enumerate() {
+                    let live_before = looper.live_count();
+                    let report = looper.step(e, &apple_telemetry::NOOP);
+                    // A placement that adds no class re-placed a live one.
+                    replaced += u32::from(report.placed > 0 && looper.live_count() <= live_before);
+                    let at = format!("{mean_rate_mbps} Mbps, seed {seed}, event {n}");
+                    let installed = looper.dataplane_program().expect("compiler enabled");
+                    let snap = looper.dataplane_snapshot().expect("compiler enabled");
+                    assert_eq!(
+                        installed,
+                        &apple_dataplane::compiler::compile(&snap),
+                        "installed program is stale ({at})"
+                    );
+                    for rule in installed.hosts.values().flatten() {
+                        if let VSwitchVerdict::ToVnf(id) = rule.verdict {
+                            assert!(
+                                looper.orchestrator().instance(id).is_some(),
+                                "rule {:?} steers to torn-down {id} ({at})",
+                                rule.label
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(replaced > 0, "no timeline took the re-place arm");
     }
 
     /// Enqueue + await-barrier must land the installed mirror bitwise on

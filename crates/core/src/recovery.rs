@@ -468,7 +468,7 @@ pub fn encode_state(l: &OrchestrationLoop) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u8(SNAPSHOT_VERSION);
     w.put_u64(l.events_seen);
-    w.put_bool(l.dp_dirty);
+    w.put_bool(l.sync_pending());
     let (hosts, instances, next_id) = l.orch.snapshot_parts();
     w.put_usize(hosts.len());
     for (&switch, host) in hosts {
@@ -490,7 +490,7 @@ pub fn encode_state(l: &OrchestrationLoop) -> Vec<u8> {
         w.put_f64(load);
     }
     w.put_usize(l.live.len());
-    for (key, lc) in &l.live {
+    for (key, lc) in l.live.iter() {
         encode_key(&mut w, key);
         encode_class(&mut w, &lc.class);
         encode_decision(&mut w, &lc.decision);
@@ -500,20 +500,23 @@ pub fn encode_state(l: &OrchestrationLoop) -> Vec<u8> {
         encode_key(&mut w, key);
         encode_class(&mut w, class);
     }
-    w.put_usize(l.tags.len());
-    for (key, &tag) in &l.tags {
+    // What the data plane holds per live key as of the last sync: the tag,
+    // then the decision it was lowered for.
+    let lowered = l.lowered.specs();
+    w.put_usize(lowered.len());
+    for (key, spec) in lowered {
         encode_key(&mut w, key);
-        w.put_u16(tag);
+        w.put_u16(spec.tag);
     }
-    w.put_usize(l.tag_decisions.len());
-    for (key, (positions, instances)) in &l.tag_decisions {
+    w.put_usize(lowered.len());
+    for (key, spec) in lowered {
         encode_key(&mut w, key);
-        w.put_usize(positions.len());
-        for &p in positions {
+        w.put_usize(spec.stage_positions.len());
+        for &p in &spec.stage_positions {
             w.put_usize(p);
         }
-        w.put_usize(instances.len());
-        for id in instances {
+        w.put_usize(spec.instances.len());
+        for id in &spec.instances {
             w.put_u64(id.0);
         }
     }
@@ -539,8 +542,10 @@ pub fn state_digest(l: &OrchestrationLoop) -> u32 {
 
 /// Rebuilds a loop from a snapshot payload over `setup`'s topology and
 /// config. The compiled rule program is recomputed from the restored
-/// serving state (snapshots are only taken at sync points, so the
-/// recompile equals what was installed).
+/// per-key tags and decisions (snapshots are only taken at sync points, so
+/// the recompile equals what was installed). A snapshot that says a sync
+/// was pending can only date from before the first one, so it restores
+/// with nothing installed.
 fn decode_state(setup: &RecoverySetup, bytes: &[u8]) -> Result<OrchestrationLoop, RecoveryError> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u8()?;
@@ -606,12 +611,14 @@ fn decode_state(setup: &RecoverySetup, bytes: &[u8]) -> Result<OrchestrationLoop
         looper.rejected.insert(key, class);
     }
     let n_tags = r.get_usize()?;
+    let mut tags = BTreeMap::new();
     for _ in 0..n_tags {
         let key = decode_key(&mut r)?;
         let tag = r.get_u16()?;
-        looper.tags.insert(key, tag);
+        tags.insert(key, tag);
     }
     let n_decisions = r.get_usize()?;
+    let mut decisions = BTreeMap::new();
     for _ in 0..n_decisions {
         let key = decode_key(&mut r)?;
         let n = r.get_usize()?;
@@ -624,7 +631,7 @@ fn decode_state(setup: &RecoverySetup, bytes: &[u8]) -> Result<OrchestrationLoop
         for _ in 0..n {
             ids.push(InstanceId(r.get_u64()?));
         }
-        looper.tag_decisions.insert(key, (positions, ids));
+        decisions.insert(key, (positions, ids));
     }
     let n_pairs = r.get_usize()?;
     for _ in 0..n_pairs {
@@ -638,16 +645,14 @@ fn decode_state(setup: &RecoverySetup, bytes: &[u8]) -> Result<OrchestrationLoop
         }
         looper.inc.restore_pair_flows(pair, flows);
     }
-    looper.dp_dirty = dp_dirty;
     if !r.is_done() {
         return Err(RecoveryError::Codec(DecodeError::Invariant(
             "trailing bytes after snapshot",
         )));
     }
-    let snap = looper.build_dataplane_snapshot(&looper.tags);
-    let prog = apple_dataplane::compiler::compile(&snap);
-    looper.fastpath = Some(apple_dataplane::fastpath::CompiledProgram::new(&prog));
-    looper.compiled = Some(prog);
+    if !dp_dirty {
+        looper.restore_dataplane(&tags, decisions);
+    }
     Ok(looper)
 }
 

@@ -80,6 +80,22 @@ impl SubclassSpec {
             .collect()
     }
 
+    /// The switch that classifies this sub-class: the head of its path.
+    pub fn ingress(&self) -> usize {
+        *self.path.first().expect("paths are non-empty")
+    }
+
+    /// Distinct switches whose host runs at least one stage, in path order.
+    pub fn stage_hosts(&self) -> Vec<usize> {
+        let mut v: Vec<usize> = Vec::new();
+        for pos in self.host_positions() {
+            if !v.contains(&self.path[pos]) {
+                v.push(self.path[pos]);
+            }
+        }
+        v
+    }
+
     /// Priority bump for transport predicates: proto +1, ports +2.
     pub fn specificity(&self) -> u16 {
         u16::from(self.proto.is_some()) + 2 * u16::from(!self.dst_ports.is_empty())
@@ -202,36 +218,35 @@ fn apply_variant(mut spec: MatchSpec, variant: Variant) -> MatchSpec {
     spec
 }
 
-/// Compiles a snapshot into the canonical rule program.
+/// Lowers one physical switch: the Table III pipeline scaffold (host-match
+/// when `has_host`, pass-by always) plus the classification rules of
+/// `ingress` — the sub-classes whose path starts at this switch, in plan
+/// order.
 ///
 /// Mirrors the control-plane rule generator exactly: same priorities
 /// (host-match 10 000, exact classification `1000·specificity + 200`,
-/// catch-all `+150`, pass-by 0), same labels, same catch-all election
+/// catch-all `+150`, pass-by 0), same labels and same catch-all election
 /// (first sub-class with a strict maximum of prefix rules, kept only when
-/// it saves more than one rule) and same vSwitch ordering (stable sort by
-/// descending transport specificity).
-pub fn compile(snap: &CompilerSnapshot) -> RuleProgram {
-    let host_set: BTreeSet<usize> = snap.hosts.iter().copied().collect();
+/// it saves more than one rule). The election is per class and a class's
+/// sub-classes share its path, so every candidate is in `ingress`.
+pub fn lower_switch<'a>(
+    id: usize,
+    has_host: bool,
+    ingress: impl IntoIterator<Item = &'a SubclassSpec>,
+    compress: bool,
+) -> SwitchRules {
+    let ingress: Vec<&SubclassSpec> = ingress.into_iter().collect();
+    let mut sw = PhysicalSwitch::new(id, has_host);
+    if has_host {
+        sw.install_host_match();
+    }
+    sw.install_pass_by();
 
-    // 1. Per-switch pipeline scaffold: host-match + pass-by.
-    let mut switches: BTreeMap<usize, PhysicalSwitch> = snap
-        .switches
-        .iter()
-        .map(|&id| {
-            let mut sw = PhysicalSwitch::new(id, host_set.contains(&id));
-            if sw.has_host {
-                sw.install_host_match();
-            }
-            sw.install_pass_by();
-            (id, sw)
-        })
-        .collect();
-
-    // 2. Catch-all election per class (plan order, strict maximum, > 1).
+    // Catch-all election per class (plan order, strict maximum, > 1).
     let mut catch_all: BTreeMap<u64, u16> = BTreeMap::new();
-    if snap.compress {
+    if compress {
         let mut best: BTreeMap<u64, (u16, usize)> = BTreeMap::new();
-        for s in &snap.subclasses {
+        for s in &ingress {
             let entry = best.entry(s.class).or_insert((s.sub, 0));
             if s.prefixes.len() > entry.1 {
                 *entry = (s.sub, s.prefixes.len());
@@ -244,13 +259,10 @@ pub fn compile(snap: &CompilerSnapshot) -> RuleProgram {
         }
     }
 
-    // 3. Ingress classification rules (Table III rows 2 and 3).
-    for s in &snap.subclasses {
-        let ingress = *s.path.first().expect("paths are non-empty");
+    // Ingress classification rules (Table III rows 2 and 3).
+    for s in ingress {
+        debug_assert_eq!(s.ingress(), id, "sub-class lowered at a foreign ingress");
         let first_pos = s.host_positions().first().copied();
-        let sw = switches
-            .get_mut(&ingress)
-            .expect("ingress switch is in the snapshot");
         let specificity = s.specificity();
         let actions = match first_pos {
             Some(0) => vec![Action::SetSubclassTag(s.tag), Action::ForwardToHost],
@@ -301,13 +313,23 @@ pub fn compile(snap: &CompilerSnapshot) -> RuleProgram {
             }
         }
     }
+    SwitchRules {
+        rules: sw.apple_table.iter().cloned().collect(),
+        has_host,
+    }
+}
 
-    // 4. vSwitch steering rules, specific classes before wildcard siblings
-    //    (first-match-wins).
-    let mut hosts: BTreeMap<usize, Vec<VSwitchRule>> =
-        host_set.iter().map(|&v| (v, Vec::new())).collect();
-    let mut ordered: Vec<&SubclassSpec> = snap.subclasses.iter().collect();
+/// Lowers one host: the `<InPort, class, sub-class>` vSwitch steering
+/// rules of `staged` — the sub-classes with a chain stage at this host, in
+/// plan order — specific classes before wildcard siblings
+/// (first-match-wins; stable sort by descending transport specificity).
+pub fn lower_host<'a>(
+    host: usize,
+    staged: impl IntoIterator<Item = &'a SubclassSpec>,
+) -> Vec<VSwitchRule> {
+    let mut ordered: Vec<&SubclassSpec> = staged.into_iter().collect();
     ordered.sort_by_key(|s| std::cmp::Reverse(s.specificity()));
+    let mut rules = Vec::new();
     for s in ordered {
         let base_spec = if s.global {
             MatchSpec::any()
@@ -323,10 +345,10 @@ pub fn compile(snap: &CompilerSnapshot) -> RuleProgram {
         };
         let positions = s.host_positions();
         for (pi, &pos) in positions.iter().enumerate() {
-            let v = s.path[pos];
+            if s.path[pos] != host {
+                continue;
+            }
             let stages = s.stages_at(pos);
-            let insts: Vec<InstanceId> = stages.iter().map(|&j| s.instances[j]).collect();
-            let rules = hosts.entry(v).or_default();
             let exit_tag = match positions.get(pi + 1) {
                 Some(&next) => HostTag::Host(s.path[next] as u16),
                 None => HostTag::Fin,
@@ -334,7 +356,8 @@ pub fn compile(snap: &CompilerSnapshot) -> RuleProgram {
             for &variant in &variants {
                 let class_spec = apply_variant(base_spec, variant);
                 let mut port = VPort::Network;
-                for (k, &inst) in insts.iter().enumerate() {
+                for &j in &stages {
+                    let inst = s.instances[j];
                     rules.push(VSwitchRule {
                         in_port: port,
                         spec: class_spec,
@@ -342,7 +365,7 @@ pub fn compile(snap: &CompilerSnapshot) -> RuleProgram {
                         set_host_tag: None,
                         set_subclass_tag: None,
                         verdict: VSwitchVerdict::ToVnf(inst),
-                        label: format!("{}/s{} stage{}", s.class_name, s.sub, stages[k]),
+                        label: format!("{}/s{} stage{j}", s.class_name, s.sub),
                     });
                     port = VPort::FromVnf(inst);
                 }
@@ -353,26 +376,50 @@ pub fn compile(snap: &CompilerSnapshot) -> RuleProgram {
                     set_host_tag: Some(exit_tag),
                     set_subclass_tag: None,
                     verdict: VSwitchVerdict::ToNetwork,
-                    label: format!("{}/s{} exit@v{v}", s.class_name, s.sub),
+                    label: format!("{}/s{} exit@v{host}", s.class_name, s.sub),
                 });
             }
         }
     }
+    rules
+}
 
+/// Compiles a snapshot into the canonical rule program: [`lower_switch`]
+/// over every switch and [`lower_host`] over every host in use (or hosting
+/// a stage), each fed the sub-classes that touch it in plan order.
+pub fn compile(snap: &CompilerSnapshot) -> RuleProgram {
+    let host_set: BTreeSet<usize> = snap.hosts.iter().copied().collect();
+    let mut by_ingress: BTreeMap<usize, Vec<&SubclassSpec>> = BTreeMap::new();
+    let mut by_host: BTreeMap<usize, Vec<&SubclassSpec>> =
+        host_set.iter().map(|&v| (v, Vec::new())).collect();
+    for s in &snap.subclasses {
+        by_ingress.entry(s.ingress()).or_default().push(s);
+        for v in s.stage_hosts() {
+            by_host.entry(v).or_default().push(s);
+        }
+    }
+    let switch_ids: BTreeSet<usize> = snap.switches.iter().copied().collect();
+    let switches: BTreeMap<usize, SwitchRules> = switch_ids
+        .into_iter()
+        .map(|id| {
+            let ingress = by_ingress.remove(&id).unwrap_or_default();
+            (
+                id,
+                lower_switch(id, host_set.contains(&id), ingress, snap.compress),
+            )
+        })
+        .collect();
+    assert!(
+        by_ingress.is_empty(),
+        "ingress switches {:?} are not in the snapshot",
+        by_ingress.keys()
+    );
     RuleProgram {
-        switches: switches
+        switches,
+        hosts: by_host
             .into_iter()
-            .map(|(id, sw)| {
-                (
-                    id,
-                    SwitchRules {
-                        rules: sw.apple_table.iter().cloned().collect(),
-                        has_host: sw.has_host,
-                    },
-                )
-            })
+            .map(|(v, staged)| (v, lower_host(v, staged)))
             .collect(),
-        hosts,
         rewriters: snap.rewriters.iter().copied().collect(),
     }
 }

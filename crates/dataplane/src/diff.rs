@@ -421,12 +421,68 @@ fn merged(base: &[TcamRule], extra: &[TcamRule]) -> Vec<TcamRule> {
     t.iter().cloned().collect()
 }
 
+/// The devices a diff looks at: physical switches, host vSwitches and
+/// rewriter registrations. Devices outside the scope are taken as
+/// unchanged and consulted in neither program, so a caller that knows what
+/// an event touched pays for those devices only.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct DiffScope {
+    /// Physical switches to compare.
+    pub switches: BTreeSet<usize>,
+    /// Host vSwitches to compare (named by the switch they hang off).
+    pub hosts: BTreeSet<usize>,
+    /// Rewriter registrations to compare.
+    pub rewriters: BTreeSet<InstanceId>,
+}
+
+impl DiffScope {
+    /// Whether there is nothing to look at.
+    pub fn is_empty(&self) -> bool {
+        self.switches.is_empty() && self.hosts.is_empty() && self.rewriters.is_empty()
+    }
+
+    /// Every device either program knows: the whole-program diff.
+    pub fn all(old: &RuleProgram, new: &RuleProgram) -> DiffScope {
+        DiffScope {
+            switches: old
+                .switches
+                .keys()
+                .chain(new.switches.keys())
+                .copied()
+                .collect(),
+            hosts: old.hosts.keys().chain(new.hosts.keys()).copied().collect(),
+            rewriters: old.rewriters.union(&new.rewriters).copied().collect(),
+        }
+    }
+}
+
 /// Diffs two compiled programs into a make-before-break [`UpdatePlan`].
 ///
 /// `old` must be the currently installed program and `new` the compile of
 /// the target snapshot; applying the plan to `old` yields exactly `new`
 /// (see the property tests). `diff(p, p)` is empty.
 pub fn diff(old: &RuleProgram, new: &RuleProgram) -> UpdatePlan {
+    diff_scoped(old, new, &DiffScope::all(old, new), &apple_telemetry::NOOP)
+}
+
+/// [`diff`] with a telemetry span (`dataplane.diff`) and operation
+/// counters.
+pub fn diff_recorded(old: &RuleProgram, new: &RuleProgram, rec: &dyn Recorder) -> UpdatePlan {
+    diff_scoped(old, new, &DiffScope::all(old, new), rec)
+}
+
+/// The differ: [`diff`] restricted to the devices in `scope`. `new` need
+/// only hold the target state of those devices (a device of the scope
+/// absent from `new` is one that goes away); the plan is the plan [`diff`]
+/// emits against any full target that agrees with `old` outside the
+/// scope. Telemetry as for [`diff_recorded`].
+pub fn diff_scoped(
+    old: &RuleProgram,
+    new: &RuleProgram,
+    scope: &DiffScope,
+    rec: &dyn Recorder,
+) -> UpdatePlan {
+    let _span = rec.span("dataplane.diff");
     let mut phase2_switch: Vec<UpdateBatch> = Vec::new();
     let mut phase2_host: Vec<UpdateBatch> = Vec::new();
     let mut phase3: Vec<UpdateBatch> = Vec::new();
@@ -435,17 +491,11 @@ pub fn diff(old: &RuleProgram, new: &RuleProgram) -> UpdatePlan {
     let mut phase4_switch: Vec<UpdateBatch> = Vec::new();
 
     // Physical switches.
-    let switch_ids: BTreeSet<usize> = old
-        .switches
-        .keys()
-        .chain(new.switches.keys())
-        .copied()
-        .collect();
     let absent = SwitchRules {
         rules: Vec::new(),
         has_host: false,
     };
-    for id in switch_ids {
+    for &id in &scope.switches {
         // A brand-new or vanished switch follows the same discipline as a
         // modified one, diffed against an empty table. Installing a new
         // switch's classification together with its scaffold would let the
@@ -460,7 +510,7 @@ pub fn diff(old: &RuleProgram, new: &RuleProgram) -> UpdatePlan {
             (Some(o), Some(n)) => (o, n, false),
             (None, Some(n)) => (&absent, n, false),
             (Some(o), None) => (o, &absent, true),
-            (None, None) => unreachable!("id came from one of the maps"),
+            (None, None) => continue,
         };
         if o.rules == n.rules && o.has_host == n.has_host && !drop_switch {
             continue;
@@ -527,8 +577,7 @@ pub fn diff(old: &RuleProgram, new: &RuleProgram) -> UpdatePlan {
     }
 
     // Host vSwitches.
-    let host_ids: BTreeSet<usize> = old.hosts.keys().chain(new.hosts.keys()).copied().collect();
-    for id in host_ids {
+    for &id in &scope.hosts {
         match (old.hosts.get(&id), new.hosts.get(&id)) {
             (None, Some(n)) => {
                 phase2_host.push(UpdateBatch::Host(HostBatch {
@@ -596,13 +645,19 @@ pub fn diff(old: &RuleProgram, new: &RuleProgram) -> UpdatePlan {
                     }));
                 }
             }
-            (None, None) => unreachable!("id came from one of the maps"),
+            (None, None) => {}
         }
     }
 
     // Rewriter registry.
-    let rw_add: Vec<InstanceId> = new.rewriters.difference(&old.rewriters).copied().collect();
-    let rw_remove: Vec<InstanceId> = old.rewriters.difference(&new.rewriters).copied().collect();
+    let (mut rw_add, mut rw_remove) = (Vec::new(), Vec::new());
+    for &i in &scope.rewriters {
+        match (old.rewriters.contains(&i), new.rewriters.contains(&i)) {
+            (false, true) => rw_add.push(i),
+            (true, false) => rw_remove.push(i),
+            _ => {}
+        }
+    }
 
     let mut batches = Vec::new();
     if !rw_add.is_empty() {
@@ -623,14 +678,7 @@ pub fn diff(old: &RuleProgram, new: &RuleProgram) -> UpdatePlan {
             remove: rw_remove,
         });
     }
-    UpdatePlan { batches }
-}
-
-/// [`diff`] with a telemetry span (`dataplane.diff`) and operation
-/// counters.
-pub fn diff_recorded(old: &RuleProgram, new: &RuleProgram, rec: &dyn Recorder) -> UpdatePlan {
-    let _span = rec.span("dataplane.diff");
-    let plan = diff(old, new);
+    let plan = UpdatePlan { batches };
     let stats = plan.stats();
     rec.counter("dataplane.ops_installed", stats.installs as u64);
     rec.counter("dataplane.ops_removed", stats.removes as u64);

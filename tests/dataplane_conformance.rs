@@ -238,6 +238,82 @@ fn single_subclass_churn_on_as3679_beats_reinstall_tenfold() {
     );
 }
 
+/// The whole-program entry points are the all-devices case of the
+/// per-device ones the online loop calls, on planned deployments of all
+/// four topologies: every switch and host of `compile(snapshot)` is what
+/// lowering that device alone from just the sub-classes that touch it
+/// yields, and `diff` is what the scoped differ emits when handed only the
+/// devices that differ and a target holding only those.
+#[test]
+fn per_device_lowering_and_scoped_diff_equal_the_whole_program() {
+    use apple_nfv::dataplane::compiler::{lower_host, lower_switch, RuleProgram};
+    use apple_nfv::dataplane::diff::{diff_scoped, DiffScope};
+
+    let topologies = [zoo::internet2(), zoo::geant(), zoo::univ1(), zoo::as3679()];
+    for (t, topo) in topologies.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(SEED ^ (0x500 + t as u64));
+        let base = offline_snapshot(topo, 300, 12);
+        let prog = compile(&base);
+        for (&id, rules) in &prog.switches {
+            let ingress = base.subclasses.iter().filter(|s| s.ingress() == id);
+            assert_eq!(
+                &lower_switch(id, rules.has_host, ingress, base.compress),
+                rules,
+                "{:?}: switch {id}",
+                topo.kind
+            );
+        }
+        for (&v, rules) in &prog.hosts {
+            let staged = base
+                .subclasses
+                .iter()
+                .filter(|s| s.stage_hosts().contains(&v));
+            assert_eq!(&lower_host(v, staged), rules, "{:?}: host {v}", topo.kind);
+        }
+
+        for (label, after) in [
+            ("churn", churn_instance(&base, &mut rng)),
+            ("drop", drop_subclass(&base, &mut rng)),
+        ] {
+            let after = compile(&after);
+            for (old, new) in [(&prog, &after), (&after, &prog)] {
+                let whole = diff(old, new);
+                assert!(!whole.is_empty(), "{:?} {label}: no plan", topo.kind);
+                // Only what differs, in the scope and in the target.
+                let all = DiffScope::all(old, new);
+                let scope = DiffScope {
+                    switches: (all.switches.iter().copied())
+                        .filter(|id| old.switches.get(id) != new.switches.get(id))
+                        .collect(),
+                    hosts: (all.hosts.iter().copied())
+                        .filter(|v| old.hosts.get(v) != new.hosts.get(v))
+                        .collect(),
+                    rewriters: (old.rewriters.symmetric_difference(&new.rewriters).copied())
+                        .collect(),
+                };
+                assert!(scope.switches.len() + scope.hosts.len() < all.switches.len());
+                let target = RuleProgram {
+                    switches: (new.switches.iter())
+                        .filter(|(id, _)| scope.switches.contains(id))
+                        .map(|(&id, rules)| (id, rules.clone()))
+                        .collect(),
+                    hosts: (new.hosts.iter())
+                        .filter(|(v, _)| scope.hosts.contains(v))
+                        .map(|(&v, rules)| (v, rules.clone()))
+                        .collect(),
+                    rewriters: new.rewriters.clone(),
+                };
+                assert_eq!(
+                    diff_scoped(old, &target, &scope, &NOOP),
+                    whole,
+                    "{:?} {label}: scoped plan",
+                    topo.kind
+                );
+            }
+        }
+    }
+}
+
 /// Pinned-seed regression: exact report counts for one frozen
 /// Internet2 churn step. A change in probe generation, barrier phasing or
 /// walk classification moves these numbers and must be reviewed, not

@@ -9,7 +9,11 @@
 //!   capacity exhaustion mid-plan fails atomically at a barrier boundary
 //!   with every original chain still enforced,
 //! * the inverse-CDF coupling produces valid monotone sub-classes for
-//!   *any* feasible fractional distribution, not just engine outputs.
+//!   *any* feasible fractional distribution, not just engine outputs,
+//! * the online loop's O(delta) sync is the whole-program recompute: on a
+//!   hostile schedule every sync commits, batch for batch, the plan a full
+//!   compile and a whole-program diff emit, with the whole-state tag
+//!   allocation and a fast-path mirror equal to a fresh compile.
 
 use apple_nfv::core::classes::{ClassConfig, ClassSet};
 use apple_nfv::core::controller::{Apple, AppleConfig};
@@ -318,4 +322,174 @@ fn coupling_valid_for_arbitrary_monotone_distributions() {
             assert!(!s.prefixes.is_empty(), "case {case}");
         }
     }
+}
+
+/// Records every barrier the loop commits, in commit order.
+#[derive(Debug)]
+struct BarrierTape(std::rc::Rc<std::cell::RefCell<Vec<apple_nfv::dataplane::diff::UpdateBatch>>>);
+
+impl apple_nfv::core::online::DataplaneObserver for BarrierTape {
+    fn on_barrier(&mut self, batch: &apple_nfv::dataplane::diff::UpdateBatch) {
+        self.0.borrow_mut().push(batch.clone());
+    }
+}
+
+/// The loop's tag rule restated over whole snapshots: a class keeps its
+/// tag while its decision stands; every other class, in snapshot order,
+/// takes the lowest tag that no class carried before the sync. A live
+/// class is its path (one class per pair and forwarding path).
+fn expected_tags(before: &CompilerSnapshot, after: &CompilerSnapshot) -> Vec<u16> {
+    use std::collections::{BTreeMap, BTreeSet};
+    let old: BTreeMap<&[usize], _> = before
+        .subclasses
+        .iter()
+        .map(|s| (s.path.as_slice(), s))
+        .collect();
+    let mut used: BTreeSet<u16> = before.subclasses.iter().map(|s| s.tag).collect();
+    let kept: Vec<Option<u16>> = after
+        .subclasses
+        .iter()
+        .map(|s| {
+            old.get(s.path.as_slice())
+                .filter(|o| o.stage_positions == s.stage_positions && o.instances == s.instances)
+                .map(|o| o.tag)
+        })
+        .collect();
+    kept.into_iter()
+        .map(|tag| {
+            tag.unwrap_or_else(|| {
+                let fresh = (0u16..).find(|t| !used.contains(t)).expect("a free tag");
+                used.insert(fresh);
+                fresh
+            })
+        })
+        .collect()
+}
+
+/// Incremental ≡ full, with real asserts so it holds in release builds:
+/// the loop re-tags, re-lowers and diffs only what an event touched, and
+/// at every sync the barriers it commits must be — batch for batch, since
+/// barrier order is journalled — the plan a whole-program diff against a
+/// full compile of the whole state emits; its tags must be the whole-state
+/// allocation and its fast-path mirror a fresh compile of what is
+/// installed. The schedule is hostile: heavy flows on small hosts (shed
+/// and re-admit, re-rates that must re-place), jumbo classes, instance
+/// crashes, a global re-solve every 50 events, the compiler switched on
+/// mid-run, and both the synchronous and the southbound apply arm.
+#[test]
+fn incremental_sync_equals_full_recompute_under_hostile_churn() {
+    use apple_nfv::core::online::{OnlineConfig, OrchestrationLoop};
+    use apple_nfv::core::orchestrator::ResourceOrchestrator;
+    use apple_nfv::dataplane::southbound::SouthboundConfig;
+    use apple_nfv::dataplane::CompiledProgram;
+    use apple_nfv::sim::online::edge_pairs;
+    use apple_nfv::telemetry::NOOP;
+    use apple_nfv::traffic::arrivals::{ArrivalConfig, EventTimeline};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    let (mut syncs, mut skipped, mut shed, mut readmitted, mut crashes, mut resolves) =
+        (0u32, 0u32, 0u32, 0u32, 0u32, 0u32);
+    for (t, topo) in [zoo::internet2(), zoo::geant(), zoo::univ1()]
+        .iter()
+        .enumerate()
+    {
+        for case in 0..8u64 {
+            let seed = SEED ^ (0x400 + 0x10 * t as u64 + case);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut pairs = edge_pairs(topo);
+            pairs.truncate(40);
+            // Starved, tight and roomy hosts: the first two shed and
+            // re-place under pressure, the third lets re-solves land.
+            let (host_cores, mean_rate_mbps) =
+                [(6, 300.0), (16, 120.0), (64, 40.0)][case as usize % 3];
+            let arrivals = ArrivalConfig {
+                arrival_rate: 0.4,
+                mean_duration_secs: 3.0,
+                mean_rate_mbps,
+                seed,
+            };
+            let timeline = EventTimeline::generate(&pairs, &arrivals, 6.0);
+            let orch = ResourceOrchestrator::with_uniform_hosts(topo, host_cores);
+            let cfg = OnlineConfig {
+                resolve_every: 50,
+                seed,
+                southbound: (case % 2 == 1).then(|| SouthboundConfig::paper(seed)),
+                ..Default::default()
+            };
+            let mut looper = OrchestrationLoop::new(topo, orch, cfg);
+            let tape = Rc::new(RefCell::new(Vec::new()));
+            looper.set_dp_observer(Some(Box::new(BarrierTape(Rc::clone(&tape)))));
+            let enable_at = timeline.len() / 5;
+            for (n, event) in timeline.events().iter().enumerate() {
+                // One event is one sync, or two when an instance crash
+                // (which syncs on its own) comes first.
+                let crash = (rng.gen_range(0..40) == 0)
+                    .then(|| looper.placer().loads().keys().next().copied())
+                    .flatten();
+                for crash in crash.into_iter().map(Some).chain([None]) {
+                    // What is installed, as a snapshot: nothing until the
+                    // sync after the compiler comes on.
+                    let snapshot_before = looper.dataplane_snapshot().unwrap_or_default();
+                    if n == enable_at {
+                        looper.enable_dataplane_compiler();
+                    }
+                    let installed_before = looper.dataplane_program().cloned();
+                    let shed_before = looper.shed_count();
+                    match crash {
+                        Some(id) => {
+                            crashes += 1;
+                            looper.handle_instance_crash(id, &NOOP);
+                        }
+                        None => {
+                            let report = looper.step(event, &NOOP);
+                            shed += report.shed;
+                            resolves += u32::from(report.resolved || report.resolve_deferred);
+                            readmitted += u32::from(looper.shed_count() < shed_before);
+                        }
+                    }
+                    let at = format!("case {t}/{case}, event {n}, crash {crash:?}");
+                    looper
+                        .check_ledger()
+                        .unwrap_or_else(|e| panic!("{at}: ledger: {e}"));
+                    let committed = std::mem::take(&mut *tape.borrow_mut());
+                    let Some(before) = installed_before else {
+                        assert!(committed.is_empty(), "{at}: barriers, compiler off");
+                        continue;
+                    };
+                    let snapshot = looper.dataplane_snapshot().expect("compiler enabled");
+                    let full = compile(&snapshot);
+                    assert_eq!(
+                        committed,
+                        diff(&before, &full).batches(),
+                        "{at}: the loop's plan is not the whole-program diff"
+                    );
+                    assert_eq!(looper.dataplane_program(), Some(&full), "{at}: program");
+                    assert_eq!(
+                        looper.dataplane_fastpath(),
+                        Some(&CompiledProgram::new(&full)),
+                        "{at}: fast-path mirror"
+                    );
+                    let tags: Vec<u16> = snapshot.subclasses.iter().map(|s| s.tag).collect();
+                    assert_eq!(
+                        tags,
+                        expected_tags(&snapshot_before, &snapshot),
+                        "{at}: tags"
+                    );
+                    syncs += 1;
+                    skipped += u32::from(committed.is_empty());
+                }
+            }
+        }
+    }
+    // The schedule must actually have been hostile.
+    assert!(
+        syncs > 2_000 && skipped > 0,
+        "{syncs} syncs, {skipped} empty"
+    );
+    assert!(shed > 0 && readmitted > 0, "{shed} shed, {readmitted} back");
+    assert!(
+        crashes > 20 && resolves > 20,
+        "{crashes} crashes, {resolves} re-solves"
+    );
 }
