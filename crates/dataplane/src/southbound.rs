@@ -28,9 +28,9 @@
 //!
 //! All time is **virtual milliseconds** — nothing sleeps. A fixed
 //! `(seed, plan, injector)` triple replays the same ack schedule forever,
-//! which is what the in-flight conformance battery
-//! (`apple_sim::inflight_conformance`) and the southbound recovery
-//! fixtures pin against.
+//! which is what the in-flight conformance battery (`apple_sim::conformance`
+//! under `Schedule::Inflight`) and the southbound recovery fixtures pin
+//! against.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -20,13 +20,12 @@
 //!   shedding,
 //! * [`detector`] — the counter-based overload detector behind the Fig. 9
 //!   timeline,
-//! * [`packet_replay`] — packet-level conformance batteries over compiled
-//!   rule programs, the batched parallel [`walk_batch`] replay engine, and
-//!   the [`WalkEngineConfig`] seam selecting linear-scan vs compiled
-//!   fast-path walking (DESIGN.md §10 and §12),
-//! * [`inflight_conformance()`] — the asynchronous variant: walk every
-//!   probe at every scheduler tick while an update plan is in flight on
-//!   the seeded southbound channel (DESIGN.md §13).
+//! * [`packet_replay`] — the packet-level replay, the batched parallel
+//!   [`walk_batch`] replay engine over the compiled fast path, and the
+//!   [`conformance`] battery over compiled rule programs: every probe
+//!   walked after every barrier of an update plan, or at every scheduler
+//!   tick while the plan is in flight on the seeded southbound channel
+//!   (DESIGN.md §10, §12 and §13).
 //!
 //! # Example
 //!
@@ -42,19 +41,16 @@
 pub mod chaos;
 pub mod detector;
 pub mod failover_lab;
-pub mod inflight_conformance;
 pub mod metrics;
 pub mod online;
 pub mod packet_replay;
 pub mod replay;
 
 pub use chaos::{run_chaos, run_schedule, ChaosReport};
-pub use inflight_conformance::{inflight_conformance, InflightConfig, InflightReport};
 pub use metrics::{Series, Summary};
 pub use online::{build_timeline, run_timeline, OnlineRunConfig, OnlineRunReport};
 pub use packet_replay::{
-    conformance_probes, differential_conformance, differential_conformance_with,
-    repair_conformance, repair_conformance_with, walk_batch, ConformanceError, ConformanceProbe,
-    ConformanceReport, EngineKind, WalkEngineConfig,
+    conformance, conformance_probes, differential_conformance_with, walk_batch, ConformanceError,
+    ConformanceProbe, ConformanceReport, Schedule, WalkEngineConfig,
 };
 pub use replay::{ReplayConfig, ReplayError, ReplayOutcome};

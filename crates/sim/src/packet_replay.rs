@@ -14,31 +14,31 @@
 //! here the interesting outputs are the detection events and the
 //! counter-derived loss curve.
 //!
-//! The module also hosts the **differential conformance battery** for the
-//! incremental rule compiler ([`differential_conformance`]): replay a
-//! seeded probe set through the full recompiled program and through the
-//! incrementally patched program *at every intermediate barrier* of the
-//! update plan, and check the three-tier update guarantee documented in
-//! `apple_dataplane::diff`.
+//! The module also hosts the **conformance battery** for the incremental
+//! rule compiler ([`conformance`]): replay a seeded probe set through the
+//! programs before and after an update and through the partially applied
+//! fabric at every observation point of a [`Schedule`] — after every
+//! barrier of the update plan, or at every tick of a seeded asynchronous
+//! southbound channel (DESIGN.md §13) — and check the three-tier update
+//! guarantee documented in `apple_dataplane::diff`.
 //!
-//! Both the per-tick replay batteries and the per-barrier conformance
-//! walks run through [`walk_batch`]: contiguous chunks across scoped
-//! worker threads with a deterministic by-index merge (the PR-3
-//! decomposed-solver pattern), generic over the
-//! [`WalkEngine`] in use. The engine —
-//! the reference linear scan or the compiled fast path of DESIGN.md §12 —
-//! and the thread budget are picked per run via [`WalkEngineConfig`]; the
-//! conformance batteries patch the compiled engine barrier-by-barrier
-//! through `rebuild_delta`, so every battery run also exercises the
-//! incremental fast-path maintenance the online loop relies on.
+//! Both the per-tick replay batteries and the conformance walks run
+//! through [`walk_batch`]: contiguous chunks across scoped worker threads
+//! with a deterministic by-index merge, generic over the [`WalkEngine`] in
+//! use. Both walk the compiled fast path of DESIGN.md §12, which
+//! `apple_dataplane`'s `fuzz_walk` battery holds bitwise-equal to the
+//! linear reference walker; the battery patches it barrier by barrier
+//! through `rebuild_delta`, so every run also exercises the incremental
+//! fast-path maintenance the online loop relies on.
 
 use apple_core::controller::{Apple, AppleConfig};
 use apple_core::engine::EngineError;
 use apple_dataplane::compiler::{compile, CompilerSnapshot, RuleProgram};
-use apple_dataplane::diff::{apply_batch_unchecked, diff};
+use apple_dataplane::diff::{apply_batch_unchecked, diff, UpdateBatch};
 use apple_dataplane::fastpath::CompiledProgram;
 use apple_dataplane::packet::{HostTag, Packet};
-use apple_dataplane::walk::{NetworkWalker, WalkEngine, WalkError, WalkRecord};
+use apple_dataplane::southbound::{SouthboundChannel, SouthboundConfig, SouthboundEvent};
+use apple_dataplane::walk::{WalkEngine, WalkError, WalkRecord};
 use apple_dataplane::PortCounters;
 use apple_nf::{InstanceId, NfType, OverloadModel};
 use apple_topology::{NodeId, Path, Topology};
@@ -49,46 +49,9 @@ use std::fmt;
 use crate::detector::{CounterDetector, DetectionEvent};
 use crate::metrics::Series;
 
-/// Which [`WalkEngine`] implementation backs a replay or conformance run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The reference linear first-match scan
-    /// ([`apple_dataplane::walk::NetworkWalker`]).
-    Linear,
-    /// The compiled fast path
-    /// ([`apple_dataplane::fastpath::CompiledProgram`], DESIGN.md §12).
-    #[default]
-    Compiled,
-}
-
-impl EngineKind {
-    /// Parses the `--engine` CLI spelling.
-    ///
-    /// # Errors
-    ///
-    /// A usage message naming the accepted spellings.
-    pub fn parse(s: &str) -> Result<EngineKind, String> {
-        match s {
-            "linear" => Ok(EngineKind::Linear),
-            "compiled" => Ok(EngineKind::Compiled),
-            other => Err(format!("unknown engine \"{other}\" (linear|compiled)")),
-        }
-    }
-
-    /// Canonical display name (`linear` / `compiled`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Linear => "linear",
-            EngineKind::Compiled => "compiled",
-        }
-    }
-}
-
-/// Engine selection plus worker-thread budget for batched walks.
+/// Worker-thread budget for batched walks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkEngineConfig {
-    /// Which engine walks the packets.
-    pub engine: EngineKind,
     /// Worker threads for [`walk_batch`]; `0` = one per available CPU,
     /// `1` = in-place sequential (no spawning).
     pub threads: usize,
@@ -96,10 +59,7 @@ pub struct WalkEngineConfig {
 
 impl Default for WalkEngineConfig {
     fn default() -> Self {
-        WalkEngineConfig {
-            engine: EngineKind::Compiled,
-            threads: 1,
-        }
+        WalkEngineConfig { threads: 1 }
     }
 }
 
@@ -145,48 +105,6 @@ pub fn walk_batch<E: WalkEngine + Sync + ?Sized>(
     })
 }
 
-/// An owned engine of either kind, so callers can be generic over the
-/// [`WalkEngineConfig`] choice at runtime. Shared with the in-flight
-/// battery ([`crate::inflight_conformance`]).
-#[derive(Debug, Clone)]
-pub(crate) enum Engine {
-    Linear(NetworkWalker),
-    Compiled(CompiledProgram),
-}
-
-impl Engine {
-    pub(crate) fn of(prog: &RuleProgram, kind: EngineKind) -> Engine {
-        match kind {
-            EngineKind::Linear => Engine::Linear(prog.walker()),
-            EngineKind::Compiled => Engine::Compiled(CompiledProgram::new(prog)),
-        }
-    }
-
-    fn of_walker(w: &NetworkWalker, kind: EngineKind) -> Engine {
-        match kind {
-            EngineKind::Linear => Engine::Linear(w.clone()),
-            EngineKind::Compiled => Engine::Compiled(CompiledProgram::from_walker(w)),
-        }
-    }
-
-    pub(crate) fn as_dyn(&self) -> &(dyn WalkEngine + Sync) {
-        match self {
-            Engine::Linear(w) => w,
-            Engine::Compiled(c) => c,
-        }
-    }
-
-    /// Applies one update-plan barrier: the compiled engine patches
-    /// per-device via `rebuild_delta`; the linear engine re-materialises
-    /// from the already-patched program (its lookup *is* the rule list).
-    pub(crate) fn patch(&mut self, prog_after: &RuleProgram, batch: &apple_dataplane::UpdateBatch) {
-        match self {
-            Engine::Linear(w) => *w = prog_after.walker(),
-            Engine::Compiled(c) => c.rebuild_delta(batch),
-        }
-    }
-}
-
 /// Configuration for a packet-level replay.
 #[derive(Debug, Clone)]
 pub struct PacketReplayConfig {
@@ -196,7 +114,7 @@ pub struct PacketReplayConfig {
     pub packet_bytes: u32,
     /// Seconds per tick (= detector poll interval).
     pub tick_secs: f64,
-    /// Walk engine and thread budget for the per-tick packet batteries.
+    /// Thread budget for the per-tick packet batteries.
     pub engine: WalkEngineConfig,
 }
 
@@ -254,7 +172,7 @@ pub fn packet_replay(
     let mut packets_walked = 0u64;
     // Compile the programmed data plane once for the whole series: the
     // replay only reads it.
-    let engine = Engine::of_walker(&apple.program().walker, cfg.engine.engine);
+    let engine = CompiledProgram::from_walker(&apple.program().walker);
 
     for (tick, tm) in series.iter().enumerate() {
         let scoped = apple.classes().with_rates_from(tm);
@@ -289,7 +207,7 @@ pub fn packet_replay(
                 }
             }
         }
-        let recs = walk_batch(engine.as_dyn(), &jobs, cfg.engine.threads);
+        let recs = walk_batch(&engine, &jobs, cfg.engine.threads);
         for (rec, count) in recs.iter().zip(&credits) {
             let rec = rec.as_ref().expect("programmed data plane walks cleanly");
             counters.observe_many(rec, *count);
@@ -327,7 +245,7 @@ pub fn packet_replay(
     })
 }
 
-/// One representative packet of the differential conformance battery.
+/// One representative packet of the conformance battery.
 #[derive(Debug, Clone)]
 pub struct ConformanceProbe {
     /// Where the probe came from (sub-class/prefix/variant), for reports.
@@ -338,34 +256,62 @@ pub struct ConformanceProbe {
     pub path: Path,
 }
 
+/// When the conformance battery observes the fabric during an update.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// After every barrier of the plan, applied synchronously.
+    Barriers,
+    /// Every `tick_ms` of virtual time while the plan drains through a
+    /// seeded asynchronous [`SouthboundChannel`] (DESIGN.md §13). The
+    /// channel's global barrier gate confines reordering and retries to
+    /// one barrier, so every tick observes an exact plan prefix.
+    Inflight {
+        /// Channel timing: seed, per-rule latency, jitter, reorder window.
+        southbound: SouthboundConfig,
+        /// Virtual milliseconds per scheduler tick.
+        tick_ms: u64,
+    },
+}
+
 /// Tallies from one conformance run. `old_exact`/`new_exact`/`mixed`
-/// classify each intermediate-barrier walk; the final barrier's walks are
-/// all required to be `new_exact`.
+/// classify each observed walk; once the plan is fully applied every walk
+/// is required to be `new_exact`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConformanceReport {
     /// Barriers the plan applied (one per [`apple_dataplane::UpdateBatch`]).
     pub barriers: usize,
     /// Probes in the battery.
     pub probes: usize,
-    /// Total packet walks performed across all barriers.
+    /// Total packet walks performed across all observation points.
     pub walks: usize,
     /// Walks bitwise-identical to the pre-update program's walk.
     pub old_exact: usize,
     /// Walks bitwise-identical to the full recompile's walk.
     pub new_exact: usize,
     /// Walks that were a chain-consistent old/new mix (full NF chain, Fin
-    /// tag on exit) — legal only at intermediate barriers.
+    /// tag on exit) — legal only before the plan is fully applied.
     pub mixed: usize,
+    /// Scheduler ticks observed under [`Schedule::Inflight`] (one probe
+    /// battery each); 0 under [`Schedule::Barriers`].
+    pub ticks: usize,
+    /// Virtual time the channel took to drain the plan; 0 under
+    /// [`Schedule::Barriers`].
+    pub elapsed_ms: u64,
+    /// Install retries the channel consumed; 0 under
+    /// [`Schedule::Barriers`] and on the fault-free channel.
+    pub retries: u64,
 }
 
 /// A violation of the update guarantee found by the battery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConformanceError {
-    /// A probe's walk at an intermediate barrier was neither the old walk,
-    /// the new walk, nor a chain-consistent mix — a transient chain bypass
-    /// or interference.
+    /// A probe's walk before the plan was fully applied was neither the
+    /// old walk, the new walk, nor a chain-consistent mix — a transient
+    /// chain bypass or interference.
     BarrierWalk {
-        /// Index of the offending barrier in the plan.
+        /// Index in the plan (from 0) of the last barrier applied when the
+        /// walk was observed: the fabric was the plan prefix up to and
+        /// including it.
         barrier: usize,
         /// The probe's label.
         probe: String,
@@ -411,7 +357,7 @@ impl fmt::Display for ConformanceError {
 impl std::error::Error for ConformanceError {}
 
 /// The outcome of one probe walk, as compared bitwise.
-pub(crate) type Walk = Result<WalkRecord, WalkError>;
+type Walk = Result<WalkRecord, WalkError>;
 
 /// Header fields identifying a probe packet for dedup purposes.
 type ProbeKey = (u32, u32, u16, u16, u8);
@@ -474,7 +420,7 @@ pub fn conformance_probes(old: &CompilerSnapshot, new: &CompilerSnapshot) -> Vec
     probes
 }
 
-pub(crate) fn walk_detail(w: &Walk) -> String {
+fn walk_detail(w: &Walk) -> String {
     match w {
         Ok(rec) => format!(
             "instances {:?}, host_tag {}, subclass {:?}",
@@ -484,67 +430,78 @@ pub(crate) fn walk_detail(w: &Walk) -> String {
     }
 }
 
-/// Whether an intermediate-barrier walk is a legal chain-consistent mix:
-/// the packet completed (`Ok`), and either traversed no instances while
-/// one of the endpoint programs also leaves it untouched, or traversed a
-/// complete NF chain of the deployment (its instance sequence maps to the
-/// `stage_nfs` of some sub-class in either snapshot) and exited `Fin`.
-pub(crate) fn chain_consistent(
-    walk: &Walk,
-    old: &Walk,
-    new: &Walk,
-    nf_of: &BTreeMap<InstanceId, NfType>,
-    chains: &BTreeSet<Vec<NfType>>,
-) -> bool {
-    let Ok(rec) = walk else {
-        return false;
-    };
-    if rec.instances.is_empty() {
-        // No processing: legal only if one endpoint program also passes
-        // this packet by (otherwise it is a chain bypass).
-        let untouched = |w: &Walk| matches!(w, Ok(r) if r.instances.is_empty());
-        return untouched(old) || untouched(new);
-    }
-    if rec.packet.host_tag != HostTag::Fin {
-        // Classified but stranded mid-chain.
-        return false;
-    }
-    let Some(seq) = rec
-        .instances
-        .iter()
-        .map(|i| nf_of.get(i).copied())
-        .collect::<Option<Vec<NfType>>>()
-    else {
-        return false;
-    };
-    chains.contains(&seq)
+/// How an observed walk is legal.
+enum Verdict {
+    Old,
+    New,
+    Mixed,
 }
 
-/// Replays the probe battery through every intermediate barrier of the
-/// incremental update plan from `old` to `new`, checking the three-tier
-/// guarantee:
-///
-/// 1. interference freedom always (a successful walk's switch sequence is
-///    the forwarding path, by construction of the walker);
-/// 2. no transient chain bypass — at every barrier each probe's walk is
-///    bitwise the old walk, bitwise the new walk, or a chain-consistent
-///    old/new mix (complete NF chain of the deployment, `Fin` on exit);
-/// 3. after the final barrier every walk is bitwise identical to the full
-///    recompile's walk, and the patched program equals it rule for rule.
-///
-/// # Errors
-///
-/// The first [`ConformanceError`] found, naming the barrier and probe.
-pub fn differential_conformance(
-    old: &CompilerSnapshot,
-    new: &CompilerSnapshot,
-) -> Result<ConformanceReport, ConformanceError> {
-    differential_conformance_with(old, new, &WalkEngineConfig::default())
+/// What observed walks are judged against: every probe's walk through the
+/// start program, the full recompile and (repair mode) the pre-crash
+/// program, plus the deployment's NF chains for the mixed tier.
+struct Reference {
+    old: Vec<Walk>,
+    new: Vec<Walk>,
+    prev: Option<Vec<Walk>>,
+    nf_of: BTreeMap<InstanceId, NfType>,
+    chains: BTreeSet<Vec<NfType>>,
 }
 
-/// [`differential_conformance`] with an explicit engine choice and thread
-/// budget. The two engines must accept and reject exactly the same plans —
-/// the walk-bench battery runs both and diffs the verdicts.
+impl Reference {
+    /// Classifies probe `i`'s observed walk, or `None` when it is illegal.
+    /// Once the plan is `applied` in full only bitwise-new is legal.
+    fn classify(&self, i: usize, got: &Walk, applied: bool) -> Option<Verdict> {
+        let (old, new) = (&self.old[i], &self.new[i]);
+        let prev = self.prev.as_ref().map(|walks| &walks[i]);
+        if got == new {
+            return Some(Verdict::New);
+        }
+        if applied {
+            return None;
+        }
+        if got == old || prev == Some(got) {
+            return Some(Verdict::Old);
+        }
+        if prev.is_some()
+            && matches!(got, Err(WalkError::NoRuleAtSwitch(_)))
+            && matches!(old, Err(WalkError::NoRuleAtSwitch(_)))
+        {
+            // Repair mode only: a probe black-holed by the torn fabric
+            // may stay black-holed while scaffolding lands, with the
+            // stranding switch moving along the path. Still a drop in
+            // both states — but a punt to a missing host is never
+            // excused, so a make-before-break violation in the repair
+            // plan itself remains detectable.
+            return Some(Verdict::Old);
+        }
+        // A chain-consistent mix: the packet completed, and either
+        // traversed no instances while an endpoint program also leaves it
+        // untouched (otherwise it is a chain bypass), or traversed a
+        // complete NF chain of the deployment (its instance sequence maps
+        // to the `stage_nfs` of some sub-class in either snapshot) and
+        // exited `Fin` (otherwise it stranded mid-chain).
+        let Ok(rec) = got else {
+            return None;
+        };
+        let mixed = if rec.instances.is_empty() {
+            let untouched = |w: &Walk| matches!(w, Ok(r) if r.instances.is_empty());
+            untouched(old) || untouched(new) || prev.is_some_and(untouched)
+        } else {
+            rec.packet.host_tag == HostTag::Fin
+                && rec
+                    .instances
+                    .iter()
+                    .map(|inst| self.nf_of.get(inst).copied())
+                    .collect::<Option<Vec<NfType>>>()
+                    .is_some_and(|seq| self.chains.contains(&seq))
+        };
+        mixed.then_some(Verdict::Mixed)
+    }
+}
+
+/// [`conformance`] for the diff planner's update from `compile(old)` to
+/// `compile(new)`, observed after every barrier with `cfg`'s thread budget.
 ///
 /// # Errors
 ///
@@ -554,85 +511,84 @@ pub fn differential_conformance_with(
     new: &CompilerSnapshot,
     cfg: &WalkEngineConfig,
 ) -> Result<ConformanceReport, ConformanceError> {
-    let old_prog = compile(old);
-    conformance_core(old_prog, None, old, new, cfg)
+    conformance(
+        compile(old),
+        None,
+        old,
+        new,
+        None,
+        &Schedule::Barriers,
+        cfg.threads,
+    )
 }
 
-/// The crash-recovery variant of [`differential_conformance`]: the "old"
-/// side is not a compiled snapshot but the **actual surviving switch
-/// fabric** (`installed`), which after a mid-sync crash sits at some
-/// barrier prefix between one sync's program and the next. Because the
-/// fabric is mid-transition, a walk during repair may legally look like
-/// the *pre-crash-sync* program (`old`, the context one sync before the
-/// crash) rather than the torn fabric itself — probes stranded by the
-/// torn state heal through `old`-like behaviour on their way to `new`.
-/// The acceptance set per barrier is therefore: bitwise-installed,
-/// bitwise-`old`, bitwise-`new`, or a chain-consistent mix against either
-/// endpoint — and after the final barrier, bitwise-`new` only.
+/// The conformance battery: moves the fabric from `start` through `plan`
+/// — `None` for the diff planner's plan to `compile(new)` — and walks the
+/// [`conformance_probes`] of `old` and `new` on `threads` workers at every
+/// observation point of `schedule`, checking the three-tier guarantee:
+///
+/// 1. interference freedom always (a successful walk's switch sequence is
+///    the forwarding path, by construction of the walker);
+/// 2. no transient chain bypass — every observed walk is bitwise the
+///    `start` walk, bitwise the new walk, or a chain-consistent old/new
+///    mix (complete NF chain of the deployment, `Fin` on exit);
+/// 3. once the plan is fully applied every walk is bitwise identical to
+///    the full recompile's walk, and the patched program equals it rule
+///    for rule.
+///
+/// `prev` is crash repair: `start` is then the **actual surviving switch
+/// fabric**, which after a mid-sync crash sits at some barrier prefix
+/// between the pre-crash sync's program (`prev`, compiled from `old`) and
+/// the next. Probes stranded by the torn state heal through `prev`-like
+/// behaviour on their way to `new`, so a walk may also be bitwise `prev`,
+/// a chain-consistent mix against `prev`, or stay black-holed at an
+/// absent switch while scaffolding lands.
 ///
 /// # Errors
 ///
 /// The first [`ConformanceError`] found, naming the barrier and probe.
-pub fn repair_conformance(
-    installed: &RuleProgram,
-    old: &CompilerSnapshot,
-    new: &CompilerSnapshot,
-) -> Result<ConformanceReport, ConformanceError> {
-    repair_conformance_with(installed, old, new, &WalkEngineConfig::default())
-}
-
-/// [`repair_conformance`] with an explicit engine choice and thread
-/// budget.
 ///
-/// # Errors
+/// # Panics
 ///
-/// The first [`ConformanceError`] found, naming the barrier and probe.
-pub fn repair_conformance_with(
-    installed: &RuleProgram,
+/// Under [`Schedule::Inflight`], if the fault-free channel fails.
+pub fn conformance(
+    start: RuleProgram,
+    plan: Option<&[UpdateBatch]>,
     old: &CompilerSnapshot,
     new: &CompilerSnapshot,
-    cfg: &WalkEngineConfig,
-) -> Result<ConformanceReport, ConformanceError> {
-    conformance_core(installed.clone(), Some(compile(old)), old, new, cfg)
-}
-
-/// Shared engine of the two conformance batteries: walk every probe at
-/// every intermediate barrier of the update plan from `old_prog` to
-/// `compile(new)`, enforcing bitwise-old / bitwise-new / chain-consistent
-/// mix (plus bitwise-`prev` when a pre-transition program is given), then
-/// require bitwise-final convergence.
-fn conformance_core(
-    old_prog: RuleProgram,
-    prev_prog: Option<RuleProgram>,
-    old: &CompilerSnapshot,
-    new: &CompilerSnapshot,
-    cfg: &WalkEngineConfig,
+    prev: Option<&RuleProgram>,
+    schedule: &Schedule,
+    threads: usize,
 ) -> Result<ConformanceReport, ConformanceError> {
     let new_prog = compile(new);
-    let plan = diff(&old_prog, &new_prog);
+    let planned;
+    let plan = match plan {
+        Some(plan) => plan,
+        None => {
+            planned = diff(&start, &new_prog);
+            planned.batches()
+        }
+    };
     let probes = conformance_probes(old, new);
     let jobs: Vec<(Packet, &Path)> = probes.iter().map(|p| (p.packet, &p.path)).collect();
 
-    let old_engine = Engine::of(&old_prog, cfg.engine);
-    let new_engine = Engine::of(&new_prog, cfg.engine);
-    let old_walks: Vec<Walk> = walk_batch(old_engine.as_dyn(), &jobs, cfg.threads);
-    let new_walks: Vec<Walk> = walk_batch(new_engine.as_dyn(), &jobs, cfg.threads);
-    // Repair runs start from a torn fabric: probes stranded by the crash
-    // heal through the pre-transition program's behaviour before reaching
-    // `new`, so those walks are a third legal reference alongside old/new.
-    let prev_walks: Option<Vec<Walk>> = prev_prog.map(|prog| {
-        let engine = Engine::of(&prog, cfg.engine);
-        walk_batch(engine.as_dyn(), &jobs, cfg.threads)
-    });
-
-    let mut nf_of: BTreeMap<InstanceId, NfType> = BTreeMap::new();
-    let mut chains: BTreeSet<Vec<NfType>> = BTreeSet::new();
+    // The observation loop exercises the incremental path end-to-end: the
+    // compiled engine is patched per device via `rebuild_delta`, never
+    // rebuilt from scratch.
+    let mut engine = CompiledProgram::new(&start);
+    let mut reference = Reference {
+        old: walk_batch(&engine, &jobs, threads),
+        new: walk_batch(&CompiledProgram::new(&new_prog), &jobs, threads),
+        prev: prev.map(|prog| walk_batch(&CompiledProgram::new(prog), &jobs, threads)),
+        nf_of: BTreeMap::new(),
+        chains: BTreeSet::new(),
+    };
     for s in old.subclasses.iter().chain(new.subclasses.iter()) {
         for (j, &inst) in s.instances.iter().enumerate() {
-            nf_of.insert(inst, s.stage_nfs[j]);
+            reference.nf_of.insert(inst, s.stage_nfs[j]);
         }
         if !s.stage_nfs.is_empty() {
-            chains.insert(s.stage_nfs.clone());
+            reference.chains.insert(s.stage_nfs.clone());
         }
     }
 
@@ -640,60 +596,88 @@ fn conformance_core(
         probes: probes.len(),
         ..ConformanceReport::default()
     };
-    let mut patched = old_prog;
-    // The barrier loop exercises the incremental path end-to-end: the
-    // compiled engine is patched per-device via `rebuild_delta`, never
-    // rebuilt from scratch.
-    let mut engine = old_engine;
-    let total = plan.batches().len();
-    for (bi, batch) in plan.batches().iter().enumerate() {
-        apply_batch_unchecked(&mut patched, batch);
-        engine.patch(&patched, batch);
-        report.barriers += 1;
-        let got_walks = walk_batch(engine.as_dyn(), &jobs, cfg.threads);
-        let last = bi + 1 == total;
-        for (i, probe) in probes.iter().enumerate() {
-            let got = got_walks[i].clone();
+    let mut fabric = start;
+    let mut pending = plan.iter();
+    let mut channel = match *schedule {
+        Schedule::Barriers => None,
+        Schedule::Inflight {
+            southbound,
+            tick_ms,
+        } => {
+            let mut chan = SouthboundChannel::new(southbound);
+            for batch in plan {
+                chan.submit_batch(batch);
+            }
+            Some((chan, tick_ms))
+        }
+    };
+    loop {
+        // Move the fabric to the next observation point.
+        let applied = match &mut channel {
+            None => {
+                let Some(batch) = pending.next() else {
+                    break;
+                };
+                commit(&mut fabric, &mut engine, batch);
+                report.barriers += 1;
+                pending.as_slice().is_empty()
+            }
+            Some((chan, tick_ms)) => {
+                if chan.is_idle() {
+                    break;
+                }
+                let events = chan
+                    .advance(*tick_ms)
+                    .expect("fault-free southbound channel cannot fail");
+                for event in events {
+                    if let SouthboundEvent::Barrier(done) = event {
+                        commit(&mut fabric, &mut engine, &done.batch);
+                        report.barriers += 1;
+                        report.retries += done.retries;
+                    }
+                }
+                report.ticks += 1;
+                chan.is_idle()
+            }
+        };
+        let walks = walk_batch(&engine, &jobs, threads);
+        for (i, (got, probe)) in walks.iter().zip(&probes).enumerate() {
             report.walks += 1;
-            if got == new_walks[i] {
-                report.new_exact += 1;
-            } else if last {
-                return Err(ConformanceError::FinalWalk {
-                    probe: probe.label.clone(),
-                    detail: walk_detail(&got),
-                });
-            } else if got == old_walks[i] || prev_walks.as_ref().is_some_and(|pw| got == pw[i]) {
-                report.old_exact += 1;
-            } else if prev_walks.is_some()
-                && matches!(got, Err(WalkError::NoRuleAtSwitch(_)))
-                && matches!(old_walks[i], Err(WalkError::NoRuleAtSwitch(_)))
-            {
-                // Repair mode only: a probe black-holed by the torn fabric
-                // may stay black-holed while scaffolding lands, with the
-                // stranding switch moving along the path. Still a drop in
-                // both states — but a punt to a missing host is never
-                // excused, so a make-before-break violation in the repair
-                // plan itself remains detectable.
-                report.old_exact += 1;
-            } else if chain_consistent(&got, &old_walks[i], &new_walks[i], &nf_of, &chains)
-                || prev_walks.as_ref().is_some_and(|pw| {
-                    chain_consistent(&got, &pw[i], &new_walks[i], &nf_of, &chains)
-                })
-            {
-                report.mixed += 1;
-            } else {
-                return Err(ConformanceError::BarrierWalk {
-                    barrier: bi,
-                    probe: probe.label.clone(),
-                    detail: walk_detail(&got),
-                });
+            match reference.classify(i, got, applied) {
+                Some(Verdict::Old) => report.old_exact += 1,
+                Some(Verdict::New) => report.new_exact += 1,
+                Some(Verdict::Mixed) => report.mixed += 1,
+                None => {
+                    let (probe, detail) = (probe.label.clone(), walk_detail(got));
+                    return Err(if applied {
+                        ConformanceError::FinalWalk { probe, detail }
+                    } else {
+                        // A tick before the first ack observes `start`,
+                        // whose walks are all bitwise-old: a barrier has
+                        // landed.
+                        ConformanceError::BarrierWalk {
+                            barrier: report.barriers - 1,
+                            probe,
+                            detail,
+                        }
+                    });
+                }
             }
         }
     }
-    if patched != new_prog {
+    if fabric != new_prog {
         return Err(ConformanceError::FinalProgram);
     }
+    if let Some((chan, _)) = &channel {
+        report.elapsed_ms = chan.now_ms();
+    }
     Ok(report)
+}
+
+/// Lands one barrier on the observed fabric and patches its fast path.
+fn commit(fabric: &mut RuleProgram, engine: &mut CompiledProgram, batch: &UpdateBatch) {
+    apply_batch_unchecked(fabric, batch);
+    engine.rebuild_delta(batch);
 }
 
 #[cfg(test)]
@@ -798,14 +782,14 @@ mod tests {
     }
 
     use apple_dataplane::compiler::SubclassSpec;
-    use apple_nf::{InstanceId, NfType};
 
-    /// A three-switch line with one two-stage class; `fw`/`ids` pick the
-    /// serving instances so tests can model churn.
-    fn line_snapshot(fw: u64, ids: u64) -> CompilerSnapshot {
+    /// A `switches`-long line with one two-stage class; `fw`/`ids` pick
+    /// the serving instances so scenarios can model churn.
+    fn line_snapshot(switches: usize, fw: u64, ids: u64) -> CompilerSnapshot {
+        let path: Vec<usize> = (0..switches).collect();
         CompilerSnapshot {
-            switches: vec![0, 1, 2],
-            hosts: vec![1, 2],
+            switches: path.clone(),
+            hosts: vec![1, switches - 1],
             rewriters: Vec::new(),
             subclasses: vec![SubclassSpec {
                 class: 0,
@@ -813,13 +797,13 @@ mod tests {
                 sub: 0,
                 tag: 0,
                 global: false,
-                path: vec![0, 1, 2],
+                path,
                 src_prefix: (0x0a00_0000, 24),
                 dst_prefix: (0x0a00_0100, 24),
                 proto: Some(6),
                 dst_ports: vec![80, 443],
                 prefixes: vec![(0x0a00_0000, 25), (0x0a00_0080, 25)],
-                stage_positions: vec![1, 2],
+                stage_positions: vec![1, switches - 1],
                 stage_nfs: vec![NfType::Firewall, NfType::Ids],
                 instances: vec![InstanceId(fw), InstanceId(ids)],
             }],
@@ -827,21 +811,67 @@ mod tests {
         }
     }
 
+    fn empty_snapshot(switches: usize) -> CompilerSnapshot {
+        CompilerSnapshot {
+            switches: (0..switches).collect(),
+            ..CompilerSnapshot::default()
+        }
+    }
+
+    fn barriers(
+        old: &CompilerSnapshot,
+        new: &CompilerSnapshot,
+    ) -> Result<ConformanceReport, ConformanceError> {
+        differential_conformance_with(old, new, &WalkEngineConfig::default())
+    }
+
+    /// The paper's timing model (70 ms per rule install) with a 10 ms probe
+    /// tick — several walks land inside every barrier's flight.
+    fn every_tick(southbound: SouthboundConfig) -> Schedule {
+        Schedule::Inflight {
+            southbound,
+            tick_ms: 10,
+        }
+    }
+
+    fn in_flight(
+        old: &CompilerSnapshot,
+        new: &CompilerSnapshot,
+        southbound: SouthboundConfig,
+    ) -> Result<ConformanceReport, ConformanceError> {
+        conformance(
+            compile(old),
+            None,
+            old,
+            new,
+            None,
+            &every_tick(southbound),
+            1,
+        )
+    }
+
+    /// The identity update is empty under either schedule: no barriers, no
+    /// ticks, no walks.
     #[test]
-    fn conformance_identity_is_trivially_clean() {
-        let snap = line_snapshot(0, 1);
-        let report = differential_conformance(&snap, &snap).unwrap();
+    fn identity_plan_is_trivially_clean() {
+        let snap = line_snapshot(3, 0, 1);
+        let report = barriers(&snap, &snap).unwrap();
         assert_eq!(report.barriers, 0, "diff(p, p) must be empty");
         assert_eq!(report.walks, 0);
         // 2 prefixes x 2 ports + 1 control probe.
         assert_eq!(report.probes, 5);
+        let report = in_flight(&snap, &snap, SouthboundConfig::paper(4)).unwrap();
+        assert_eq!(report.barriers, 0);
+        assert_eq!(report.ticks, 0);
+        assert_eq!(report.walks, 0);
+        assert_eq!(report.elapsed_ms, 0);
     }
 
     #[test]
     fn conformance_instance_swap_passes_every_barrier() {
-        let a = line_snapshot(0, 1);
-        let b = line_snapshot(7, 1);
-        let report = differential_conformance(&a, &b).unwrap();
+        let a = line_snapshot(3, 0, 1);
+        let b = line_snapshot(3, 7, 1);
+        let report = barriers(&a, &b).unwrap();
         assert!(report.barriers >= 2, "swap needs add + remove barriers");
         assert_eq!(
             report.walks,
@@ -851,108 +881,213 @@ mod tests {
         // final barrier forces everything to new.
         assert!(report.new_exact > 0);
         // And the reverse direction restores the original program.
-        differential_conformance(&b, &a).unwrap();
+        barriers(&b, &a).unwrap();
     }
 
     #[test]
     fn conformance_covers_class_arrival_and_departure() {
-        let empty = CompilerSnapshot {
-            switches: vec![0, 1, 2],
-            ..CompilerSnapshot::default()
-        };
-        let full = line_snapshot(0, 1);
-        let up = differential_conformance(&empty, &full).unwrap();
+        let empty = empty_snapshot(3);
+        let full = line_snapshot(3, 0, 1);
+        let up = barriers(&empty, &full).unwrap();
         assert!(up.barriers > 0 && up.new_exact > 0);
-        let down = differential_conformance(&full, &empty).unwrap();
+        let down = barriers(&full, &empty).unwrap();
         // Departure flips classification first, so every probe converges on
         // the new (pass-by) behaviour immediately.
         assert!(down.barriers > 0 && down.new_exact > 0);
         assert_eq!(down.walks, down.old_exact + down.new_exact + down.mixed);
     }
 
+    /// Neither the thread budget nor the schedule's walk fan-out may change
+    /// what the battery or the packet replay observes.
     #[test]
-    fn conformance_reports_identical_across_engines_and_threads() {
-        let a = line_snapshot(0, 1);
-        let b = line_snapshot(7, 1);
-        let base = differential_conformance_with(
-            &a,
-            &b,
-            &WalkEngineConfig {
-                engine: EngineKind::Linear,
-                threads: 1,
-            },
-        )
-        .unwrap();
-        for engine in [EngineKind::Linear, EngineKind::Compiled] {
-            for threads in [1, 2, 8] {
-                let got =
-                    differential_conformance_with(&a, &b, &WalkEngineConfig { engine, threads })
-                        .unwrap();
-                assert_eq!(got, base, "engine {} threads {threads}", engine.name());
+    fn reports_identical_across_threads_and_schedules() {
+        let old = line_snapshot(3, 0, 1);
+        let new = line_snapshot(3, 7, 1);
+        for schedule in [Schedule::Barriers, every_tick(SouthboundConfig::paper(21))] {
+            let run = |threads| {
+                conformance(compile(&old), None, &old, &new, None, &schedule, threads).unwrap()
+            };
+            let base = run(1);
+            for threads in [2, 8] {
+                assert_eq!(run(threads), base, "{schedule:?} threads {threads}");
             }
         }
-    }
-
-    #[test]
-    fn replay_outcome_identical_across_engines_and_threads() {
         let (topo, series) = bursty();
         let base = packet_replay(&topo, &series, &cfg()).unwrap();
-        for engine in [EngineKind::Linear, EngineKind::Compiled] {
-            for threads in [1, 4] {
-                let out = packet_replay(
-                    &topo,
-                    &series,
-                    &PacketReplayConfig {
-                        engine: WalkEngineConfig { engine, threads },
-                        ..cfg()
-                    },
-                )
-                .unwrap();
-                assert_eq!(out.packets_walked, base.packets_walked);
-                assert_eq!(out.trips, base.trips);
-                assert_eq!(out.clears, base.clears);
-                assert_eq!(
-                    out.loss.samples(),
-                    base.loss.samples(),
-                    "engine {} threads {threads}",
-                    engine.name()
-                );
-            }
+        for threads in [2, 8] {
+            let out = packet_replay(
+                &topo,
+                &series,
+                &PacketReplayConfig {
+                    engine: WalkEngineConfig { threads },
+                    ..cfg()
+                },
+            )
+            .unwrap();
+            assert_eq!(out.packets_walked, base.packets_walked);
+            assert_eq!(out.trips, base.trips);
+            assert_eq!(out.clears, base.clears);
+            assert_eq!(out.loss.samples(), base.loss.samples(), "threads {threads}");
         }
     }
 
+    /// A departure plan whose host-drop barriers are moved ahead of the
+    /// classification flip strands tagged packets at a missing host; under
+    /// both schedules the battery names the first drop as the offending
+    /// barrier.
     #[test]
-    fn conformance_flags_a_chain_bypass() {
-        // Forged plan: apply only the *remove* barriers of a departure (no
-        // classification flip first) — in-flight-tagged packets strand.
-        use apple_dataplane::diff::UpdateBatch;
+    fn battery_rejects_host_drops_ahead_of_the_flip() {
+        let full = line_snapshot(3, 0, 1);
+        let empty = empty_snapshot(3);
+        let start = compile(&full);
+        let plan = diff(&start, &compile(&empty));
+        let (drops, rest): (Vec<UpdateBatch>, Vec<UpdateBatch>) = plan
+            .batches()
+            .iter()
+            .cloned()
+            .partition(|b| matches!(b, UpdateBatch::Host(h) if h.drop_host));
+        let flip = rest
+            .iter()
+            .position(|b| matches!(b, UpdateBatch::Switch(s) if s.switch == 0))
+            .expect("departure flips the ingress classification");
+        let mut forged = rest.clone();
+        forged.splice(flip..flip, drops);
+        for schedule in [Schedule::Barriers, every_tick(SouthboundConfig::paper(5))] {
+            let err = conformance(
+                start.clone(),
+                Some(&forged),
+                &full,
+                &empty,
+                None,
+                &schedule,
+                1,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ConformanceError::BarrierWalk { barrier, .. } if barrier == flip),
+                "{schedule:?}: {err:?}"
+            );
+        }
+    }
 
-        let full = line_snapshot(0, 1);
-        let empty = CompilerSnapshot {
-            switches: vec![0, 1, 2],
-            ..CompilerSnapshot::default()
-        };
-        let old_prog = compile(&full);
-        let new_prog = compile(&empty);
-        let plan = diff(&old_prog, &new_prog);
-        let mut patched = old_prog.clone();
-        // Apply host-removal barriers while classification still tags.
-        for batch in plan.batches() {
-            if matches!(batch, UpdateBatch::Host(h) if h.drop_host) {
-                apply_batch_unchecked(&mut patched, batch);
+    /// A plan that stops one barrier short never reaches the recompile.
+    #[test]
+    fn battery_rejects_a_plan_that_stops_short() {
+        let full = line_snapshot(3, 0, 1);
+        let empty = empty_snapshot(3);
+        let start = compile(&full);
+        let plan = diff(&start, &compile(&empty));
+        let short = &plan.batches()[..plan.batches().len() - 1];
+        for schedule in [Schedule::Barriers, every_tick(SouthboundConfig::paper(5))] {
+            let err = conformance(
+                start.clone(),
+                Some(short),
+                &full,
+                &empty,
+                None,
+                &schedule,
+                1,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ConformanceError::FinalProgram | ConformanceError::FinalWalk { .. }
+                ),
+                "{schedule:?}: {err:?}"
+            );
+        }
+    }
+
+    /// The headline in-flight battery: ≥200 seeded (topology,
+    /// reorder-schedule) pairs, probes walked at every tick, every walk
+    /// three-tier legal, every run draining to the recompile.
+    #[test]
+    fn battery_holds_across_seeded_reorderings() {
+        // 4 update scenarios × 52 channel seeds = 208 ≥ 200 pairs; the
+        // seed drives both per-op latency sampling and the per-device
+        // reorder permutations, so each pair observes a distinct
+        // in-flight schedule.
+        let scenarios: Vec<(&str, CompilerSnapshot, CompilerSnapshot)> = vec![
+            ("swap-3", line_snapshot(3, 0, 1), line_snapshot(3, 7, 1)),
+            ("swap-5", line_snapshot(5, 0, 1), line_snapshot(5, 7, 9)),
+            ("arrive-4", empty_snapshot(4), line_snapshot(4, 0, 1)),
+            ("depart-4", line_snapshot(4, 0, 1), empty_snapshot(4)),
+        ];
+        let mut pairs = 0usize;
+        let mut mid_flight_walks = 0usize;
+        for (name, old, new) in &scenarios {
+            for k in 0..52u64 {
+                let southbound = SouthboundConfig::paper(0x1f11_0000 ^ (k << 8) ^ pairs as u64);
+                let report = in_flight(old, new, southbound)
+                    .unwrap_or_else(|e| panic!("{name} seed {k}: {e}"));
+                assert!(report.barriers > 0, "{name} seed {k}: empty plan");
+                assert_eq!(
+                    report.walks,
+                    report.ticks * report.probes,
+                    "{name} seed {k}: probes must be walked at every tick"
+                );
+                assert_eq!(
+                    report.walks,
+                    report.old_exact + report.new_exact + report.mixed,
+                    "{name} seed {k}: unclassified walk"
+                );
+                // Under the 70 ms model a barrier flies for several
+                // 10 ms ticks, so the battery must observe the fabric
+                // mid-flight (strictly more ticks than barriers).
+                assert!(
+                    report.ticks > report.barriers,
+                    "{name} seed {k}: no mid-flight ticks"
+                );
+                // Zero-op rewriter barriers drain instantly, but every
+                // scenario installs rules somewhere, so the run must pay
+                // at least one full install latency.
+                assert!(
+                    report.elapsed_ms >= southbound.rule_install_ms,
+                    "{name} seed {k}: drained faster than one rule install"
+                );
+                mid_flight_walks += report.old_exact + report.mixed;
+                pairs += 1;
             }
         }
-        let probes = conformance_probes(&full, &empty);
-        let walker = patched.walker();
-        let stranded = probes.iter().any(|p| {
-            matches!(
-                walker.walk(p.packet, &p.path),
-                Err(WalkError::NoHostAtSwitch(_))
-            )
-        });
+        assert!(pairs >= 200, "battery ran only {pairs} pairs");
         assert!(
-            stranded,
-            "removing hosts before the classification flip must strand tagged packets"
+            mid_flight_walks > 0,
+            "battery never observed an in-flight state"
         );
+    }
+
+    /// The in-flight run is a pure function of the seed, and distinct
+    /// seeds produce distinct in-flight schedules.
+    #[test]
+    fn reports_are_deterministic_per_seed() {
+        let old = line_snapshot(4, 0, 1);
+        let new = line_snapshot(4, 7, 1);
+        let a = in_flight(&old, &new, SouthboundConfig::paper(11)).unwrap();
+        let b = in_flight(&old, &new, SouthboundConfig::paper(11)).unwrap();
+        assert_eq!(a, b, "same seed must replay bitwise");
+        let c = in_flight(&old, &new, SouthboundConfig::paper(12)).unwrap();
+        assert_ne!(
+            a.elapsed_ms, c.elapsed_ms,
+            "different seeds should sample different schedules"
+        );
+    }
+
+    /// A wider reorder window shuffles op completions harder but must
+    /// never surface an illegal state.
+    #[test]
+    fn hostile_reorder_windows_stay_conformant() {
+        let old = line_snapshot(5, 0, 1);
+        let new = empty_snapshot(5);
+        for window in [0usize, 1, 8, 64] {
+            let mut southbound = SouthboundConfig::paper(0x77 ^ window as u64);
+            southbound.reorder_window = window;
+            let report = in_flight(&old, &new, southbound)
+                .unwrap_or_else(|e| panic!("window {window}: {e}"));
+            assert_eq!(
+                report.walks,
+                report.old_exact + report.new_exact + report.mixed
+            );
+        }
     }
 }

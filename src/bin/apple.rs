@@ -8,7 +8,7 @@
 //! apple online <TOPO> [--horizon SECS] [--rate R] [--resolve-every N] [--seed S]
 //! apple recover <TOPO> [--horizon SECS] [--rate R] [--seed S] [--kill-at N] [--torn] [--snapshot-every N]
 //! apple compile <TOPO> [--classes K] [--load MBPS] [--seed S] [--incremental]
-//! apple walk   <TOPO> [--engine linear|compiled] [--threads N] [--repeats N]
+//! apple walk   <TOPO> [--threads N] [--repeats N]
 //! apple export-lp <TOPO> [--classes K] [--load MBPS] [--seed S]
 //! ```
 //!
@@ -26,21 +26,17 @@ use apple_nfv::core::recovery::{
 };
 use apple_nfv::core::rules::{generate_with, snapshot_of, RuleGenConfig};
 use apple_nfv::core::subclass::{SplitStrategy, SubclassPlan};
-use apple_nfv::dataplane::compiler::{compile_recorded, CompilerSnapshot};
+use apple_nfv::dataplane::compiler::{compile, compile_recorded, CompilerSnapshot};
 use apple_nfv::dataplane::diff::diff_recorded;
 use apple_nfv::dataplane::fastpath::CompiledProgram;
 use apple_nfv::dataplane::southbound::SouthboundConfig;
-use apple_nfv::dataplane::walk::WalkEngine;
 use apple_nfv::faults::crash::{install_quiet_kill_hook, kill_of};
 use apple_nfv::faults::{CrashPoint, FaultPlanConfig};
 use apple_nfv::journal::SharedMemStore;
 use apple_nfv::nf::InstanceId;
 use apple_nfv::sim::chaos::run_schedule;
-use apple_nfv::sim::inflight_conformance::{inflight_conformance, InflightConfig};
 use apple_nfv::sim::online::{build_timeline, run_timeline, OnlineRunConfig};
-use apple_nfv::sim::packet_replay::{
-    conformance_probes, repair_conformance, walk_batch, EngineKind, WalkEngineConfig,
-};
+use apple_nfv::sim::packet_replay::{conformance, conformance_probes, walk_batch, Schedule};
 use apple_nfv::sim::replay::{replay_recorded, ReplayConfig};
 use apple_nfv::telemetry::{MemoryRecorder, Recorder, NOOP};
 use apple_nfv::topology::{zoo, Topology};
@@ -71,10 +67,8 @@ const USAGE: &str = "usage:
   apple recover <TOPO> [--horizon SECS] [--rate R] [--seed S] [--kill-at N] [--torn]
                [--snapshot-every N] [--resolve-every N] [--telemetry json]
   apple compile <TOPO> [--classes K] [--load MBPS] [--seed S] [--incremental] [--telemetry json]
-  apple walk   <TOPO> [--engine linear|compiled] [--threads N] [--repeats N]
-               [--classes K] [--load MBPS] [--seed S]
-  apple southbound <TOPO> [--classes K] [--load MBPS] [--seed S]
-               [--engine linear|compiled] [--threads N]
+  apple walk   <TOPO> [--threads N] [--repeats N] [--classes K] [--load MBPS] [--seed S]
+  apple southbound <TOPO> [--classes K] [--load MBPS] [--seed S] [--threads N]
   apple export-lp <TOPO> [--classes K] [--load MBPS] [--seed S]
 
 TOPO: internet2 | geant | univ1 | as3679 | fat-tree:K | jellyfish:N:D
@@ -108,10 +102,9 @@ fresh instance) and prints the incremental update plan's operation bill
 against the full-recompile cost.
 
 walk plans and compiles a deployment, derives its packet-probe battery and
-replays it --repeats times through the chosen walk engine: `linear` is the
-reference first-match scan, `compiled` (default) the per-switch LPM-trie /
-exact-match fast path of DESIGN.md 12. --threads N (walk and southbound
-only) fans the battery out over scoped worker threads (0 = one per CPU).
+replays it --repeats times through the per-switch LPM-trie / exact-match
+fast path of DESIGN.md 12. --threads N (walk and southbound only) fans the
+battery out over scoped worker threads (0 = one per CPU).
 Prints walks/sec; exits non-zero if any probe fails to walk.
 
 southbound plans and compiles a deployment, models a single-sub-class
@@ -143,7 +136,6 @@ struct Flags {
     snapshot_every: u64,
     kill_at: u64,
     torn: bool,
-    engine: EngineKind,
     repeats: usize,
 }
 
@@ -168,7 +160,6 @@ impl Default for Flags {
             snapshot_every: 64,
             kill_at: 0,
             torn: false,
-            engine: EngineKind::default(),
             repeats: 32,
         }
     }
@@ -284,7 +275,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--kill-at" => f.kill_at = num("--kill-at")?.parse().map_err(|_| "bad --kill-at")?,
             "--torn" => f.torn = true,
-            "--engine" => f.engine = EngineKind::parse(&num("--engine")?)?,
             "--repeats" => f.repeats = num("--repeats")?.parse().map_err(|_| "bad --repeats")?,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -627,8 +617,16 @@ fn run(args: &[String]) -> Result<(), String> {
                 .intended_ctx
                 .as_ref()
                 .ok_or("recovered loop has no compiler context")?;
-            let conf = repair_conformance(&rr.pre_repair_fabric, prev, intended)
-                .map_err(|e| e.to_string())?;
+            let conf = conformance(
+                rr.pre_repair_fabric,
+                None,
+                prev,
+                intended,
+                Some(&compile(prev)),
+                &Schedule::Barriers,
+                1,
+            )
+            .map_err(|e| e.to_string())?;
             println!(
                 "repair conformance: {} probes x {} barriers = {} walks, every one old, new or a consistent chain mix",
                 conf.probes, conf.barriers, conf.walks
@@ -709,18 +707,13 @@ fn run(args: &[String]) -> Result<(), String> {
                 return Err("deployment produced no packet probes".into());
             }
             let jobs: Vec<_> = probes.iter().map(|pr| (pr.packet, &pr.path)).collect();
-            let walker = program.walker();
-            let compiled = CompiledProgram::new(&program);
-            let engine: &(dyn WalkEngine + Sync) = match flags.engine {
-                EngineKind::Linear => &walker,
-                EngineKind::Compiled => &compiled,
-            };
+            let engine = CompiledProgram::new(&program);
             let repeats = flags.repeats.max(1);
             let mut errors = 0usize;
             let mut instances = 0usize;
             let start = std::time::Instant::now();
             for _ in 0..repeats {
-                for res in walk_batch(engine, &jobs, flags.threads) {
+                for res in walk_batch(&engine, &jobs, flags.threads) {
                     match res {
                         Ok(rec) => instances += rec.instances.len(),
                         Err(_) => errors += 1,
@@ -731,8 +724,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let walks = repeats * jobs.len();
             println!("{}", topo.summary());
             println!(
-                "engine {}  {} probes x {} repeats = {} walks ({} VNF traversals)",
-                flags.engine.name(),
+                "{} probes x {} repeats = {} walks ({} VNF traversals)",
                 jobs.len(),
                 repeats,
                 walks,
@@ -766,23 +758,28 @@ fn run(args: &[String]) -> Result<(), String> {
                 .ok_or("snapshot has no instances to churn")?
                 + 1;
             churned.subclasses[0].instances[0] = InstanceId(fresh);
-            let cfg = InflightConfig {
-                engine: WalkEngineConfig {
-                    engine: flags.engine,
-                    threads: flags.threads,
-                },
-                southbound: SouthboundConfig::paper(flags.seed),
+            let southbound = SouthboundConfig::paper(flags.seed);
+            let schedule = Schedule::Inflight {
+                southbound,
                 tick_ms: 10,
             };
-            let report = inflight_conformance(&snap, &churned, &cfg)
-                .map_err(|e| format!("in-flight conformance violated: {e}"))?;
+            let report = conformance(
+                compile(&snap),
+                None,
+                &snap,
+                &churned,
+                None,
+                &schedule,
+                flags.threads,
+            )
+            .map_err(|e| format!("in-flight conformance violated: {e}"))?;
             println!("{}", topo.summary());
             println!(
                 "channel: {} ms/rule (+{} ms jitter), reorder window {}, seed {}",
-                cfg.southbound.rule_install_ms,
-                cfg.southbound.jitter_ms,
-                cfg.southbound.reorder_window,
-                cfg.southbound.seed,
+                southbound.rule_install_ms,
+                southbound.jitter_ms,
+                southbound.reorder_window,
+                southbound.seed,
             );
             println!(
                 "churn plan drained in {} virtual ms across {} barriers ({} retries)",

@@ -4,7 +4,7 @@
 //! Every case builds two [`CompilerSnapshot`]s of the same deployment —
 //! before and after a structured mutation (instance churn, sub-class
 //! departure, crash-driven online re-placement) — and runs
-//! [`differential_conformance`]: replay a probe packet per sub-class
+//! [`differential_conformance_with`]: replay a probe packet per sub-class
 //! prefix at **every** intermediate barrier of the incremental update
 //! plan, requiring each walk to be bitwise-old, bitwise-new, or a
 //! chain-consistent mix, and the final patched program to equal the full
@@ -28,7 +28,7 @@ use apple_nfv::core::subclass::{SplitStrategy, SubclassPlan};
 use apple_nfv::dataplane::compiler::{compile, CompilerSnapshot};
 use apple_nfv::dataplane::diff::diff;
 use apple_nfv::nf::InstanceId;
-use apple_nfv::sim::{differential_conformance, ConformanceReport};
+use apple_nfv::sim::{differential_conformance_with, ConformanceReport, WalkEngineConfig};
 use apple_nfv::telemetry::NOOP;
 use apple_nfv::topology::{zoo, NodeId, Topology};
 use apple_nfv::traffic::arrivals::{ArrivalConfig, EventTimeline, FlowEventKind};
@@ -130,8 +130,8 @@ fn structured_mutations_conform_across_topologies() {
                 ("drop rev", &shrunk, &base),
             ] {
                 let ctx = format!("topology {t} case {case} {label}");
-                let report =
-                    differential_conformance(old, new).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let report = differential_conformance_with(old, new, &WalkEngineConfig::default())
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                 assert_accounted(&report, &ctx);
                 assert!(report.barriers > 0, "{ctx}: mutation produced no plan");
                 assert!(report.new_exact > 0, "{ctx}: no probe reached new state");
@@ -146,7 +146,8 @@ fn structured_mutations_conform_across_topologies() {
 fn identity_snapshots_have_no_barriers() {
     let topo = zoo::internet2();
     let snap = offline_snapshot(&topo, 300, 8);
-    let report = differential_conformance(&snap, &snap).expect("identity conforms");
+    let report = differential_conformance_with(&snap, &snap, &WalkEngineConfig::default())
+        .expect("identity conforms");
     assert_eq!(report.barriers, 0);
     assert_eq!(report.walks, 0);
     assert!(report.probes > 0, "probe generation must not be empty");
@@ -202,8 +203,8 @@ fn online_crash_interleavings_conform() {
             }
             let next = looper.dataplane_snapshot().expect("compiler stays on");
             let ctx = format!("case {case} event {n}");
-            let report =
-                differential_conformance(&prev, &next).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let report = differential_conformance_with(&prev, &next, &WalkEngineConfig::default())
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_accounted(&report, &ctx);
             synced += report.barriers as u64;
             prev = next;
@@ -324,8 +325,10 @@ fn pinned_seed_regression_counts() {
     let mut rng = StdRng::seed_from_u64(SEED);
     let base = offline_snapshot(&topo, 300, 8);
     let churned = churn_instance(&base, &mut rng);
-    let fwd = differential_conformance(&base, &churned).expect("pinned churn conforms");
-    let rev = differential_conformance(&churned, &base).expect("pinned reverse conforms");
+    let fwd = differential_conformance_with(&base, &churned, &WalkEngineConfig::default())
+        .expect("pinned churn conforms");
+    let rev = differential_conformance_with(&churned, &base, &WalkEngineConfig::default())
+        .expect("pinned reverse conforms");
     assert_accounted(&fwd, "pinned fwd");
     assert_accounted(&rev, "pinned rev");
     // Frozen by SEED and the tm seed: update deliberately when the

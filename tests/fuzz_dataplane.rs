@@ -21,7 +21,7 @@ use apple_nfv::core::rules::{snapshot_of, RuleGenConfig};
 use apple_nfv::dataplane::compiler::{compile, CompilerSnapshot};
 use apple_nfv::dataplane::diff::{diff, ApplyError};
 use apple_nfv::dataplane::packet::{HostTag, Packet};
-use apple_nfv::sim::differential_conformance;
+use apple_nfv::sim::{differential_conformance_with, WalkEngineConfig};
 use apple_nfv::topology::zoo;
 use apple_nfv::traffic::GravityModel;
 use apple_rng::{Rng, RngCore, SeedableRng, StdRng};
@@ -144,7 +144,8 @@ fn empty_diffs_bill_nothing() {
         let again = compile(&snap.clone());
         assert!(diff(&prog, &again).is_empty(), "seed {seed}");
         // And the full conformance battery agrees: zero barriers.
-        let report = differential_conformance(&snap, &snap).expect("identity conforms");
+        let report = differential_conformance_with(&snap, &snap, &WalkEngineConfig::default())
+            .expect("identity conforms");
         assert_eq!(report.barriers, 0, "seed {seed}");
     }
 }
@@ -165,14 +166,14 @@ fn delete_then_readd_roundtrips() {
         let gone_prog = compile(&gone);
 
         // Delete leg.
-        differential_conformance(&full, &gone)
+        differential_conformance_with(&full, &gone, &WalkEngineConfig::default())
             .unwrap_or_else(|e| panic!("case {case} ({dropped:?} delete): {e}"));
         let mut prog = full_prog.clone();
         diff(&full_prog, &gone_prog).apply(&mut prog, None).unwrap();
         assert_eq!(prog, gone_prog, "case {case}: delete leg drifted");
 
         // Re-add leg: back to the exact original program, rule for rule.
-        differential_conformance(&gone, &full)
+        differential_conformance_with(&gone, &full, &WalkEngineConfig::default())
             .unwrap_or_else(|e| panic!("case {case} ({dropped:?} re-add): {e}"));
         diff(&gone_prog, &full_prog).apply(&mut prog, None).unwrap();
         assert_eq!(prog, full_prog, "case {case}: re-add leg left residue");

@@ -13,7 +13,7 @@
 //! 2. `reconcile` repairs the surviving switch fabric up to the recovered
 //!    intent through the make-before-break diff planner;
 //! 3. the repair is interference-free per the packet-level
-//!    `repair_conformance` battery (bitwise-old / bitwise-new /
+//!    `conformance` battery in repair mode (bitwise-old / bitwise-new /
 //!    chain-consistent at every repair barrier);
 //! 4. resuming the recovered controller over the remainder of the script
 //!    converges **bitwise** to a never-crashed twin (canonical state
@@ -30,11 +30,12 @@ use apple_nfv::core::recovery::{
     RecoverySetup, SharedFabric,
 };
 use apple_nfv::core::verify::verify_shares;
+use apple_nfv::dataplane::compiler::compile;
 use apple_nfv::faults::crash::{install_quiet_kill_hook, kill_of};
 use apple_nfv::faults::{CrashPoint, CrashSite};
 use apple_nfv::journal::{Journal, MemStore, SharedMemStore};
 use apple_nfv::nf::InstanceId;
-use apple_nfv::sim::repair_conformance;
+use apple_nfv::sim::{conformance, Schedule};
 use apple_nfv::telemetry::{MemoryRecorder, NOOP};
 use apple_nfv::topology::{zoo, NodeId};
 use apple_nfv::traffic::arrivals::{ArrivalConfig, EventTimeline, FlowEvent};
@@ -212,8 +213,16 @@ fn run_pair(
             .as_ref()
             .expect("recovered loop has a context"),
     );
-    repair_conformance(&rr.pre_repair_fabric, prev, intended)
-        .unwrap_or_else(|e| panic!("{label}: repair conformance: {e}"));
+    conformance(
+        rr.pre_repair_fabric,
+        None,
+        prev,
+        intended,
+        Some(&compile(prev)),
+        &Schedule::Barriers,
+        1,
+    )
+    .unwrap_or_else(|e| panic!("{label}: repair conformance: {e}"));
 
     // Resume from the journal's intent cursor and converge on the twin.
     let resume_from = recovered.seq() as usize;
