@@ -18,7 +18,7 @@
 //! (ceil of `q`, with a resource-repair re-solve) is validated against the
 //! exact branch-and-bound optimum on small instances by the test suite.
 
-use crate::classes::ClassSet;
+use crate::classes::{ClassSet, EquivalenceClass};
 use crate::orchestrator::ResourceOrchestrator;
 use apple_lp::decompose::DecomposedStats;
 use apple_lp::{
@@ -79,10 +79,11 @@ pub struct EngineConfig {
     /// Maximum rounding-repair iterations when ceiling violates host
     /// resources.
     pub max_repair_rounds: usize,
-    /// Budget of LP feasibility re-solves spent trying to *decrement*
-    /// under-utilised instances after ceiling (LP-guided descent). Ceiling
-    /// a degenerate LP can over-provision one instance per touched
-    /// (switch, NF); this pass claws those back. 0 disables it.
+    /// Budget of consolidation candidates tried (certified or solved)
+    /// while trying to *decrement* under-utilised instances after ceiling
+    /// (LP-guided descent). Ceiling a degenerate LP can over-provision one
+    /// instance per touched (switch, NF); this pass claws those back. 0
+    /// disables it.
     pub consolidation_attempts: usize,
     /// Simplex options forwarded to the LP solver.
     pub simplex: SimplexOptions,
@@ -410,8 +411,11 @@ impl OptimizationEngine {
 
     /// LP-guided descent: repeatedly try to remove the least-utilised
     /// instance; keep a removal whenever the d-only feasibility LP still
-    /// succeeds. Returns the final counts and, when any removal happened,
-    /// the matching d solution.
+    /// succeeds. A candidate the max-flow certificate ([`certify_reject`])
+    /// proves infeasible fails without building or solving its LP; the
+    /// rest are solved under an `engine.consolidate.lp` span. Returns the
+    /// final counts and, when any removal happened, the matching d
+    /// solution.
     #[allow(clippy::type_complexity, clippy::too_many_arguments)] // internal plumbing
     fn consolidate(
         &self,
@@ -476,19 +480,32 @@ impl OptimizationEngine {
 
             let mut improved = false;
             let mut failures = 0;
-            // `failures` counts only unsuccessful solves (not iterations),
-            // so enumerate() would change the early-stop semantics.
+            // `failures` counts only unsuccessful candidates (not
+            // iterations), so enumerate() would change the early-stop
+            // semantics.
             #[allow(clippy::explicit_counter_loop)]
             for (key, _) in cands {
                 if budget == 0 || failures >= 4 {
                     break;
                 }
                 budget -= 1;
-                rec.counter("engine.consolidation_solves", 1);
                 let mut q_try = q.clone();
                 *q_try.get_mut(&key).expect("candidate exists") -= 1;
-                let (model, vm) = self.build_model(classes, orch, QMode::Fixed(&q_try));
-                if let Ok(sol) = self.solve_blocks(&model, cache, rec) {
+                let certified = certify_reject(classes, &q_try, key.1);
+                #[cfg(test)]
+                self.oracle_check(classes, orch, &q_try, certified);
+                if certified {
+                    rec.counter("engine.consolidation_certified", 1);
+                    failures += 1;
+                    continue;
+                }
+                rec.counter("engine.consolidation_solves", 1);
+                let solved = {
+                    let _s = rec.span("engine.consolidate.lp");
+                    let (model, vm) = self.build_model(classes, orch, QMode::Fixed(&q_try));
+                    self.solve_blocks(&model, cache, rec).map(|sol| (sol, vm))
+                };
+                if let Ok((sol, vm)) = solved {
                     rec.counter("engine.consolidation_removed", 1);
                     q = q_try;
                     d_values = Some(sol.values().to_vec());
@@ -1000,6 +1017,180 @@ fn tighten_caps(
     Ok(())
 }
 
+/// Reject certificate for one consolidation candidate (DESIGN.md §8,
+/// *Consolidation certificates*): `true` proves the fixed-`q` feasibility
+/// LP for `q` infeasible; `false` decides nothing.
+///
+/// It checks one necessary condition for NF `nf` alone, as a
+/// transportation max-flow: every class using `nf` ships its rate `T_h`
+/// to the switches inside its chain-order window ([`stage_window`]) that
+/// host `nf`, and switch `v` absorbs at most `Cap_n · q[v][n]`. Every
+/// LP-feasible `d` is such a flow, so a deficit proves infeasibility. The
+/// margin (1e-6 of the demand) is far looser than the simplex's phase-1
+/// tolerance, so a borderline candidate falls through to the LP instead
+/// of becoming a wrong reject.
+fn certify_reject(classes: &ClassSet, q: &BTreeMap<(usize, usize), u32>, nf: usize) -> bool {
+    let nf = NfType::from_index(nf);
+    let count = |v: NodeId, n: NfType| q.get(&(v.0, n.index())).copied().unwrap_or(0);
+    let cap = VnfSpec::of(nf).capacity_mbps;
+    let mut sink_of: BTreeMap<NodeId, usize> = BTreeMap::new();
+    let mut sink_caps = Vec::new();
+    let mut demands = Vec::new();
+    for c in classes {
+        let Some(j) = c.chain.position(nf) else {
+            continue;
+        };
+        if c.rate_mbps <= 0.0 {
+            continue;
+        }
+        let sinks = stage_window(c, j, count)
+            .map(|i| c.path.nodes()[i])
+            .filter(|&v| count(v, nf) > 0)
+            .map(|v| {
+                *sink_of.entry(v).or_insert_with(|| {
+                    sink_caps.push(cap * f64::from(count(v, nf)));
+                    sink_caps.len() - 1
+                })
+            })
+            .collect();
+        demands.push((c.rate_mbps, sinks));
+    }
+    let demand: f64 = demands.iter().map(|(t, _)| t).sum();
+    demand - transport_flow(&demands, &sink_caps) > 1e-6 * demand.max(1.0)
+}
+
+/// Path positions `[lo, hi]` at which class `c` can process its stage `j`
+/// when the instance counts are fixed (`count(v, n)`).
+///
+/// `lo` is the latest first position at which an earlier stage has an
+/// instance: before it that stage's cumulative share `σ_k` is 0, and
+/// Eq. (3) (`σ_k ≥ σ_j` for `k < j`) pins `σ_j` to 0 too. `hi` is the
+/// earliest last position at which a later stage has an instance: there
+/// that stage is complete (`σ_k = 1`), so `σ_j ≥ σ_k` is complete as well.
+/// The range is empty when some other stage has no instance on the path.
+fn stage_window(
+    c: &EquivalenceClass,
+    j: usize,
+    count: impl Fn(NodeId, NfType) -> u32,
+) -> std::ops::RangeInclusive<usize> {
+    let nodes = c.path.nodes();
+    let (mut lo, mut hi) = (0, nodes.len() - 1);
+    for (k, &n) in c.chain.nfs().iter().enumerate() {
+        if k == j {
+            continue;
+        }
+        let mut hosted = (0..nodes.len()).filter(|&i| count(nodes[i], n) > 0);
+        let bound = if k < j {
+            hosted.next()
+        } else {
+            hosted.next_back()
+        };
+        let Some(i) = bound else {
+            lo = nodes.len();
+            break;
+        };
+        if k < j {
+            lo = lo.max(i);
+        } else {
+            hi = hi.min(i);
+        }
+    }
+    lo..=hi
+}
+
+/// Maximum flow of a bipartite transportation network: source → demand
+/// `k` (capacity `demands[k].0`) → each sink in `demands[k].1` (unbounded)
+/// → target (capacity `sink_caps[s]`). Edmonds–Karp on a residual edge
+/// list; residuals within 1e-12 of the total demand count as saturated.
+fn transport_flow(demands: &[(f64, Vec<usize>)], sink_caps: &[f64]) -> f64 {
+    let n = demands.len() + sink_caps.len() + 2;
+    let (source, target) = (0, n - 1);
+    let sink = |s: usize| 1 + demands.len() + s;
+    // Residual capacities; edge `e ^ 1` is the reverse of edge `e`.
+    let mut to = Vec::new();
+    let mut residual = Vec::new();
+    let mut adj = vec![Vec::new(); n];
+    let mut add = |a: usize, b: usize, cap: f64| {
+        adj[a].push(to.len());
+        to.push(b);
+        residual.push(cap);
+        adj[b].push(to.len());
+        to.push(a);
+        residual.push(0.0);
+    };
+    for (k, (rate, sinks)) in demands.iter().enumerate() {
+        add(source, 1 + k, *rate);
+        for &s in sinks {
+            add(1 + k, sink(s), f64::INFINITY);
+        }
+    }
+    for (s, &cap) in sink_caps.iter().enumerate() {
+        add(sink(s), target, cap);
+    }
+    let eps = 1e-12 * demands.iter().map(|d| d.0).sum::<f64>().max(1.0);
+    let mut flow = 0.0;
+    loop {
+        // Shortest augmenting path by BFS; `via[b]` is the edge into `b`.
+        let mut via = vec![usize::MAX; n];
+        let mut queue = std::collections::VecDeque::from([source]);
+        while let Some(a) = queue.pop_front() {
+            for &e in &adj[a] {
+                let b = to[e];
+                if b != source && via[b] == usize::MAX && residual[e] > eps {
+                    via[b] = e;
+                    queue.push_back(b);
+                }
+            }
+        }
+        if via[target] == usize::MAX {
+            return flow;
+        }
+        let mut push = f64::INFINITY;
+        let mut b = target;
+        while b != source {
+            push = push.min(residual[via[b]]);
+            b = to[via[b] ^ 1];
+        }
+        let mut b = target;
+        while b != source {
+            residual[via[b]] -= push;
+            residual[via[b] ^ 1] += push;
+            b = to[via[b] ^ 1];
+        }
+        flow += push;
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only oracle for [`certify_reject`]: while armed on the current
+    /// thread, every consolidation candidate's fixed-`q` LP is solved as
+    /// well (cache-free, so the descent's warm cache is untouched) and its
+    /// `(certified, lp_feasible)` verdict pair is logged. The certificate
+    /// stays in charge of the descent.
+    static ORACLE: std::cell::RefCell<Option<Vec<(bool, bool)>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+#[cfg(test)]
+impl OptimizationEngine {
+    fn oracle_check(
+        &self,
+        classes: &ClassSet,
+        orch: &ResourceOrchestrator,
+        q_try: &BTreeMap<(usize, usize), u32>,
+        certified: bool,
+    ) {
+        ORACLE.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                let (model, _) = self.build_model(classes, orch, QMode::Fixed(q_try));
+                let feasible = solve_decomposed(&model, &self.config.simplex, None).is_ok();
+                log.push((certified, feasible));
+            }
+        });
+    }
+}
+
 /// Snaps a float to the nearest integer when within 1e-6 of it.
 ///
 /// Equivalent pivot sequences (the reduced model's, or the full
@@ -1043,6 +1234,7 @@ mod tests {
     use crate::policy::PolicyChain;
     use apple_topology::{zoo, Path};
     use apple_traffic::{Flow, GravityModel};
+    use NfType::{Firewall as Fw, Ids};
 
     /// One class on a 3-switch line with chain FW -> IDS, 100 Mbps.
     fn tiny() -> (apple_topology::Topology, ClassSet, ResourceOrchestrator) {
@@ -1257,6 +1449,221 @@ mod tests {
         let busy = probe.q_entries().next().expect("nonempty plan").0;
         orch.fail_host(busy).expect("host up");
         assert_reduced_matches_full(&classes, &orch);
+    }
+
+    /// Classes over the whole 3-switch line, one per `(rate, chain)`.
+    fn line_classes(specs: &[(f64, &[NfType])]) -> (ClassSet, ResourceOrchestrator) {
+        let (_topo, base, orch) = tiny();
+        let classes = specs
+            .iter()
+            .enumerate()
+            .map(|(h, (rate, chain))| EquivalenceClass {
+                id: ClassId(h),
+                rate_mbps: *rate,
+                chain: PolicyChain::new(chain.to_vec()).unwrap(),
+                ..base.classes()[0].clone()
+            })
+            .collect();
+        (ClassSet::from_classes(classes), orch)
+    }
+
+    /// Fixed counts from `(switch, NF, count)` triples.
+    fn counts(entries: &[(usize, NfType, u32)]) -> BTreeMap<(usize, usize), u32> {
+        entries
+            .iter()
+            .map(|&(v, nf, c)| ((v, nf.index()), c))
+            .collect()
+    }
+
+    fn lp_feasible(
+        classes: &ClassSet,
+        orch: &ResourceOrchestrator,
+        q: &BTreeMap<(usize, usize), u32>,
+    ) -> bool {
+        let engine = OptimizationEngine::default();
+        let (model, _) = engine.build_model(classes, orch, QMode::Fixed(q));
+        solve_decomposed(&model, &engine.config.simplex, None).is_ok()
+    }
+
+    #[test]
+    fn certificate_rejects_a_pure_capacity_deficit() {
+        // 2 Gbps through firewalls at two switches: 1.8 Gbps of capacity.
+        let (classes, orch) = line_classes(&[(2_000.0, &[Fw])]);
+        let q = counts(&[(0, Fw, 1), (1, Fw, 1)]);
+        assert!(certify_reject(&classes, &q, Fw.index()));
+        assert!(!lp_feasible(&classes, &orch, &q));
+        // One more instance covers it, and the certificate steps aside.
+        let q = counts(&[(0, Fw, 2), (1, Fw, 1)]);
+        assert!(!certify_reject(&classes, &q, Fw.index()));
+        assert!(lp_feasible(&classes, &orch, &q));
+    }
+
+    #[test]
+    fn chain_order_windows_catch_an_order_only_deficit() {
+        // FW → IDS, but the only IDS sits upstream of the only FW: each NF
+        // alone has room for the class, its chain order has none.
+        let (classes, orch) = line_classes(&[(100.0, &[Fw, Ids])]);
+        let q = counts(&[(2, Fw, 1), (0, Ids, 1)]);
+        // Without windows each NF alone ships the whole class to its one
+        // instance.
+        for nf in [Fw, Ids] {
+            let cap = VnfSpec::of(nf).capacity_mbps;
+            assert_eq!(transport_flow(&[(100.0, vec![0])], &[cap]), 100.0);
+        }
+        // With them, IDS may only sit at or after the first FW (switch 2),
+        // and FW at or before the last IDS (switch 0).
+        let count = |v: NodeId, n: NfType| q.get(&(v.0, n.index())).copied().unwrap_or(0);
+        let class = &classes.classes()[0];
+        assert_eq!(stage_window(class, 1, count), 2..=2);
+        assert_eq!(stage_window(class, 0, count), 0..=0);
+        assert!(certify_reject(&classes, &q, Fw.index()));
+        assert!(certify_reject(&classes, &q, Ids.index()));
+        assert!(!lp_feasible(&classes, &orch, &q));
+    }
+
+    #[test]
+    fn certificate_leaves_a_feasible_candidate_undecided() {
+        let (classes, orch) = line_classes(&[(500.0, &[Fw, Ids]), (300.0, &[Ids])]);
+        let q = counts(&[(0, Fw, 1), (1, Ids, 1), (2, Ids, 1)]);
+        assert!(!certify_reject(&classes, &q, Fw.index()));
+        assert!(!certify_reject(&classes, &q, Ids.index()));
+        assert!(lp_feasible(&classes, &orch, &q));
+    }
+
+    #[test]
+    fn zero_rate_class_needs_no_capacity() {
+        // The idle class's FW stage has no instance anywhere; Eq. (5) with
+        // T_h = 0 still holds, and the certificate must not object.
+        let (classes, orch) = line_classes(&[(0.0, &[Fw, Ids]), (400.0, &[Ids])]);
+        let q = counts(&[(1, Ids, 1)]);
+        assert!(!certify_reject(&classes, &q, Fw.index()));
+        assert!(!certify_reject(&classes, &q, Ids.index()));
+        assert!(lp_feasible(&classes, &orch, &q));
+    }
+
+    #[test]
+    fn stage_without_capacity_on_the_path_empties_the_window() {
+        // FW has room, but no IDS exists on the path: the FW stage's window
+        // is empty and the candidate is rejected for FW's sake as well.
+        let (classes, orch) = line_classes(&[(100.0, &[Fw, Ids])]);
+        let q = counts(&[(0, Fw, 1), (1, Fw, 1)]);
+        let count = |v: NodeId, n: NfType| q.get(&(v.0, n.index())).copied().unwrap_or(0);
+        assert!(stage_window(&classes.classes()[0], 0, count).is_empty());
+        assert!(certify_reject(&classes, &q, Fw.index()));
+        assert!(!lp_feasible(&classes, &orch, &q));
+    }
+
+    #[test]
+    fn transport_flow_is_the_bipartite_max_flow() {
+        // Two demands sharing one sink: min cut is the shared sink plus the
+        // second demand's private one.
+        let flow = transport_flow(&[(5.0, vec![0]), (4.0, vec![0, 1])], &[6.0, 1.5]);
+        assert!((flow - 7.5).abs() < 1e-12, "{flow}");
+        // Augmenting through a reverse edge: greedy would strand demand 1.
+        let flow = transport_flow(&[(3.0, vec![0, 1]), (3.0, vec![0])], &[3.0, 3.0]);
+        assert!((flow - 6.0).abs() < 1e-12, "{flow}");
+        assert_eq!(transport_flow(&[(2.0, vec![])], &[]), 0.0);
+    }
+
+    /// Runs `work` with the certificate oracle armed and returns every
+    /// consolidation candidate's `(certified, lp_feasible)` pair.
+    fn oracle_verdicts(work: impl FnOnce()) -> Vec<(bool, bool)> {
+        ORACLE.with(|log| *log.borrow_mut() = Some(Vec::new()));
+        work();
+        ORACLE.with(|log| log.borrow_mut().take()).expect("armed")
+    }
+
+    /// The online loop's periodic re-solves over the `online-resolve`
+    /// regime (Internet2, 40 heaviest pairs, 5 Mbps flows, a re-solve every
+    /// 50 events), 12 virtual seconds of it: many small classes, which is
+    /// where the order-driven rejects the windows exist for occur.
+    fn online_resolves() {
+        use crate::online::{OnlineConfig, OrchestrationLoop};
+        use apple_traffic::arrivals::{ArrivalConfig, EventTimeline};
+        let topo = zoo::internet2();
+        let mut pairs = GravityModel::new(1.0, 0).ranked_pairs(&topo);
+        pairs.truncate(40);
+        let arrivals = ArrivalConfig {
+            arrival_rate: 0.6,
+            mean_duration_secs: 5.0,
+            mean_rate_mbps: 5.0,
+            seed: 1,
+        };
+        let cfg = OnlineConfig {
+            resolve_every: 50,
+            max_churn: 64,
+            ..Default::default()
+        };
+        let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
+        let mut looper = OrchestrationLoop::new(&topo, orch, cfg);
+        for e in EventTimeline::generate(&pairs, &arrivals, 12.0).events() {
+            looper.step(e, &NOOP);
+        }
+        assert!(looper.resolves() > 0);
+    }
+
+    /// The reject certificate never disagrees with the LP it replaces: no
+    /// certified candidate is LP-feasible, on every scenario family the
+    /// relaxation oracle uses plus GEANT and AS-3679. On Internet2 it must
+    /// also catch most of the LP's rejects, or it saves nothing.
+    #[test]
+    fn certified_rejects_are_lp_infeasible() {
+        let internet2 = zoo::internet2();
+        let orch = ResourceOrchestrator::with_uniform_hosts(&internet2, 64);
+        let mut scenarios = Vec::new();
+        let mut family = |name: &str, topo: &apple_topology::Topology, load, seeds, size| {
+            for seed in seeds {
+                scenarios.push((
+                    format!("{name} seed {seed}"),
+                    gravity_classes(topo, load, seed, size),
+                    ResourceOrchestrator::with_uniform_hosts(topo, 64),
+                ));
+            }
+        };
+        family("internet2", &internet2, 7_000.0, 0..8, 30);
+        family("univ1 9 Gbps", &zoo::univ1(), 9_000.0, 0..4, 8);
+        family("geant", &zoo::geant(), 12_000.0, 0..2, 30);
+        family("as3679", &zoo::as3679(), 6_000.0, 0..2, 24);
+        let classes = gravity_classes(&internet2, 3_000.0, 11, 8);
+        let mut down = orch.clone();
+        let busy = OptimizationEngine::default()
+            .place(&classes, &down)
+            .unwrap()
+            .q_entries()
+            .next()
+            .expect("nonempty plan")
+            .0;
+        down.fail_host(busy).expect("host up");
+        scenarios.push(("internet2 host down".into(), classes, down));
+
+        let (mut rejects, mut caught) = (0, 0);
+        let mut check = |name: &str, verdicts: Vec<(bool, bool)>| {
+            assert!(
+                !verdicts.contains(&(true, true)),
+                "{name}: certified a feasible candidate: {verdicts:?}"
+            );
+            if name.starts_with("internet2") {
+                rejects += verdicts.iter().filter(|v| !v.1).count();
+                caught += verdicts.iter().filter(|v| v.0).count();
+            }
+        };
+        for (name, classes, orch) in &scenarios {
+            let verdicts = oracle_verdicts(|| {
+                OptimizationEngine::default()
+                    .place(classes, orch)
+                    .expect("placement");
+            });
+            check(name, verdicts);
+        }
+        check(
+            "internet2 online re-solves",
+            oracle_verdicts(online_resolves),
+        );
+        assert!(rejects > 0, "no Internet2 reject to certify");
+        assert!(
+            caught as f64 >= 0.85 * rejects as f64,
+            "Internet2: caught {caught} of {rejects} LP rejects"
+        );
     }
 
     #[test]

@@ -652,7 +652,9 @@ fn is_jumbo(class: &EquivalenceClass) -> bool {
 /// Telemetry: `online.events`, `online.placements`, `online.launches`,
 /// `online.retired`, `online.shed_events`, `online.jumbo_classes`,
 /// `online.overload`, `online.resolves`, `online.resolve_deferred`,
-/// `online.resolve_failed`, `online.resolve_repack`,
+/// `online.resolve_failed` (the engine found no placement),
+/// `online.resolve_rollback` (the transition rolled back),
+/// `online.resolve_repack` (the re-pack that follows a rollback),
 /// `online.rules_installed`, the `online.resolve_churn` histogram and the
 /// `online.step` span.
 #[derive(Debug)]
@@ -1037,7 +1039,7 @@ impl OrchestrationLoop {
                 // finds room, and `gc_idle` then retires whatever the
                 // re-pack stranded. That converges the instance count
                 // without needing transient headroom.
-                rec.counter("online.resolve_failed", 1);
+                rec.counter("online.resolve_rollback", 1);
                 rec.counter("online.resolve_repack", 1);
                 report.resolve_repacked = true;
             }
@@ -1708,7 +1710,10 @@ mod tests {
         assert!(!uses_bad_combo, "order violated by reuse");
     }
 
-    fn drain_timeline(resolve_every: u64, rec: &dyn Recorder) -> OrchestrationLoop {
+    /// A fresh loop on Internet2 and its 30 s timeline over twelve pairs.
+    fn twelve_pair_loop(
+        resolve_every: u64,
+    ) -> (OrchestrationLoop, apple_traffic::arrivals::EventTimeline) {
         use apple_traffic::arrivals::{ArrivalConfig, EventTimeline};
         let topo = zoo::internet2();
         let pairs: Vec<(NodeId, NodeId)> = (0..4)
@@ -1722,7 +1727,7 @@ mod tests {
         };
         let timeline = EventTimeline::generate(&pairs, &cfg, 30.0);
         let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let mut looper = OrchestrationLoop::new(
+        let looper = OrchestrationLoop::new(
             &topo,
             orch,
             OnlineConfig {
@@ -1730,6 +1735,11 @@ mod tests {
                 ..Default::default()
             },
         );
+        (looper, timeline)
+    }
+
+    fn drain_timeline(resolve_every: u64, rec: &dyn Recorder) -> OrchestrationLoop {
+        let (mut looper, timeline) = twelve_pair_loop(resolve_every);
         for e in timeline.events() {
             looper.step(e, rec);
             looper.check_ledger().expect("ledger truthful after step");
@@ -1757,12 +1767,33 @@ mod tests {
 
     #[test]
     fn default_config_resolves_hit_the_warm_cache() {
-        // Twelve pairs stay live across the re-solves; with no engine option
-        // set, the loop's Replanner answers their blocks from its cache.
+        // The loop keeps one Replanner, and so one warm cache, across its
+        // periodic re-solves. With no engine option set, a re-solve whose
+        // input nothing has changed since the previous one re-pivots no
+        // block: the main relaxation and every consolidation LP the descent
+        // still runs are answered from the cache.
+        let (mut looper, timeline) = twelve_pair_loop(20);
         let rec = apple_telemetry::MemoryRecorder::new();
-        drain_timeline(20, &rec);
-        let hits = rec.snapshot().counter("failover.replan_warm_hits");
-        assert!(hits > Some(0), "warm hits {hits:?}");
+        let events = timeline.events();
+        for e in &events[..events.len() / 2] {
+            looper.step(e, &rec);
+        }
+        assert!(looper.resolves() > 0, "no periodic re-solve ran");
+        assert!(looper.live_count() > 0, "nothing live to re-solve");
+        let counter = |name| rec.snapshot().counter(name).unwrap_or(0);
+        looper.resolve(&rec, &mut StepReport::default());
+        let (hits, misses) = (
+            counter("failover.replan_warm_hits"),
+            counter("failover.replan_warm_misses"),
+        );
+        looper.resolve(&rec, &mut StepReport::default());
+        assert_eq!(
+            counter("failover.replan_warm_misses"),
+            misses,
+            "an unchanged re-solve must not pivot"
+        );
+        assert!(counter("failover.replan_warm_hits") > hits, "no warm hit");
+        assert!(counter("engine.consolidation_solves") > 0);
     }
 
     #[test]
