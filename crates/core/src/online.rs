@@ -26,7 +26,7 @@ use crate::failover::{DynamicHandler, Replanner, ShareState};
 use crate::orchestrator::{ControlOps, ResourceOrchestrator};
 use crate::transition::{apply_transition_with, plan_transition_from_live};
 use apple_dataplane::compiler::{CompilerSnapshot, RuleProgram, SubclassSpec};
-use apple_dataplane::diff::{DiffScope, UpdateBatch};
+use apple_dataplane::diff::{DiffScope, UpdateBatch, UpdatePlan};
 use apple_dataplane::fastpath::CompiledProgram;
 use apple_nf::{InstanceId, VnfSpec};
 use apple_telemetry::{Recorder, RecorderExt};
@@ -649,6 +649,10 @@ fn is_jumbo(class: &EquivalenceClass) -> bool {
 ///   degrades to an in-place re-pack of the existing fleet instead of
 ///   being skipped.
 ///
+/// The loop has no durability or fabric side effects: a sync's barriers
+/// stay readable through [`Self::committed`], and
+/// [`crate::recovery::JournaledLoop`] journals and mirrors them.
+///
 /// Telemetry: `online.events`, `online.placements`, `online.launches`,
 /// `online.retired`, `online.shed_events`, `online.jumbo_classes`,
 /// `online.overload`, `online.resolves`, `online.resolve_deferred`,
@@ -683,9 +687,9 @@ pub struct OrchestrationLoop {
     /// rewrite the whole program). A live class whose decision moved since
     /// is re-tagged (two-phase versioning, see [`Self::allocate_tags`]).
     pub(crate) lowered: Lowered,
-    /// Barrier observer: called after each update-plan batch is applied to
-    /// the installed mirror (the journal's per-phase barrier commit hook).
-    pub(crate) dp_observer: Option<Box<dyn DataplaneObserver>>,
+    /// The barriers the last step or instance crash committed, in commit
+    /// order (see [`Self::committed`]).
+    committed: UpdatePlan,
     /// The asynchronous southbound channel, when configured: syncs become
     /// enqueue + await-barrier and the installed mirror advances only on
     /// acked barriers. The channel persists across steps so its virtual
@@ -693,13 +697,12 @@ pub struct OrchestrationLoop {
     pub(crate) southbound: Option<apple_dataplane::southbound::SouthboundChannel>,
 }
 
-/// Commits one acked barrier: the installed mirror, then the fast path,
-/// then the observer — in that order on both the synchronous and the
-/// southbound arm of the sync.
+/// Commits one acked barrier: the installed mirror, then the fast path —
+/// in that order on both the synchronous and the southbound arm of the
+/// sync.
 fn commit_barrier(
     installed: &mut RuleProgram,
     fastpath: &mut Option<CompiledProgram>,
-    observer: &mut Option<Box<dyn DataplaneObserver>>,
     batch: &UpdateBatch,
     rec: &dyn Recorder,
 ) {
@@ -711,21 +714,6 @@ fn commit_barrier(
         let _f = rec.span("dataplane.sync.fastpath");
         fp.rebuild_delta(batch);
     }
-    if let Some(obs) = observer {
-        let _o = rec.span("dataplane.sync.observer");
-        obs.on_barrier(batch);
-    }
-}
-
-/// Observes data-plane barriers as `OrchestrationLoop::sync_dataplane`
-/// applies an update plan batch by batch. The journaled controller
-/// ([`crate::recovery`]) uses this to mirror each barrier onto the
-/// external switch fabric and write a barrier commit record *after* the
-/// batch took effect — so on recovery the fabric is known to be at most
-/// one barrier ahead of the last journaled commit.
-pub trait DataplaneObserver: fmt::Debug {
-    /// Called after `batch` has been applied to the installed program.
-    fn on_barrier(&mut self, batch: &UpdateBatch);
 }
 
 impl OrchestrationLoop {
@@ -762,23 +750,26 @@ impl OrchestrationLoop {
             compiled,
             fastpath,
             lowered: Lowered::default(),
-            dp_observer: None,
+            committed: UpdatePlan::default(),
             southbound,
         }
     }
 
-    /// Installs (or clears) the data-plane barrier observer, which sees
-    /// every batch of every sync's update plan as it commits. The journaled
-    /// wrapper ([`crate::recovery::JournaledLoop`]) threads its own through
-    /// here; tests use it to hold the loop's plans to a full recompute.
-    pub fn set_dp_observer(&mut self, obs: Option<Box<dyn DataplaneObserver>>) {
-        self.dp_observer = obs;
+    /// The barriers the last [`Self::step`] or
+    /// [`Self::handle_instance_crash`] committed to the installed program,
+    /// in commit order (plan order on both apply arms). Empty after any
+    /// such call that synced nothing. The journaled wrapper
+    /// ([`crate::recovery::JournaledLoop`]) journals each one and mirrors it
+    /// onto the switch fabric after the call returns.
+    pub fn committed(&self) -> &UpdatePlan {
+        &self.committed
     }
 
     /// Applies one timeline event and returns what changed.
     pub fn step(&mut self, event: &FlowEvent, rec: &dyn Recorder) -> StepReport {
         let _s = rec.span("online.step");
         rec.counter("online.events", 1);
+        self.committed = UpdatePlan::default();
         self.events_seen += 1;
         let mut report = StepReport::default();
         let delta = match event.kind {
@@ -1085,6 +1076,7 @@ impl OrchestrationLoop {
     /// remains), and the ledger stays truthful. Returns the number of
     /// affected classes, or 0 when the instance is unknown.
     pub fn handle_instance_crash(&mut self, id: InstanceId, rec: &dyn Recorder) -> usize {
+        self.committed = UpdatePlan::default();
         if self.orch.crash_instance(id).is_err() {
             return 0;
         }
@@ -1296,8 +1288,9 @@ impl OrchestrationLoop {
     /// devices against the installed program and applies the delta in
     /// place. Does nothing when nothing changed. Returns the rule
     /// operations billed and the virtual southbound wait (0 on the
-    /// synchronous path). Telemetry: `dataplane.sync` span with children
-    /// `dataplane.sync.{tags,lower,diff,southbound,apply,fastpath,observer}`,
+    /// synchronous path), and leaves the plan in [`Self::committed`].
+    /// Telemetry: `dataplane.sync` span with children
+    /// `dataplane.sync.{tags,lower,diff,southbound,apply,fastpath}`,
     /// `dataplane.compile` / `dataplane.diff` spans,
     /// `dataplane.rules_compiled` (rules actually lowered),
     /// `dataplane.plans` / `dataplane.rule_ops` counters,
@@ -1403,16 +1396,18 @@ impl OrchestrationLoop {
         let mut wait_ms = 0u64;
         if let Some(chan) = self.southbound.as_mut() {
             // Async path: enqueue the whole plan, then await each
-            // barrier's ack — the installed mirror, the fast path and the
-            // observer all advance only when a barrier's acked set equals
-            // its op set. The fault-free channel cannot fail, so the ops
-            // bill matches the synchronous path bitwise.
+            // barrier's ack — the installed mirror and the fast path
+            // advance only when a barrier's acked set equals its op set.
+            // The channel completes barriers in plan order, and the
+            // fault-free channel cannot fail, so the ops bill matches the
+            // synchronous path bitwise.
             let submitted = chan.now_ms();
             {
                 let _sb = rec.span("dataplane.sync.southbound");
                 chan.submit_plan(&plan);
             }
             let mut last_ack = submitted;
+            let mut acked = 0;
             while chan.pending() > 0 {
                 let events = {
                     let _sb = rec.span("dataplane.sync.southbound");
@@ -1423,13 +1418,13 @@ impl OrchestrationLoop {
                     let apple_dataplane::southbound::SouthboundEvent::Barrier(done) = ev else {
                         continue;
                     };
-                    commit_barrier(
-                        installed,
-                        &mut self.fastpath,
-                        &mut self.dp_observer,
-                        &done.batch,
-                        rec,
+                    debug_assert_eq!(
+                        done.batch,
+                        plan.batches()[acked],
+                        "barriers complete in plan order"
                     );
+                    acked += 1;
+                    commit_barrier(installed, &mut self.fastpath, &done.batch, rec);
                     last_ack = done.completed_ms;
                     rec.counter("southbound.barriers", 1);
                     rec.counter("southbound.retries", done.retries);
@@ -1438,16 +1433,9 @@ impl OrchestrationLoop {
             }
             wait_ms = last_ack.saturating_sub(submitted);
         } else {
-            // Commit barrier by barrier so the observer sees each batch in
-            // order (the uncapped path is infallible — no phantom error).
+            // The uncapped path is infallible — no phantom error.
             for batch in plan.batches() {
-                commit_barrier(
-                    installed,
-                    &mut self.fastpath,
-                    &mut self.dp_observer,
-                    batch,
-                    rec,
-                );
+                commit_barrier(installed, &mut self.fastpath, batch, rec);
             }
         }
         let stats = plan.stats();
@@ -1465,6 +1453,7 @@ impl OrchestrationLoop {
             self.compiled.as_ref().map(CompiledProgram::new),
             "delta-patched fast path must equal a fresh compile of the installed program"
         );
+        self.committed = plan;
         (stats.total() as u64, wait_ms)
     }
 
@@ -1745,6 +1734,67 @@ mod tests {
             looper.check_ledger().expect("ledger truthful after step");
         }
         looper
+    }
+
+    /// An action that syncs nothing leaves `committed()` empty, whatever
+    /// the action before it committed: the journaled wrapper mirrors
+    /// `committed()` after every action, so a stale plan would journal its
+    /// barriers twice.
+    #[test]
+    fn committed_is_empty_after_every_action_that_syncs_nothing() {
+        use crate::recovery::{recover, JournaledLoop, RecoveryConfig, RecoverySetup};
+        use apple_journal::{Journal, SharedMemStore};
+        use apple_telemetry::NOOP;
+        // A flow too small to move any decision, on the pair of arrival
+        // `e`: the pair's classes re-rate in place, which no rule sees.
+        let trickle = |e: &FlowEvent, flow_id: u64| FlowEvent {
+            flow_id,
+            flow: Flow {
+                rate_mbps: 1e-3,
+                ..e.flow
+            },
+            ..e.clone()
+        };
+        let (mut looper, timeline) = twelve_pair_loop(0);
+        let e = &timeline.events()[0];
+        looper.step(e, &NOOP);
+        assert!(looper.committed().is_empty(), "the compiler is off");
+        looper.enable_dataplane_compiler();
+        looper.step(&trickle(e, u64::MAX), &NOOP);
+        assert!(
+            !looper.committed().is_empty(),
+            "the first sync installs all"
+        );
+        assert_eq!(looper.handle_instance_crash(InstanceId(u64::MAX), &NOOP), 0);
+        assert!(looper.committed().is_empty(), "an unknown instance crashed");
+        let id = *looper.placer().loads().keys().next().unwrap();
+        looper.handle_instance_crash(id, &NOOP);
+        assert!(!looper.committed().is_empty(), "a crash re-places");
+        looper.step(&trickle(e, u64::MAX - 1), &NOOP);
+        assert!(looper.committed().is_empty(), "a step with no change");
+
+        // Replay leaves the last replayed intent's plan behind; the first
+        // no-op step after recovery must not mirror it again.
+        let setup = RecoverySetup {
+            topo: zoo::internet2(),
+            cfg: OnlineConfig::default(),
+            recovery: RecoveryConfig::default(),
+            host_cores: 64,
+        };
+        let store = SharedMemStore::new();
+        let fabric = crate::recovery::SharedFabric::new();
+        let never = apple_faults::CrashPoint::never();
+        let mut jl = JournaledLoop::new(&setup, store.clone(), fabric.clone(), never);
+        jl.step(e, &NOOP).unwrap();
+        drop(jl);
+        let records = || Journal::recover(&mut store.clone()).unwrap().records.len();
+        let (mut recovered, _) = recover(&setup, store.clone(), fabric.clone(), &NOOP).unwrap();
+        assert!(!recovered.inner().committed().is_empty(), "replay synced");
+        let (before, installed) = (records(), fabric.program());
+        recovered.step(&trickle(e, u64::MAX), &NOOP).unwrap();
+        assert!(recovered.inner().committed().is_empty());
+        assert_eq!(records(), before + 2, "only the intent and its commit");
+        assert_eq!(fabric.program(), installed);
     }
 
     #[test]

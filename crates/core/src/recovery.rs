@@ -15,11 +15,12 @@
 //! * [`JournaledLoop`] wraps an [`OrchestrationLoop`], writing a
 //!   [`Record::StepIntent`] before each step, a [`Record::StepCommit`]
 //!   after, and a periodic checksummed snapshot of the full logical state
-//!   ([`RecoveryConfig::snapshot_every`]). A [`SharedFabric`] mirrors every
-//!   data-plane barrier the loop applies (via
-//!   [`crate::online::DataplaneObserver`]), with a [`Record::Barrier`]
-//!   journaled per batch — so after a crash the external switch state is
-//!   known to be at most one sync ahead of the journal's last commit.
+//!   ([`RecoveryConfig::snapshot_every`]). After each step it walks the
+//!   barriers the loop committed ([`OrchestrationLoop::committed`]) and,
+//!   per batch, journals a [`Record::Barrier`], mirrors the batch onto a
+//!   [`SharedFabric`] and journals a [`Record::BarrierAck`] — so after a
+//!   crash the external switch state is known to be at most one sync
+//!   ahead of the journal's last commit.
 //! * [`recover`] loads the newest snapshot that validates, replays the
 //!   journal suffix, truncates any torn tail, and returns a fresh
 //!   [`JournaledLoop`] over the same store plus a [`RecoveryReport`].
@@ -36,23 +37,21 @@
 
 use crate::classes::EquivalenceClass;
 use crate::online::{
-    DataplaneObserver, LiveClass, LiveKey, OnlineConfig, OnlineDecision, OrchestrationLoop,
-    StepReport,
+    LiveClass, LiveKey, OnlineConfig, OnlineDecision, OrchestrationLoop, StepReport,
 };
 use crate::orchestrator::{ControlOps, Host, ResourceOrchestrator};
 use crate::policy::PolicyChain;
 use apple_dataplane::compiler::{CompilerSnapshot, RuleProgram};
-use apple_dataplane::diff::UpdateBatch;
 use apple_faults::crash as crashpoint;
 use apple_faults::{CrashAction, CrashPoint, CrashSite};
 use apple_journal::codec::{ByteReader, ByteWriter, DecodeError};
 use apple_journal::{crc32, Journal, JournalError, JournalStats, JournalStore};
 use apple_nf::{InstanceId, NfType, ResourceVector, VnfInstance};
-use apple_telemetry::Recorder;
+use apple_telemetry::{Recorder, RecorderExt};
 use apple_topology::{NodeId, Path, Topology};
 use apple_traffic::arrivals::{FlowEvent, FlowEventKind};
 use apple_traffic::Flow;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -713,78 +712,18 @@ pub struct RecoverySetup {
 /// before any byte reaches the store, a torn kill persists a seeded
 /// partial frame, then dies.
 fn append_with_crash<S: JournalStore>(
-    journal: &RefCell<Journal<S>>,
+    journal: &mut Journal<S>,
     crash: &CrashPoint,
     payload: &[u8],
 ) -> Result<(), JournalError> {
     let frame_len = payload.len() + apple_journal::FRAME_HEADER_BYTES;
     match crash.on_site(CrashSite::JournalAppend, frame_len) {
-        CrashAction::Continue => journal.borrow_mut().append(payload),
+        CrashAction::Continue => journal.append(payload),
         CrashAction::Kill { ordinal, torn_keep } => {
             if let Some(keep) = torn_keep {
-                let _ = journal.borrow_mut().append_torn(payload, keep);
+                let _ = journal.append_torn(payload, keep);
             }
             crashpoint::kill(CrashSite::JournalAppend, ordinal)
-        }
-    }
-}
-
-/// The barrier observer wired into the wrapped loop: journals a
-/// [`Record::Barrier`] (the submit), mirrors the batch onto the shared
-/// fabric, then journals the matching [`Record::BarrierAck`] — with a
-/// crash site on either side of the fabric mutation
-/// ([`CrashSite::DataplaneBarrier`] between submit record and apply,
-/// [`CrashSite::SouthboundAck`] between apply and ack record). A kill at
-/// the ack site leaves the journal's partially-acked tail: the fabric
-/// holds a batch whose ack was never made durable.
-///
-/// The observer callback cannot return an error, so a store failure
-/// mid-barrier is parked in `failed` and surfaced as a typed
-/// [`RecoveryError::Journal`] by the [`JournaledLoop::step`] that drove
-/// the sync. Barrier and ack records are diagnostics, not redo state, so
-/// a lost one never compromises recovery.
-struct FabricObserver<S: JournalStore> {
-    fabric: SharedFabric,
-    journal: Rc<RefCell<Journal<S>>>,
-    crash: CrashPoint,
-    seq: Rc<Cell<u64>>,
-    barrier_index: u64,
-    failed: Rc<RefCell<Option<JournalError>>>,
-}
-
-impl<S: JournalStore> fmt::Debug for FabricObserver<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FabricObserver")
-            .field("barrier_index", &self.barrier_index)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<S: JournalStore> DataplaneObserver for FabricObserver<S> {
-    fn on_barrier(&mut self, batch: &UpdateBatch) {
-        let (seq, index) = (self.seq.get(), self.barrier_index);
-        self.barrier_index += 1;
-        let submit = Record::Barrier { seq, index };
-        if let Err(e) = append_with_crash(&self.journal, &self.crash, &submit.encode()) {
-            self.failed.borrow_mut().get_or_insert(e);
-        }
-        // Ops on the wire, install unconfirmed: submit record ahead of
-        // the fabric.
-        if let CrashAction::Kill { ordinal, .. } =
-            self.crash.on_site(CrashSite::DataplaneBarrier, 0)
-        {
-            crashpoint::kill(CrashSite::DataplaneBarrier, ordinal);
-        }
-        self.fabric
-            .with_mut(|p| apple_dataplane::diff::apply_batch_unchecked(p, batch));
-        // Installed but un-acked: fabric ahead of the journal — the
-        // partially-acked tail reconcile must repair.
-        if let CrashAction::Kill { ordinal, .. } = self.crash.on_site(CrashSite::SouthboundAck, 0) {
-            crashpoint::kill(CrashSite::SouthboundAck, ordinal);
-        }
-        let ack = Record::BarrierAck { seq, index };
-        if let Err(e) = append_with_crash(&self.journal, &self.crash, &ack.encode()) {
-            self.failed.borrow_mut().get_or_insert(e);
         }
     }
 }
@@ -794,17 +733,18 @@ impl<S: JournalStore> DataplaneObserver for FabricObserver<S> {
 /// and per-barrier fabric mirroring. Built fresh via [`JournaledLoop::new`]
 /// or from a crashed store via [`recover`].
 #[derive(Debug)]
-pub struct JournaledLoop<S: JournalStore + 'static> {
+pub struct JournaledLoop<S: JournalStore> {
     inner: OrchestrationLoop,
-    journal: Rc<RefCell<Journal<S>>>,
+    journal: Journal<S>,
     fabric: SharedFabric,
     crash: CrashPoint,
-    seq: Rc<Cell<u64>>,
+    seq: u64,
+    /// Ordinal of the next [`Record::Barrier`] within this journaled run.
+    barrier_index: u64,
     snapshot_every: u64,
-    dp_error: Rc<RefCell<Option<JournalError>>>,
 }
 
-impl<S: JournalStore + 'static> JournaledLoop<S> {
+impl<S: JournalStore> JournaledLoop<S> {
     /// A fresh journaled controller over an empty (or about-to-be-ignored)
     /// store. Use [`recover`] instead when the store may hold history.
     pub fn new(setup: &RecoverySetup, store: S, fabric: SharedFabric, crash: CrashPoint) -> Self {
@@ -823,46 +763,26 @@ impl<S: JournalStore + 'static> JournaledLoop<S> {
     }
 
     fn wrap(
-        mut inner: OrchestrationLoop,
+        inner: OrchestrationLoop,
         store: S,
         fabric: SharedFabric,
         crash: CrashPoint,
         snapshot_every: u64,
         seq: u64,
     ) -> Self {
-        let journal = Rc::new(RefCell::new(Journal::new(store)));
-        let seq = Rc::new(Cell::new(seq));
-        let dp_error = Rc::new(RefCell::new(None));
-        inner.set_dp_observer(Some(Box::new(FabricObserver {
-            fabric: fabric.clone(),
-            journal: Rc::clone(&journal),
-            crash: crash.clone(),
-            seq: Rc::clone(&seq),
-            barrier_index: 0,
-            failed: Rc::clone(&dp_error),
-        })));
         JournaledLoop {
             inner,
-            journal,
+            journal: Journal::new(store),
             fabric,
             crash,
             seq,
+            barrier_index: 0,
             snapshot_every,
-            dp_error,
         }
     }
 
-    /// Surface a store failure parked by the barrier observer during the
-    /// sync that just ran.
-    fn take_dp_error(&self) -> Result<(), RecoveryError> {
-        match self.dp_error.borrow_mut().take() {
-            Some(e) => Err(RecoveryError::Journal(e)),
-            None => Ok(()),
-        }
-    }
-
-    /// Journal an intent, apply one timeline event, journal the commit,
-    /// and snapshot when the period elapses.
+    /// Journal an intent, apply one timeline event, mirror the barriers it
+    /// committed, journal the commit, and snapshot when the period elapses.
     ///
     /// # Errors
     ///
@@ -874,18 +794,18 @@ impl<S: JournalStore + 'static> JournaledLoop<S> {
         event: &FlowEvent,
         rec: &dyn Recorder,
     ) -> Result<StepReport, RecoveryError> {
-        let before = self.journal.borrow().stats();
-        let seq = self.seq.get() + 1;
-        self.seq.set(seq);
+        let before = self.journal.stats();
+        self.seq += 1;
+        let seq = self.seq;
         let intent = Record::StepIntent {
             seq,
             event: event.clone(),
         };
-        append_with_crash(&self.journal, &self.crash, &intent.encode())?;
+        append_with_crash(&mut self.journal, &self.crash, &intent.encode())?;
         let report = self.inner.step(event, rec);
-        self.take_dp_error()?;
+        self.mirror_committed(rec)?;
         append_with_crash(
-            &self.journal,
+            &mut self.journal,
             &self.crash,
             &Record::StepCommit { seq }.encode(),
         )?;
@@ -906,21 +826,63 @@ impl<S: JournalStore + 'static> JournaledLoop<S> {
         id: InstanceId,
         rec: &dyn Recorder,
     ) -> Result<usize, RecoveryError> {
-        let before = self.journal.borrow().stats();
-        let seq = self.seq.get() + 1;
-        self.seq.set(seq);
+        let before = self.journal.stats();
+        self.seq += 1;
+        let seq = self.seq;
         let intent = Record::CrashIntent { seq, instance: id };
-        append_with_crash(&self.journal, &self.crash, &intent.encode())?;
+        append_with_crash(&mut self.journal, &self.crash, &intent.encode())?;
         let affected = self.inner.handle_instance_crash(id, rec);
-        self.take_dp_error()?;
+        self.mirror_committed(rec)?;
         append_with_crash(
-            &self.journal,
+            &mut self.journal,
             &self.crash,
             &Record::CrashCommit { seq }.encode(),
         )?;
         self.maybe_snapshot(seq)?;
         self.emit_journal_counters(before, rec);
         Ok(affected)
+    }
+
+    /// Journals and mirrors, in commit order, every barrier the wrapped
+    /// loop's last action committed: a [`Record::Barrier`] (the submit),
+    /// the fabric mutation, then the matching [`Record::BarrierAck`] — with
+    /// a crash site on either side of the mutation
+    /// ([`CrashSite::DataplaneBarrier`] between submit record and apply,
+    /// [`CrashSite::SouthboundAck`] between apply and ack record). A kill
+    /// at the ack site leaves the journal's partially-acked tail: the
+    /// fabric holds a batch whose ack was never made durable.
+    ///
+    /// A store failure stops the mirror at the failing barrier, leaving the
+    /// fabric at a prefix of the plan — the state [`reconcile`] repairs.
+    /// Barrier and ack records are diagnostics, not redo state, so a lost
+    /// one never compromises recovery.
+    fn mirror_committed(&mut self, rec: &dyn Recorder) -> Result<(), RecoveryError> {
+        let _m = rec.span("recovery.mirror");
+        for batch in self.inner.committed().batches() {
+            let (seq, index) = (self.seq, self.barrier_index);
+            self.barrier_index += 1;
+            let submit = Record::Barrier { seq, index };
+            append_with_crash(&mut self.journal, &self.crash, &submit.encode())?;
+            // Ops on the wire, install unconfirmed: submit record ahead of
+            // the fabric.
+            if let CrashAction::Kill { ordinal, .. } =
+                self.crash.on_site(CrashSite::DataplaneBarrier, 0)
+            {
+                crashpoint::kill(CrashSite::DataplaneBarrier, ordinal);
+            }
+            self.fabric
+                .with_mut(|p| apple_dataplane::diff::apply_batch_unchecked(p, batch));
+            // Installed but un-acked: fabric ahead of the journal — the
+            // partially-acked tail reconcile must repair.
+            if let CrashAction::Kill { ordinal, .. } =
+                self.crash.on_site(CrashSite::SouthboundAck, 0)
+            {
+                crashpoint::kill(CrashSite::SouthboundAck, ordinal);
+            }
+            let ack = Record::BarrierAck { seq, index };
+            append_with_crash(&mut self.journal, &self.crash, &ack.encode())?;
+        }
+        Ok(())
     }
 
     fn maybe_snapshot(&mut self, seq: u64) -> Result<(), RecoveryError> {
@@ -931,12 +893,12 @@ impl<S: JournalStore + 'static> JournaledLoop<S> {
             crashpoint::kill(CrashSite::SnapshotWrite, ordinal);
         }
         let payload = encode_state(&self.inner);
-        self.journal.borrow_mut().put_snapshot(seq, &payload)?;
+        self.journal.put_snapshot(seq, &payload)?;
         Ok(())
     }
 
     fn emit_journal_counters(&self, before: JournalStats, rec: &dyn Recorder) {
-        let after = self.journal.borrow().stats();
+        let after = self.journal.stats();
         rec.counter("journal.records", after.appends - before.appends);
         rec.counter("journal.bytes", after.bytes - before.bytes);
         if after.snapshots > before.snapshots {
@@ -955,23 +917,9 @@ impl<S: JournalStore + 'static> JournaledLoop<S> {
         &self.fabric
     }
 
-    /// Journal append/snapshot counters.
-    pub fn journal_stats(&self) -> JournalStats {
-        self.journal.borrow().stats()
-    }
-
-    /// Journal length in bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`RecoveryError::Journal`] when the store cannot report its length.
-    pub fn journal_len(&self) -> Result<u64, RecoveryError> {
-        Ok(self.journal.borrow().journal_len()?)
-    }
-
     /// The highest intent sequence number issued so far.
     pub fn seq(&self) -> u64 {
-        self.seq.get()
+        self.seq
     }
 }
 
@@ -1006,9 +954,9 @@ pub struct RecoveryReport {
 /// the intent suffix, and hand back a journaled loop ready to continue on
 /// the same store — plus the [`RecoveryReport`] reconciliation needs.
 ///
-/// Replay runs with the barrier observer *off*: the fabric already holds
-/// whatever the crashed run installed, and [`reconcile`] repairs it by
-/// diffing, not by re-executing barriers.
+/// Replay steps the bare loop and mirrors nothing: the fabric already
+/// holds whatever the crashed run installed, and [`reconcile`] repairs it
+/// by diffing, not by re-executing barriers.
 ///
 /// Telemetry: `recovery.torn_truncated` (bytes), `recovery.records_replayed`,
 /// `recovery.snapshot_used`.
@@ -1017,7 +965,7 @@ pub struct RecoveryReport {
 ///
 /// [`RecoveryError::Journal`] on store failures, [`RecoveryError::Codec`]
 /// when a CRC-valid record or snapshot fails structural decoding.
-pub fn recover<S: JournalStore + 'static>(
+pub fn recover<S: JournalStore>(
     setup: &RecoverySetup,
     mut store: S,
     fabric: SharedFabric,
@@ -1134,7 +1082,7 @@ pub struct ReconcileReport {
 ///
 /// Telemetry: `recovery.reconcile_repairs` counts repaired (non-clean)
 /// reconciliations, `recovery.reconcile_rule_ops` the operations billed.
-pub fn reconcile<S: JournalStore + 'static>(
+pub fn reconcile<S: JournalStore>(
     looper: &JournaledLoop<S>,
     rec: &dyn Recorder,
 ) -> ReconcileReport {
@@ -1202,6 +1150,7 @@ mod tests {
             },
             Record::CrashCommit { seq: 8 },
             Record::Barrier { seq: 8, index: 3 },
+            Record::BarrierAck { seq: 8, index: 3 },
         ];
         for r in records {
             let bytes = r.encode();

@@ -376,84 +376,6 @@ pub fn apply_transition_with(
     })
 }
 
-/// Installs only the rule delta a completed transition requires: compiles
-/// the `target` snapshot, diffs it against the currently `installed`
-/// program, and applies the batched make-before-break plan in place. The
-/// avoided full-recompile cost is `compile(target).rule_count()`
-/// operations; the returned stats bill what was actually sent.
-///
-/// Telemetry: `dataplane.compile` / `dataplane.diff` spans and the
-/// `transition.rule_ops` counter.
-///
-/// # Errors
-///
-/// [`apple_dataplane::diff::ApplyError`] when `capacity` is set and a
-/// barrier's transient TCAM occupancy exceeds it on some switch; the
-/// program is left at the last completed barrier (chain-safe).
-pub fn install_transition_delta(
-    installed: &mut apple_dataplane::compiler::RuleProgram,
-    target: &apple_dataplane::compiler::CompilerSnapshot,
-    capacity: Option<usize>,
-    rec: &dyn Recorder,
-) -> Result<apple_dataplane::diff::UpdateStats, apple_dataplane::diff::ApplyError> {
-    let compiled = apple_dataplane::compiler::compile_recorded(target, rec);
-    let plan = apple_dataplane::diff::diff_recorded(installed, &compiled, rec);
-    let stats = plan.apply(installed, capacity)?;
-    rec.counter("transition.rule_ops", stats.total() as u64);
-    Ok(stats)
-}
-
-/// Why a compiled transition ([`apply_transition_compiled`]) failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompiledTransitionError {
-    /// The instance transition failed and was rolled back; the installed
-    /// rule program was not touched.
-    Transition(TransitionError),
-    /// The instance transition committed, but applying the rule delta hit
-    /// a TCAM capacity wall. The program is chain-safe at the last
-    /// completed barrier; the caller decides whether to shrink the target
-    /// or raise the budget.
-    DataPlane(apple_dataplane::diff::ApplyError),
-}
-
-impl fmt::Display for CompiledTransitionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompiledTransitionError::Transition(e) => write!(f, "{e}"),
-            CompiledTransitionError::DataPlane(e) => write!(f, "rule delta failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CompiledTransitionError {}
-
-/// [`apply_transition_with`] plus incremental rule installation: after the
-/// instance transition succeeds, the data-plane delta toward `target` is
-/// compiled, diffed against `installed` and applied. Rule-install latency
-/// thereby scales with the churn (the delta), not the topology size.
-///
-/// # Errors
-///
-/// [`CompiledTransitionError::Transition`] when the instance phase failed
-/// (rolled back exactly as in [`apply_transition_with`], `installed`
-/// untouched); [`CompiledTransitionError::DataPlane`] when the rule delta
-/// exceeded `capacity` (program chain-safe at the last barrier).
-pub fn apply_transition_compiled(
-    plan: &TransitionPlan,
-    orch: &mut ResourceOrchestrator,
-    ops: &mut ControlOps,
-    rec: &dyn Recorder,
-    installed: &mut apple_dataplane::compiler::RuleProgram,
-    target: &apple_dataplane::compiler::CompilerSnapshot,
-    capacity: Option<usize>,
-) -> Result<(TransitionReport, apple_dataplane::diff::UpdateStats), CompiledTransitionError> {
-    let report =
-        apply_transition_with(plan, orch, ops, rec).map_err(CompiledTransitionError::Transition)?;
-    let stats = install_transition_delta(installed, target, capacity, rec)
-        .map_err(CompiledTransitionError::DataPlane)?;
-    Ok((report, stats))
-}
-
 /// Executes a transition on the orchestrator: launches first, teardowns
 /// last, preserving the make-before-break invariant.
 ///

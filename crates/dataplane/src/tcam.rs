@@ -284,33 +284,6 @@ impl TcamTable {
         self.rules.iter().find(|r| r.spec.matches(p))
     }
 
-    /// [`TcamTable::lookup`] with telemetry: counts `tcam.lookups` plus a
-    /// `tcam.hits` / `tcam.misses` split. The plain `lookup` stays
-    /// un-instrumented because it sits on the per-packet fast path.
-    pub fn lookup_recorded<'a>(
-        &'a self,
-        p: &Packet,
-        rec: &dyn apple_telemetry::Recorder,
-    ) -> Option<&'a TcamRule> {
-        let hit = self.lookup(p);
-        rec.counter("tcam.lookups", 1);
-        rec.counter(
-            if hit.is_some() {
-                "tcam.hits"
-            } else {
-                "tcam.misses"
-            },
-            1,
-        );
-        hit
-    }
-
-    /// Gauges the table's current occupancy (`tcam.occupancy`, in entries)
-    /// — the Fig. 10 resource the tagging scheme conserves.
-    pub fn record_occupancy(&self, rec: &dyn apple_telemetry::Recorder) {
-        rec.gauge("tcam.occupancy", self.rules.len() as f64);
-    }
-
     /// Number of TCAM entries — the Fig. 10 metric.
     pub fn entry_count(&self) -> usize {
         self.rules.len()

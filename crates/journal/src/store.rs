@@ -53,9 +53,6 @@ pub trait JournalStore {
     /// Read the entire journal stream.
     fn read_journal(&self) -> Result<Vec<u8>, StoreError>;
 
-    /// Current journal length in bytes.
-    fn journal_len(&self) -> Result<u64, StoreError>;
-
     /// Truncate the journal stream to `len` bytes (used to drop a torn tail).
     fn truncate_journal(&mut self, len: u64) -> Result<(), StoreError>;
 
@@ -112,10 +109,6 @@ impl JournalStore for MemStore {
         Ok(self.journal.clone())
     }
 
-    fn journal_len(&self) -> Result<u64, StoreError> {
-        Ok(self.journal.len() as u64)
-    }
-
     fn truncate_journal(&mut self, len: u64) -> Result<(), StoreError> {
         self.journal.truncate(len as usize);
         Ok(())
@@ -165,10 +158,6 @@ impl JournalStore for SharedMemStore {
 
     fn read_journal(&self) -> Result<Vec<u8>, StoreError> {
         self.0.borrow().read_journal()
-    }
-
-    fn journal_len(&self) -> Result<u64, StoreError> {
-        self.0.borrow().journal_len()
     }
 
     fn truncate_journal(&mut self, len: u64) -> Result<(), StoreError> {
@@ -238,12 +227,6 @@ impl JournalStore for FileStore {
         let mut out = Vec::new();
         f.read_to_end(&mut out).map_err(io_err("read journal"))?;
         Ok(out)
-    }
-
-    fn journal_len(&self) -> Result<u64, StoreError> {
-        let meta =
-            fs::metadata(self.dir.join(Self::JOURNAL_FILE)).map_err(io_err("stat journal"))?;
-        Ok(meta.len())
     }
 
     fn truncate_journal(&mut self, len: u64) -> Result<(), StoreError> {

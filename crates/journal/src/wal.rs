@@ -133,10 +133,6 @@ impl<S: JournalStore> Journal<S> {
         &self.store
     }
 
-    pub fn journal_len(&self) -> Result<u64, JournalError> {
-        Ok(self.store.journal_len()?)
-    }
-
     /// Scan the journal in `store`, decode every valid record, truncate
     /// any torn tail in place, and return the payloads.
     ///

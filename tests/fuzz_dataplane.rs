@@ -325,16 +325,6 @@ fn coupling_valid_for_arbitrary_monotone_distributions() {
     }
 }
 
-/// Records every barrier the loop commits, in commit order.
-#[derive(Debug)]
-struct BarrierTape(std::rc::Rc<std::cell::RefCell<Vec<apple_nfv::dataplane::diff::UpdateBatch>>>);
-
-impl apple_nfv::core::online::DataplaneObserver for BarrierTape {
-    fn on_barrier(&mut self, batch: &apple_nfv::dataplane::diff::UpdateBatch) {
-        self.0.borrow_mut().push(batch.clone());
-    }
-}
-
 /// The loop's tag rule restated over whole snapshots: a class keeps its
 /// tag while its decision stands; every other class, in snapshot order,
 /// takes the lowest tag that no class carried before the sync. A live
@@ -386,8 +376,6 @@ fn incremental_sync_equals_full_recompute_under_hostile_churn() {
     use apple_nfv::sim::online::edge_pairs;
     use apple_nfv::telemetry::NOOP;
     use apple_nfv::traffic::arrivals::{ArrivalConfig, EventTimeline};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     let (mut syncs, mut skipped, mut shed, mut readmitted, mut crashes, mut resolves) =
         (0u32, 0u32, 0u32, 0u32, 0u32, 0u32);
@@ -419,8 +407,6 @@ fn incremental_sync_equals_full_recompute_under_hostile_churn() {
                 ..Default::default()
             };
             let mut looper = OrchestrationLoop::new(topo, orch, cfg);
-            let tape = Rc::new(RefCell::new(Vec::new()));
-            looper.set_dp_observer(Some(Box::new(BarrierTape(Rc::clone(&tape)))));
             let enable_at = timeline.len() / 5;
             for (n, event) in timeline.events().iter().enumerate() {
                 // One event is one sync, or two when an instance crash
@@ -453,7 +439,7 @@ fn incremental_sync_equals_full_recompute_under_hostile_churn() {
                     looper
                         .check_ledger()
                         .unwrap_or_else(|e| panic!("{at}: ledger: {e}"));
-                    let committed = std::mem::take(&mut *tape.borrow_mut());
+                    let committed = looper.committed().batches();
                     let Some(before) = installed_before else {
                         assert!(committed.is_empty(), "{at}: barriers, compiler off");
                         continue;

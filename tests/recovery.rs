@@ -27,13 +27,14 @@ use apple_nfv::core::online::{OnlineConfig, OrchestrationLoop};
 use apple_nfv::core::orchestrator::ResourceOrchestrator;
 use apple_nfv::core::recovery::{
     encode_state, reconcile, recover, state_digest, JournaledLoop, Record, RecoveryConfig,
-    RecoverySetup, SharedFabric,
+    RecoveryError, RecoverySetup, SharedFabric,
 };
 use apple_nfv::core::verify::verify_shares;
 use apple_nfv::dataplane::compiler::compile;
+use apple_nfv::dataplane::diff::apply_batch_unchecked;
 use apple_nfv::faults::crash::{install_quiet_kill_hook, kill_of};
 use apple_nfv::faults::{CrashPoint, CrashSite};
-use apple_nfv::journal::{Journal, MemStore, SharedMemStore};
+use apple_nfv::journal::{Journal, JournalStore, MemStore, SharedMemStore, StoreError};
 use apple_nfv::nf::InstanceId;
 use apple_nfv::sim::{conformance, Schedule};
 use apple_nfv::telemetry::{MemoryRecorder, NOOP};
@@ -469,7 +470,7 @@ fn committed_fixture_recovers_to_pinned_digest() {
 // ---------------------------------------------------------------------------
 // Southbound-ack crash sites (DESIGN.md §13).
 //
-// `FabricObserver` journals a `Barrier` record *before* mutating the
+// `JournaledLoop` journals a `Barrier` record *before* mutating the
 // fabric and a `BarrierAck` record *after*: killing at the
 // `SouthboundAck` site freezes the exact "applied but unacked" window the
 // async southbound channel exposes — the fabric is one barrier ahead of
@@ -630,5 +631,129 @@ fn southbound_fixture_freezes_partially_acked_tail() {
         encode_state(recovered.inner()),
         twin_final,
         "southbound fixture recovery must converge bitwise on the twin"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Store failure mid-barrier.
+// ---------------------------------------------------------------------------
+
+/// A [`SharedMemStore`] whose journal append number `fail_at` (0-based)
+/// fails; every other call passes through.
+#[derive(Debug)]
+struct FailingStore {
+    inner: SharedMemStore,
+    appends: u64,
+    fail_at: u64,
+}
+
+impl JournalStore for FailingStore {
+    fn append_journal(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        let fail = self.appends == self.fail_at;
+        self.appends += 1;
+        if fail {
+            return Err(StoreError::Io {
+                op: "append",
+                source: std::io::Error::other("injected store failure"),
+            });
+        }
+        self.inner.append_journal(bytes)
+    }
+
+    fn read_journal(&self) -> Result<Vec<u8>, StoreError> {
+        self.inner.read_journal()
+    }
+
+    fn truncate_journal(&mut self, len: u64) -> Result<(), StoreError> {
+        self.inner.truncate_journal(len)
+    }
+
+    fn put_snapshot(&mut self, seq: u64, bytes: &[u8]) -> Result<(), StoreError> {
+        self.inner.put_snapshot(seq, bytes)
+    }
+
+    fn snapshot_seqs(&self) -> Result<Vec<u64>, StoreError> {
+        self.inner.snapshot_seqs()
+    }
+
+    fn read_snapshot(&self, seq: u64) -> Result<Option<Vec<u8>>, StoreError> {
+        self.inner.read_snapshot(seq)
+    }
+}
+
+/// A store that rejects a `Barrier` append stops the mirror at that
+/// barrier: the step reports the typed journal error, the fabric holds the
+/// pre-step program plus a strict prefix of the step's plan, and recovery
+/// plus reconciliation from the surviving store and fabric converge on the
+/// recovered intent.
+#[test]
+fn store_failure_mid_barrier_leaves_a_repairable_plan_prefix() {
+    let s = setup();
+    let evs = events(SEED ^ 17);
+
+    // Dry run. On a clean run the k-th append is the k-th record, so the
+    // failing append is the second `Barrier` record of the first step
+    // that commits several barriers.
+    let store = SharedMemStore::new();
+    let mut dry = JournaledLoop::new(&s, store.clone(), SharedFabric::new(), CrashPoint::never());
+    for e in &evs {
+        dry.step(e, &NOOP)
+            .expect("in-memory journal append cannot fail");
+    }
+    let records: Vec<Record> = Journal::recover(&mut store.inner())
+        .expect("clean journal scans")
+        .records
+        .iter()
+        .map(|p| Record::decode(p).expect("record decodes"))
+        .collect();
+    let (fail_at, seq) = records
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| matches!(r, Record::Barrier { .. }))
+        .collect::<Vec<_>>()
+        .windows(2)
+        .find(|w| w[0].1.seq() == w[1].1.seq())
+        .map(|w| (w[1].0 as u64, w[1].1.seq()))
+        .expect("some step commits several barriers");
+
+    let store = SharedMemStore::new();
+    let fabric = SharedFabric::new();
+    let failing = FailingStore {
+        inner: store.clone(),
+        appends: 0,
+        fail_at,
+    };
+    let mut jl = JournaledLoop::new(&s, failing, fabric.clone(), CrashPoint::never());
+    let (before, failing_event) = evs.split_at(seq as usize - 1);
+    for e in before {
+        jl.step(e, &NOOP)
+            .expect("appends before the failing one succeed");
+    }
+    let pre_step = fabric.program();
+    let err = jl
+        .step(&failing_event[0], &NOOP)
+        .expect_err("the failed append surfaces");
+    assert!(matches!(err, RecoveryError::Journal(_)), "{err}");
+    let plan = jl.inner().committed().batches();
+    let mut prefix = pre_step;
+    let strict_prefix = (0..plan.len()).any(|k| {
+        if k > 0 {
+            apply_batch_unchecked(&mut prefix, &plan[k - 1]);
+        }
+        prefix == fabric.program()
+    });
+    assert!(strict_prefix, "fabric is no strict plan prefix");
+    drop(jl);
+
+    let (recovered, _) = recover(&s, store, fabric.clone(), &NOOP).expect("recover");
+    assert_eq!(recovered.seq(), seq, "the failed step's intent is durable");
+    reconcile(&recovered, &NOOP);
+    assert_eq!(
+        &fabric.program(),
+        recovered
+            .inner()
+            .dataplane_program()
+            .expect("recovered loop compiles rules"),
+        "reconcile must repair the plan prefix"
     );
 }
