@@ -7,6 +7,7 @@
 
 use apple_bench::hr;
 use apple_sim::failover_lab::{detection_timeline, DetectorConfig};
+use apple_telemetry::NOOP;
 
 fn main() {
     println!("Fig. 9 — overloading detection timeline");
@@ -16,7 +17,7 @@ fn main() {
         "t (ms)", "send (pps)", "overloaded", "helper", "loss"
     );
     let cfg = DetectorConfig::paper();
-    let tl = detection_timeline(&cfg);
+    let tl = detection_timeline(&cfg, &NOOP);
     for p in tl.iter().step_by(5) {
         println!(
             "{:>8}{:>12.0}{:>12}{:>9}{:>10.4}",

@@ -12,7 +12,7 @@
 //! | Fig. 6    | [`fig6_loss_curve`] |
 //! | Fig. 7    | `apple_sim::failover_lab::naive_failover_throughput` |
 //! | Fig. 8    | [`fig8_cdfs`] |
-//! | Fig. 9    | `apple_sim::failover_lab::detection_timeline` |
+//! | Fig. 9    | `apple_sim::failover_lab::detection_timeline(cfg, &NOOP)` |
 //! | Fig. 10   | [`fig10_tcam_reduction`] |
 //! | Fig. 11   | [`fig11_core_usage`] |
 //! | Fig. 12   | [`fig12_loss_series`] |
@@ -35,6 +35,7 @@ use apple_nf::OverloadModel;
 use apple_sim::failover_lab::{transfer_times, TransferStrategy};
 use apple_sim::metrics::{cdf, Summary};
 use apple_sim::replay::{replay, ReplayConfig, ReplayError, ReplayOutcome};
+use apple_telemetry::NOOP;
 use apple_topology::{Topology, TopologyKind};
 use apple_traffic::{GravityModel, SeriesConfig, TmSeries, TrafficMatrix};
 use std::time::Duration;
@@ -462,7 +463,7 @@ pub fn fig12_loss_series(
         fast_failover: true,
         ..Default::default()
     };
-    let with_failover = replay(&topo, &series, &base_cfg)?;
+    let with_failover = replay(&topo, &series, &base_cfg, &NOOP)?;
     let without_failover = replay(
         &topo,
         &series,
@@ -470,6 +471,7 @@ pub fn fig12_loss_series(
             fast_failover: false,
             ..base_cfg
         },
+        &NOOP,
     )?;
     Ok(LossRow {
         kind,

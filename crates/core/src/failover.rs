@@ -286,7 +286,15 @@ impl DynamicHandler {
     ///
     /// `rates` carries the current per-class rates in Mbps; `classes` and
     /// `orch` are needed to size and place a helper when re-balancing alone
-    /// would overload another instance.
+    /// would overload another instance. Helper boots and rule installs go
+    /// through `ops` (injector, retry policies, timing budgets); pass
+    /// [`ControlOps::reliable`] for a control plane that never fails.
+    ///
+    /// Telemetry: the call is timed (`span.failover.handle_overload`) and
+    /// its outcome counted — `failover.rebalanced` / `failover.reassigned` /
+    /// `failover.helpers_spawned` / `failover.held` / `failover.noop` —
+    /// plus `failover.subclasses_rebalanced` and the live
+    /// `failover.helper_cores` gauge.
     ///
     /// # Errors
     ///
@@ -294,32 +302,6 @@ impl DynamicHandler {
     /// the class path can fit one; [`FailoverError::UnknownClass`] /
     /// [`FailoverError::MalformedShare`] on inconsistent handler state.
     pub fn handle_overload(
-        &mut self,
-        inst: InstanceId,
-        rates: &BTreeMap<ClassId, f64>,
-        classes: &ClassSet,
-        orch: &mut ResourceOrchestrator,
-    ) -> Result<FailoverAction, FailoverError> {
-        self.handle_overload_faulty(
-            inst,
-            rates,
-            classes,
-            orch,
-            &mut ControlOps::reliable(0),
-            &NOOP,
-        )
-    }
-
-    /// [`DynamicHandler::handle_overload`] against a fallible control
-    /// plane: helper boots and rule installs go through `ops` (injector,
-    /// retry policies, timing budgets) and telemetry lands on `rec`. With
-    /// [`ControlOps::reliable`] this behaves exactly like
-    /// [`DynamicHandler::handle_overload`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DynamicHandler::handle_overload`].
-    pub fn handle_overload_faulty(
         &mut self,
         inst: InstanceId,
         rates: &BTreeMap<ClassId, f64>,
@@ -583,49 +565,16 @@ impl DynamicHandler {
         }
     }
 
-    /// [`DynamicHandler::handle_overload`] with telemetry: times the call
-    /// (`span.failover.handle_overload`) and counts the outcome —
-    /// `failover.rebalanced` / `failover.reassigned` /
-    /// `failover.helpers_spawned` / `failover.held` / `failover.noop` —
-    /// plus `failover.subclasses_rebalanced` and the live
-    /// `failover.helper_cores` gauge.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DynamicHandler::handle_overload`].
-    pub fn handle_overload_recorded(
-        &mut self,
-        inst: InstanceId,
-        rates: &BTreeMap<ClassId, f64>,
-        classes: &ClassSet,
-        orch: &mut ResourceOrchestrator,
-        rec: &dyn Recorder,
-    ) -> Result<FailoverAction, FailoverError> {
-        self.handle_overload_faulty(
-            inst,
-            rates,
-            classes,
-            orch,
-            &mut ControlOps::reliable(0),
-            rec,
-        )
-    }
-
-    /// [`DynamicHandler::roll_back`] with telemetry: counts the roll-back
-    /// (`failover.rollbacks`), the helpers it cancels
-    /// (`failover.helpers_freed`) and zeroes the `failover.helper_cores`
-    /// gauge.
-    pub fn roll_back_recorded(&mut self, orch: &mut ResourceOrchestrator, rec: &dyn Recorder) {
-        rec.counter("failover.rollbacks", 1);
-        rec.counter("failover.helpers_freed", self.helpers.len() as u64);
-        self.roll_back(orch);
-        rec.gauge("failover.helper_cores", f64::from(self.helper_cores()));
-    }
-
     /// Rolls the distribution back to the engine's baseline once overload
     /// clears (§VI: "the distribution will roll back to the normal state"),
     /// cancelling helper instances to save hardware.
-    pub fn roll_back(&mut self, orch: &mut ResourceOrchestrator) {
+    ///
+    /// Telemetry: counts the roll-back (`failover.rollbacks`) and the
+    /// helpers it cancels (`failover.helpers_freed`), and zeroes the
+    /// `failover.helper_cores` gauge.
+    pub fn roll_back(&mut self, orch: &mut ResourceOrchestrator, rec: &dyn Recorder) {
+        rec.counter("failover.rollbacks", 1);
+        rec.counter("failover.helpers_freed", self.helpers.len() as u64);
         for (helper, nf) in self.helpers.drain(..) {
             // The helper's cores are released even when the VM has already
             // died (crash / host failure): its NF type is remembered.
@@ -646,6 +595,7 @@ impl DynamicHandler {
             *shed.entry(p.share.class).or_insert(0.0) += p.share.baseline;
         }
         self.shed = shed;
+        rec.gauge("failover.helper_cores", f64::from(self.helper_cores()));
     }
 
     /// Verifies the invariant that every class's live shares plus its shed
@@ -1123,8 +1073,16 @@ mod tests {
     #[test]
     fn unknown_instance_is_noop() {
         let (classes, mut orch, mut handler, rates) = setup();
+        let mut ops = ControlOps::reliable(0);
         let act = handler
-            .handle_overload(InstanceId(999_999), &rates, &classes, &mut orch)
+            .handle_overload(
+                InstanceId(999_999),
+                &rates,
+                &classes,
+                &mut orch,
+                &mut ops,
+                &NOOP,
+            )
             .unwrap();
         assert_eq!(act, FailoverAction::None);
     }
@@ -1133,8 +1091,9 @@ mod tests {
     fn overload_halves_and_conserves_traffic() {
         let (classes, mut orch, mut handler, rates) = setup();
         let victim = handler.shares()[0].instances[0];
+        let mut ops = ControlOps::reliable(0);
         let act = handler
-            .handle_overload(victim, &rates, &classes, &mut orch)
+            .handle_overload(victim, &rates, &classes, &mut orch, &mut ops, &NOOP)
             .unwrap();
         assert_ne!(act, FailoverAction::None);
         assert!(
@@ -1198,8 +1157,9 @@ mod tests {
         // sibling nor an existing instance can absorb the spill.
         let mut rates = BTreeMap::new();
         rates.insert(lone.class, 50_000.0);
+        let mut ops = ControlOps::reliable(0);
         let act = handler
-            .handle_overload(victim, &rates, &classes, &mut orch)
+            .handle_overload(victim, &rates, &classes, &mut orch, &mut ops, &NOOP)
             .unwrap();
         match act {
             FailoverAction::SpawnedHelper { nf, .. } => {
@@ -1220,8 +1180,9 @@ mod tests {
         let victim = handler.shares()[0].instances[0];
         let class = handler.shares()[0].class;
         *rates.entry(class).or_insert(0.0) *= 20.0;
-        let _ = handler.handle_overload(victim, &rates, &classes, &mut orch);
-        handler.roll_back(&mut orch);
+        let mut ops = ControlOps::reliable(0);
+        let _ = handler.handle_overload(victim, &rates, &classes, &mut orch, &mut ops, &NOOP);
+        handler.roll_back(&mut orch, &NOOP);
         let after: Vec<f64> = handler.shares().iter().map(|s| s.fraction).collect();
         assert_eq!(before.len(), after.len());
         for (b, a) in before.iter().zip(after.iter()) {
@@ -1341,8 +1302,9 @@ mod tests {
         let class = handler.shares()[0].class;
         let mut rates = BTreeMap::new();
         rates.insert(class, 50_000.0);
+        let mut ops = ControlOps::reliable(0);
         let act = handler
-            .handle_overload(victim, &rates, &classes, &mut orch)
+            .handle_overload(victim, &rates, &classes, &mut orch, &mut ops, &NOOP)
             .unwrap();
         let helper = match act {
             FailoverAction::SpawnedHelper { instance, .. } => instance,
@@ -1362,7 +1324,7 @@ mod tests {
         assert_eq!(handler.helper_cores(), 0, "dead helper still holds cores");
         assert!(handler.fractions_consistent());
         // Roll-back after the crash must not double-free anything.
-        handler.roll_back(&mut orch);
+        handler.roll_back(&mut orch, &NOOP);
         assert_eq!(handler.helper_cores(), 0);
         assert!(handler.fractions_consistent());
     }
@@ -1467,9 +1429,10 @@ mod tests {
         let victim = handler.shares()[0].instances[0];
         let class = handler.shares()[0].class;
         *rates.entry(class).or_insert(0.0) *= 20.0;
-        let _ = handler.handle_overload(victim, &rates, &classes, &mut orch);
+        let mut ops = ControlOps::reliable(0);
+        let _ = handler.handle_overload(victim, &rates, &classes, &mut orch, &mut ops, &NOOP);
         let peak = handler.peak_helper_cores();
-        handler.roll_back(&mut orch);
+        handler.roll_back(&mut orch, &NOOP);
         assert_eq!(handler.helper_cores(), 0);
         assert_eq!(handler.peak_helper_cores(), peak);
     }

@@ -24,7 +24,7 @@ use crate::classes::{
 use crate::engine::EngineConfig;
 use crate::failover::{DynamicHandler, Replanner, ShareState};
 use crate::orchestrator::{ControlOps, ResourceOrchestrator};
-use crate::transition::{apply_transition_with, plan_transition_from_live};
+use crate::transition::{apply_transition, plan_transition_from_live};
 use apple_dataplane::compiler::{CompilerSnapshot, RuleProgram, SubclassSpec};
 use apple_dataplane::diff::{DiffScope, UpdateBatch, UpdatePlan};
 use apple_dataplane::fastpath::CompiledProgram;
@@ -1015,7 +1015,7 @@ impl OrchestrationLoop {
             report.resolve_deferred = true;
             return;
         }
-        match apply_transition_with(&plan, &mut self.orch, &mut self.ops, rec) {
+        match apply_transition(&plan, &mut self.orch, &mut self.ops, rec) {
             Ok(tr) => {
                 rec.counter("online.rules_installed", tr.rules_installed.len() as u64);
             }

@@ -66,42 +66,8 @@ pub fn plan_transition(
     new: &Placement,
     timing: &mut TimingModel,
 ) -> TransitionPlan {
-    let mut old_q: BTreeMap<(usize, NfType), u32> = BTreeMap::new();
-    for (v, nf, c) in old.q_entries() {
-        old_q.insert((v.0, nf), c);
-    }
-    let mut new_q: BTreeMap<(usize, NfType), u32> = BTreeMap::new();
-    for (v, nf, c) in new.q_entries() {
-        new_q.insert((v.0, nf), c);
-    }
-    let mut launches = Vec::new();
-    let mut teardowns = Vec::new();
-    let mut kept = 0u32;
-    let keys: std::collections::BTreeSet<(usize, NfType)> =
-        old_q.keys().chain(new_q.keys()).copied().collect();
-    let mut slowest_boot = 0u64;
-    for key in keys {
-        let before = old_q.get(&key).copied().unwrap_or(0);
-        let after = new_q.get(&key).copied().unwrap_or(0);
-        kept += before.min(after);
-        if after > before {
-            let count = after - before;
-            launches.push((NodeId(key.0), key.1, count));
-            let clickos = VnfSpec::of(key.1).clickos;
-            for _ in 0..count {
-                slowest_boot = slowest_boot.max(timing.provision(clickos, false));
-            }
-        } else if before > after {
-            teardowns.push((NodeId(key.0), key.1, before - after));
-        }
-    }
-    TransitionPlan {
-        launches,
-        teardowns,
-        kept,
-        boot_ms: slowest_boot,
-        rule_install_ms: timing.rule_install(),
-    }
+    let old_q = old.q_entries().map(|(v, nf, c)| ((v.0, nf), c)).collect();
+    plan_from(old_q, new, timing)
 }
 
 /// Computes the staged transition from the orchestrator's *live* instance
@@ -117,10 +83,17 @@ pub fn plan_transition_from_live(
     for inst in orch.instances() {
         *old_q.entry((inst.host_switch(), inst.nf())).or_insert(0) += 1;
     }
-    let mut new_q: BTreeMap<(usize, NfType), u32> = BTreeMap::new();
-    for (v, nf, c) in new.q_entries() {
-        new_q.insert((v.0, nf), c);
-    }
+    plan_from(old_q, new, timing)
+}
+
+/// The staged transition from the per-(switch, NF) counts `old_q` to `new`.
+fn plan_from(
+    old_q: BTreeMap<(usize, NfType), u32>,
+    new: &Placement,
+    timing: &mut TimingModel,
+) -> TransitionPlan {
+    let new_q: BTreeMap<(usize, NfType), u32> =
+        new.q_entries().map(|(v, nf, c)| ((v.0, nf), c)).collect();
     let mut launches = Vec::new();
     let mut teardowns = Vec::new();
     let mut kept = 0u32;
@@ -151,7 +124,7 @@ pub fn plan_transition_from_live(
     }
 }
 
-/// What [`apply_transition_with`] undid after a mid-transition failure —
+/// What [`apply_transition`] undid after a mid-transition failure —
 /// the typed rollback plan that makes partial-failure state explicit
 /// instead of leaving the orchestrator inconsistent.
 ///
@@ -184,8 +157,7 @@ pub enum TransitionError {
         rollback: RollbackReport,
     },
     /// A rule install failed (after retries) with every new instance
-    /// already booted — the partial-failure window the naive
-    /// implementation left inconsistent.
+    /// already booted — the partial-failure window.
     RuleInstall {
         /// The switch whose rules could not be installed.
         switch: NodeId,
@@ -245,7 +217,7 @@ impl fmt::Display for TransitionError {
 
 impl std::error::Error for TransitionError {}
 
-/// Outcome of a successful [`apply_transition_with`].
+/// Outcome of a successful [`apply_transition`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransitionReport {
     /// Instances booted by the transition.
@@ -278,6 +250,7 @@ fn touched_switches(plan: &TransitionPlan) -> Vec<NodeId> {
 /// Executes a transition through the fallible control plane, preserving
 /// make-before-break: boot every new instance (with retries), then install
 /// the new rule programs switch by switch, then tear old instances down.
+/// Pass [`ControlOps::reliable`] for a control plane that never fails.
 ///
 /// # Errors
 ///
@@ -286,7 +259,7 @@ fn touched_switches(plan: &TransitionPlan) -> Vec<NodeId> {
 /// programs reverted — and the [`TransitionError`] carries the executed
 /// [`RollbackReport`]. The orchestrator is left realising the old
 /// placement exactly; the caller decides whether to retry or defer.
-pub fn apply_transition_with(
+pub fn apply_transition(
     plan: &TransitionPlan,
     orch: &mut ResourceOrchestrator,
     ops: &mut ControlOps,
@@ -376,61 +349,12 @@ pub fn apply_transition_with(
     })
 }
 
-/// Executes a transition on the orchestrator: launches first, teardowns
-/// last, preserving the make-before-break invariant.
-///
-/// This is the reliable-control-plane wrapper over
-/// [`apply_transition_with`]; failures still roll the orchestrator back to
-/// the old placement, and the typed rollback detail is available through
-/// the richer entry point.
-///
-/// # Errors
-///
-/// Propagates launch failures ([`OrchestratorError`]); on failure nothing
-/// net-new survives (the old placement keeps working).
-pub fn apply_transition(
-    plan: &TransitionPlan,
-    orch: &mut ResourceOrchestrator,
-) -> Result<(), OrchestratorError> {
-    let mut launched = Vec::new();
-    for &(v, nf, count) in &plan.launches {
-        for _ in 0..count {
-            match orch.launch(v, nf) {
-                Ok(id) => launched.push(id),
-                Err(e) => {
-                    // Roll back this transition's launches; the old
-                    // placement remains intact.
-                    for id in launched {
-                        let _ = orch.teardown(id);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
-    for &(v, nf, count) in &plan.teardowns {
-        // Tear down the highest-id (most recently launched, but not the
-        // ones this transition just created) instances of this kind.
-        let fresh: std::collections::BTreeSet<_> = launched.iter().copied().collect();
-        let victims: Vec<_> = orch
-            .instances_at(v, nf)
-            .into_iter()
-            .filter(|id| !fresh.contains(id))
-            .rev()
-            .take(count as usize)
-            .collect();
-        for id in victims {
-            let _ = orch.teardown(id);
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classes::{ClassConfig, ClassSet};
     use crate::engine::{EngineConfig, OptimizationEngine};
+    use apple_telemetry::NOOP;
     use apple_topology::zoo;
     use apple_traffic::GravityModel;
 
@@ -513,7 +437,11 @@ mod tests {
         }
         let mut timing = TimingModel::paper(0);
         let plan = plan_transition(&low, &high, &mut timing);
-        apply_transition(&plan, &mut orch).unwrap();
+        let report =
+            apply_transition(&plan, &mut orch, &mut ControlOps::reliable(0), &NOOP).unwrap();
+        assert_eq!(report.launched.len() as u32, plan.launch_count());
+        assert_eq!(report.torn_down.len() as u32, plan.teardown_count());
+        assert_eq!(report.rules_installed, touched_switches(&plan));
         // Final state realises `high` exactly.
         for (v, nf, c) in high.q_entries() {
             assert_eq!(
@@ -539,7 +467,15 @@ mod tests {
             boot_ms: 0,
             rule_install_ms: 70,
         };
-        assert!(apply_transition(&plan, &mut orch).is_err());
+        let err = apply_transition(&plan, &mut orch, &mut ControlOps::reliable(0), &NOOP)
+            .expect_err("three firewalls cannot fit");
+        assert!(matches!(err, TransitionError::Boot { .. }), "{err}");
+        // The first new firewall fits beside the old one and is the only
+        // fresh instance to roll back; no rules were touched.
+        let rollback = err.rollback();
+        assert_eq!(rollback.torn_down.len(), 1);
+        assert!(orch.instance(rollback.torn_down[0]).is_none());
+        assert!(rollback.rules_reverted.is_empty());
         // The pre-existing instance survived, nothing leaked.
         assert_eq!(orch.instance_count(), 1);
         assert!(orch.instance(before).is_some());

@@ -17,13 +17,14 @@ use apple_core::controller::{Apple, AppleConfig};
 use apple_core::failover::DynamicHandler;
 use apple_core::orchestrator::{ControlOps, ResourceOrchestrator};
 use apple_core::verify::{verify_shares, ShareViolation};
-use apple_faults::{FaultPlan, FaultPlanConfig};
-use apple_telemetry::{Recorder, NOOP};
-use apple_topology::Topology;
+use apple_faults::{FaultKind, FaultPlan, FaultPlanConfig};
+use apple_nf::InstanceId;
+use apple_telemetry::Recorder;
+use apple_topology::{NodeId, Topology};
 use apple_traffic::TrafficMatrix;
 use std::collections::BTreeMap;
 
-use crate::replay::{apply_fault, ReplayError};
+use crate::replay::ReplayError;
 
 /// Outcome of one fault schedule run to completion.
 #[derive(Debug, Clone, Default)]
@@ -99,8 +100,68 @@ pub fn run_schedule(
     report
 }
 
+/// Applies one scheduled fault, resolving its selector against the
+/// population alive right now. Returns 1 when a countable fault (crash or
+/// host failure) was injected, 0 otherwise. Handler errors are counted
+/// (`sim.failover_errors`), never propagated — surviving malformed events
+/// is the point of the fault harness.
+fn apply_fault(
+    kind: &FaultKind,
+    rates: &BTreeMap<ClassId, f64>,
+    classes: &ClassSet,
+    handler: &mut DynamicHandler,
+    orch: &mut ResourceOrchestrator,
+    ops: &mut ControlOps,
+    rec: &dyn Recorder,
+) -> usize {
+    let dead: Vec<InstanceId> = match kind {
+        FaultKind::InstanceCrash { victim } => {
+            let alive: Vec<InstanceId> = orch.instances().map(|i| i.id()).collect();
+            if alive.is_empty() {
+                return 0;
+            }
+            vec![alive[(victim % alive.len() as u64) as usize]]
+        }
+        FaultKind::HostFailure { host } => {
+            let up = hosts_where(orch, true);
+            if up.is_empty() {
+                return 0;
+            }
+            let sw = up[(host % up.len() as u64) as usize];
+            orch.fail_host(NodeId(sw)).unwrap_or_default()
+        }
+        FaultKind::HostRecovery { host } => {
+            let down = hosts_where(orch, false);
+            if let Some(&sw) = down.get((host % down.len().max(1) as u64) as usize) {
+                let _ = orch.restore_host(NodeId(sw));
+            }
+            return 0;
+        }
+    };
+    rec.counter("sim.faults_injected", 1);
+    for dead in dead {
+        if handler
+            .handle_instance_crash(dead, rates, classes, orch, ops, rec)
+            .is_err()
+        {
+            rec.counter("sim.failover_errors", 1);
+        }
+    }
+    1
+}
+
+/// Switches whose host is up (`up`) or down (`!up`), in switch order.
+fn hosts_where(orch: &ResourceOrchestrator, up: bool) -> Vec<usize> {
+    orch.hosts()
+        .iter()
+        .filter(|(_, h)| h.up == up)
+        .map(|(s, _)| *s)
+        .collect()
+}
+
 /// Plans a fresh deployment for `topo`/`tm` and runs one fault schedule
-/// against it (the `apple chaos` entry point).
+/// against it. (The `apple chaos` command plans once and calls
+/// [`run_schedule`] per seed on a clone of the deployment.)
 ///
 /// # Errors
 ///
@@ -124,24 +185,11 @@ pub fn run_chaos(
     ))
 }
 
-/// [`run_chaos`] without telemetry.
-///
-/// # Errors
-///
-/// Same as [`run_chaos`].
-pub fn run_chaos_quiet(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    apple_cfg: &AppleConfig,
-    fault_cfg: &FaultPlanConfig,
-) -> Result<ChaosReport, ReplayError> {
-    run_chaos(topo, tm, apple_cfg, fault_cfg, &NOOP)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use apple_core::classes::ClassConfig;
+    use apple_telemetry::NOOP;
     use apple_topology::zoo;
     use apple_traffic::GravityModel;
 
@@ -160,7 +208,7 @@ mod tests {
         let topo = zoo::internet2();
         let tm = GravityModel::new(3_000.0, 61).base_matrix(&topo);
         let report =
-            run_chaos_quiet(&topo, &tm, &small_cfg(), &FaultPlanConfig::chaos(61)).unwrap();
+            run_chaos(&topo, &tm, &small_cfg(), &FaultPlanConfig::chaos(61), &NOOP).unwrap();
         assert!(report.faults_injected > 0, "schedule injected nothing");
         assert!(
             report.is_clean(),
@@ -173,8 +221,8 @@ mod tests {
     fn chaos_is_deterministic_per_seed() {
         let topo = zoo::internet2();
         let tm = GravityModel::new(3_000.0, 61).base_matrix(&topo);
-        let a = run_chaos_quiet(&topo, &tm, &small_cfg(), &FaultPlanConfig::chaos(7)).unwrap();
-        let b = run_chaos_quiet(&topo, &tm, &small_cfg(), &FaultPlanConfig::chaos(7)).unwrap();
+        let a = run_chaos(&topo, &tm, &small_cfg(), &FaultPlanConfig::chaos(7), &NOOP).unwrap();
+        let b = run_chaos(&topo, &tm, &small_cfg(), &FaultPlanConfig::chaos(7), &NOOP).unwrap();
         assert_eq!(a.events_applied, b.events_applied);
         assert_eq!(a.faults_injected, b.faults_injected);
         assert_eq!(a.degraded_ticks, b.degraded_ticks);
@@ -185,7 +233,8 @@ mod tests {
     fn quiet_schedule_changes_nothing() {
         let topo = zoo::internet2();
         let tm = GravityModel::new(3_000.0, 61).base_matrix(&topo);
-        let report = run_chaos_quiet(&topo, &tm, &small_cfg(), &FaultPlanConfig::quiet(5)).unwrap();
+        let report =
+            run_chaos(&topo, &tm, &small_cfg(), &FaultPlanConfig::quiet(5), &NOOP).unwrap();
         assert_eq!(report.events_applied, 0);
         assert_eq!(report.faults_injected, 0);
         assert!(report.is_clean());

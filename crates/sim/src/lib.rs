@@ -31,8 +31,9 @@
 //!
 //! ```
 //! use apple_sim::failover_lab::{detection_timeline, DetectorConfig};
+//! use apple_telemetry::NOOP;
 //!
-//! let timeline = detection_timeline(&DetectorConfig::paper());
+//! let timeline = detection_timeline(&DetectorConfig::paper(), &NOOP);
 //! assert!(timeline.iter().any(|p| p.helper_active));
 //! ```
 

@@ -22,10 +22,9 @@ use apple_core::controller::{Apple, AppleConfig};
 use apple_core::engine::EngineError;
 use apple_core::failover::{DynamicHandler, FailoverAction, FailoverError};
 use apple_core::orchestrator::ControlOps;
-use apple_faults::{FaultKind, FaultPlan, FaultPlanConfig};
 use apple_nf::{InstanceId, OverloadModel, TimingModel, VnfSpec};
-use apple_telemetry::{Recorder, RecorderExt, NOOP};
-use apple_topology::{NodeId, Topology};
+use apple_telemetry::{Recorder, RecorderExt};
+use apple_topology::Topology;
 use apple_traffic::TmSeries;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -78,9 +77,6 @@ pub struct ReplayConfig {
     pub packet_bytes: u32,
     /// Seed for the timing model's boot jitter.
     pub seed: u64,
-    /// Optional fault schedule: crashes, host failures and flaky control
-    /// operations injected during the replay. `None` replays faithfully.
-    pub faults: Option<FaultPlanConfig>,
 }
 
 impl Default for ReplayConfig {
@@ -90,13 +86,12 @@ impl Default for ReplayConfig {
             fast_failover: true,
             packet_bytes: 1500,
             seed: 0,
-            faults: None,
         }
     }
 }
 
 /// Result of a replay run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Network-wide packet loss rate per tick.
     pub loss: Series,
@@ -110,36 +105,21 @@ pub struct ReplayOutcome {
     pub helpers_spawned: usize,
     /// Steady-state cores of the planned deployment (before failover).
     pub planned_cores: u32,
-    /// Fault events injected (crashes + host failures), 0 without faults.
-    pub faults_injected: usize,
-    /// Ticks spent in degraded mode (some traffic shed).
-    pub degraded_ticks: usize,
 }
 
 /// Replays `series` on a deployment planned from the series mean.
+///
+/// Telemetry: planning and the tick loop run in `sim.plan` / `sim.replay`
+/// spans, every overload notification goes through
+/// [`DynamicHandler::handle_overload`] (so `failover.*` counters
+/// accumulate), `sim.notifications` counts them, helper boot delays are
+/// observed as `sim.helper_boot_ms`, and `sim.peak_helper_cores` /
+/// `sim.planned_cores` are gauged at the end of the run.
 ///
 /// # Errors
 ///
 /// [`ReplayError`] from planning or handler bootstrap.
 pub fn replay(
-    topo: &Topology,
-    series: &TmSeries,
-    cfg: &ReplayConfig,
-) -> Result<ReplayOutcome, ReplayError> {
-    replay_recorded(topo, series, cfg, &NOOP)
-}
-
-/// [`replay`] with telemetry: wraps planning and the tick loop in
-/// `sim.plan` / `sim.replay` spans, forwards every overload notification
-/// through [`DynamicHandler::handle_overload_recorded`] (so `failover.*`
-/// counters accumulate), counts `sim.notifications`, observes helper boot
-/// delays (`sim.helper_boot_ms`) and gauges `sim.peak_helper_cores` /
-/// `sim.planned_cores` at the end of the run.
-///
-/// # Errors
-///
-/// [`ReplayError`] from planning or handler bootstrap.
-pub fn replay_recorded(
     topo: &Topology,
     series: &TmSeries,
     cfg: &ReplayConfig,
@@ -154,18 +134,12 @@ pub fn replay_recorded(
     let mut handler = apple.dynamic_handler()?;
     let (classes, _placement, _plan, _program, mut orch) = apple.into_parts();
     let mut timing = TimingModel::paper(cfg.seed);
-    let fault_plan = cfg.faults.as_ref().map(FaultPlan::generate);
-    let mut ops = match &fault_plan {
-        Some(plan) => ControlOps::with_injector(cfg.seed, Box::new(plan.injector())),
-        None => ControlOps::reliable(cfg.seed),
-    };
+    let mut ops = ControlOps::reliable(cfg.seed);
 
     let mut loss = Series::new("loss-rate");
     let mut helper_cores = Series::new("helper-cores");
     let mut notifications = 0usize;
     let mut helpers_spawned = 0usize;
-    let mut faults_injected = 0usize;
-    let mut degraded_ticks = 0usize;
     // Helpers still booting: instance -> ready tick.
     let mut booting: BTreeMap<InstanceId, usize> = BTreeMap::new();
     let mut overloaded: std::collections::BTreeSet<InstanceId> = Default::default();
@@ -174,28 +148,6 @@ pub fn replay_recorded(
         // 1. Refresh class rates.
         let scoped = classes.with_rates_from(tm);
         let rates: BTreeMap<ClassId, f64> = scoped.iter().map(|c| (c.id, c.rate_mbps)).collect();
-
-        // 1b. Inject this tick's scheduled faults; the handler repairs or
-        // sheds, and once capacity returns, restores parked sub-classes.
-        if let Some(plan) = &fault_plan {
-            for ev in plan.events_at(tick as u64).copied().collect::<Vec<_>>() {
-                faults_injected += apply_fault(
-                    &ev.kind,
-                    &rates,
-                    &scoped,
-                    &mut handler,
-                    &mut orch,
-                    &mut ops,
-                    rec,
-                );
-            }
-            if handler.is_degraded() {
-                let _ = handler.recover_degraded(&rates, &scoped, &mut orch, &mut ops, rec);
-            }
-            // Crashed instances can no longer clear their own overload.
-            overloaded.retain(|i| orch.instance(*i).is_some());
-            booting.retain(|i, _| orch.instance(*i).is_some());
-        }
 
         // Helpers finish booting.
         booting.retain(|_, ready| *ready > tick);
@@ -235,7 +187,7 @@ pub fn replay_recorded(
             for inst in trips {
                 notifications += 1;
                 rec.counter("sim.notifications", 1);
-                match handler.handle_overload_recorded(inst, &rates, &scoped, &mut orch, rec) {
+                match handler.handle_overload(inst, &rates, &scoped, &mut orch, &mut ops, rec) {
                     Ok(FailoverAction::SpawnedHelper { instance, nf, .. }) => {
                         helpers_spawned += 1;
                         // ClickOS helpers reconfigure in ~30 ms (same
@@ -258,21 +210,8 @@ pub fn replay_recorded(
             }
             // 5. Roll back once nothing is overloaded any more.
             if overloaded.is_empty() && handler.helper_cores() > 0 {
-                handler.roll_back_recorded(&mut orch, rec);
+                handler.roll_back(&mut orch, rec);
             }
-        }
-
-        // Degraded mode: parked sub-classes shed their traffic at ingress.
-        // It counts as offered *and* lost, so the loss curve shows exactly
-        // what degraded mode costs.
-        for (c, frac) in handler.shed() {
-            let mbps = frac * rates.get(c).copied().unwrap_or(0.0);
-            let pps = mbps * 1e6 / (f64::from(cfg.packet_bytes) * 8.0);
-            tick_offered += pps;
-            tick_lost += pps;
-        }
-        if handler.is_degraded() {
-            degraded_ticks += 1;
         }
 
         let rate = if tick_offered > 0.0 {
@@ -296,79 +235,7 @@ pub fn replay_recorded(
         notifications,
         helpers_spawned,
         planned_cores,
-        faults_injected,
-        degraded_ticks,
     })
-}
-
-/// Applies one scheduled fault, resolving its selector against the
-/// population alive right now. Returns 1 when a countable fault (crash or
-/// host failure) was injected, 0 otherwise. Handler errors are counted
-/// (`sim.failover_errors`), never propagated — surviving malformed events
-/// is the point of the fault harness.
-pub(crate) fn apply_fault(
-    kind: &FaultKind,
-    rates: &BTreeMap<ClassId, f64>,
-    classes: &apple_core::classes::ClassSet,
-    handler: &mut DynamicHandler,
-    orch: &mut apple_core::orchestrator::ResourceOrchestrator,
-    ops: &mut ControlOps,
-    rec: &dyn Recorder,
-) -> usize {
-    let crash = |dead: InstanceId,
-                 handler: &mut DynamicHandler,
-                 orch: &mut apple_core::orchestrator::ResourceOrchestrator,
-                 ops: &mut ControlOps| {
-        if handler
-            .handle_instance_crash(dead, rates, classes, orch, ops, rec)
-            .is_err()
-        {
-            rec.counter("sim.failover_errors", 1);
-        }
-    };
-    match kind {
-        FaultKind::InstanceCrash { victim } => {
-            let alive: Vec<InstanceId> = orch.instances().map(|i| i.id()).collect();
-            if alive.is_empty() {
-                return 0;
-            }
-            let dead = alive[(victim % alive.len() as u64) as usize];
-            rec.counter("sim.faults_injected", 1);
-            crash(dead, handler, orch, ops);
-            1
-        }
-        FaultKind::HostFailure { host } => {
-            let up: Vec<usize> = orch
-                .hosts()
-                .iter()
-                .filter(|(_, h)| h.up)
-                .map(|(s, _)| *s)
-                .collect();
-            if up.is_empty() {
-                return 0;
-            }
-            let sw = up[(host % up.len() as u64) as usize];
-            rec.counter("sim.faults_injected", 1);
-            if let Ok(victims) = orch.fail_host(NodeId(sw)) {
-                for dead in victims {
-                    crash(dead, handler, orch, ops);
-                }
-            }
-            1
-        }
-        FaultKind::HostRecovery { host } => {
-            let down: Vec<usize> = orch
-                .hosts()
-                .iter()
-                .filter(|(_, h)| !h.up)
-                .map(|(s, _)| *s)
-                .collect();
-            if let Some(&sw) = down.get((host % down.len().max(1) as u64) as usize) {
-                let _ = orch.restore_host(NodeId(sw));
-            }
-            0
-        }
-    }
 }
 
 /// Offered load per instance in Mbps under the handler's current shares.
@@ -390,6 +257,7 @@ fn instance_loads(
 mod tests {
     use super::*;
     use apple_core::classes::ClassConfig;
+    use apple_telemetry::NOOP;
     use apple_topology::zoo;
     use apple_traffic::SeriesConfig;
 
@@ -423,7 +291,7 @@ mod tests {
     fn replay_produces_full_series() {
         let topo = zoo::internet2();
         let series = bursty_series(&topo);
-        let out = replay(&topo, &series, &small_replay_cfg(true)).unwrap();
+        let out = replay(&topo, &series, &small_replay_cfg(true), &NOOP).unwrap();
         assert_eq!(out.loss.len(), series.len());
         assert_eq!(out.helper_cores.len(), series.len());
         assert!(out.planned_cores > 0);
@@ -433,8 +301,8 @@ mod tests {
     fn failover_reduces_loss_under_bursts() {
         let topo = zoo::internet2();
         let series = bursty_series(&topo);
-        let with = replay(&topo, &series, &small_replay_cfg(true)).unwrap();
-        let without = replay(&topo, &series, &small_replay_cfg(false)).unwrap();
+        let with = replay(&topo, &series, &small_replay_cfg(true), &NOOP).unwrap();
+        let without = replay(&topo, &series, &small_replay_cfg(false), &NOOP).unwrap();
         assert!(
             with.loss.mean() <= without.loss.mean() + 1e-12,
             "failover made things worse: {} vs {}",
@@ -450,7 +318,7 @@ mod tests {
     fn loss_rates_are_valid_probabilities() {
         let topo = zoo::internet2();
         let series = bursty_series(&topo);
-        let out = replay(&topo, &series, &small_replay_cfg(true)).unwrap();
+        let out = replay(&topo, &series, &small_replay_cfg(true), &NOOP).unwrap();
         for (_, v) in out.loss.samples() {
             assert!((0.0..=1.0).contains(v), "loss {v} out of range");
         }
@@ -460,7 +328,7 @@ mod tests {
     fn helpers_roll_back_after_bursts() {
         let topo = zoo::internet2();
         let series = bursty_series(&topo);
-        let out = replay(&topo, &series, &small_replay_cfg(true)).unwrap();
+        let out = replay(&topo, &series, &small_replay_cfg(true), &NOOP).unwrap();
         // By the end of the series (bursts long over) no helper cores
         // should remain committed.
         let tail = out.helper_cores.samples().last().unwrap().1;
@@ -471,7 +339,7 @@ mod tests {
     fn no_failover_run_spawns_nothing() {
         let topo = zoo::internet2();
         let series = bursty_series(&topo);
-        let out = replay(&topo, &series, &small_replay_cfg(false)).unwrap();
+        let out = replay(&topo, &series, &small_replay_cfg(false), &NOOP).unwrap();
         assert_eq!(out.helpers_spawned, 0);
         assert_eq!(out.notifications, 0);
         assert_eq!(out.peak_helper_cores, 0);

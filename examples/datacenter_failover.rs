@@ -6,6 +6,7 @@
 use apple_nfv::core::classes::ClassConfig;
 use apple_nfv::core::controller::AppleConfig;
 use apple_nfv::sim::replay::{replay, ReplayConfig};
+use apple_nfv::telemetry::NOOP;
 use apple_nfv::topology::zoo;
 use apple_nfv::traffic::{SeriesConfig, TmSeries};
 
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fast_failover: true,
         ..Default::default()
     };
-    let with_ff = replay(&topo, &series, &cfg)?;
+    let with_ff = replay(&topo, &series, &cfg, &NOOP)?;
     let without_ff = replay(
         &topo,
         &series,
@@ -41,6 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fast_failover: false,
             ..cfg
         },
+        &NOOP,
     )?;
 
     println!(

@@ -8,10 +8,11 @@
 
 use apple_nfv::core::classes::{ClassConfig, ClassSet};
 use apple_nfv::core::engine::{EngineConfig, OptimizationEngine};
-use apple_nfv::core::orchestrator::ResourceOrchestrator;
+use apple_nfv::core::orchestrator::{ControlOps, ResourceOrchestrator};
 use apple_nfv::core::transition::{apply_transition, plan_transition};
 use apple_nfv::core::verify::verify_placement;
 use apple_nfv::nf::TimingModel;
+use apple_nfv::telemetry::NOOP;
 use apple_nfv::topology::zoo;
 use apple_nfv::traffic::{SeriesConfig, TmSeries, TrafficMatrix};
 
@@ -30,6 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let base_classes = ClassSet::build(&topo, &series.mean(), &class_cfg);
     let mut timing = TimingModel::paper(7);
+    let mut ops = ControlOps::reliable(7);
 
     let per_day = series.len() / 7;
     let mut previous = None;
@@ -81,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             Some(prev) => {
                 let plan = plan_transition(&prev, &placement, &mut timing);
-                apply_transition(&plan, &mut orch)?;
+                apply_transition(&plan, &mut orch, &mut ops, &NOOP)?;
                 println!(
                     "{:<6}{:>10}{:>12}{:>10}{:>10}{:>10}{:>11.1} s",
                     day + 1,

@@ -37,7 +37,7 @@ use apple_nfv::nf::InstanceId;
 use apple_nfv::sim::chaos::run_schedule;
 use apple_nfv::sim::online::{build_timeline, run_timeline, OnlineRunConfig};
 use apple_nfv::sim::packet_replay::{conformance, conformance_probes, walk_batch, Schedule};
-use apple_nfv::sim::replay::{replay_recorded, ReplayConfig};
+use apple_nfv::sim::replay::{replay, ReplayConfig};
 use apple_nfv::telemetry::{MemoryRecorder, Recorder, NOOP};
 use apple_nfv::topology::{zoo, Topology};
 use apple_nfv::traffic::arrivals::ArrivalConfig;
@@ -396,7 +396,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 },
             );
             let mem = make_recorder(&flags);
-            let out = replay_recorded(
+            let out = replay(
                 &topo,
                 &series,
                 &ReplayConfig {

@@ -4,7 +4,9 @@
 
 use apple_nfv::core::classes::{ClassConfig, ClassId};
 use apple_nfv::core::controller::{Apple, AppleConfig};
+use apple_nfv::core::orchestrator::ControlOps;
 use apple_nfv::sim::replay::{replay, ReplayConfig};
+use apple_nfv::telemetry::NOOP;
 use apple_nfv::topology::{zoo, TopologyKind};
 use apple_nfv::traffic::{GravityModel, SeriesConfig, TmSeries};
 use std::collections::BTreeMap;
@@ -40,10 +42,10 @@ fn failover_never_hurts_on_the_evaluation_trio() {
     for kind in TopologyKind::evaluation_trio() {
         let topo = kind.build();
         let series = bursty(&topo, 31);
-        let with =
-            replay(&topo, &series, &replay_cfg(true)).unwrap_or_else(|e| panic!("{kind}: {e}"));
-        let without =
-            replay(&topo, &series, &replay_cfg(false)).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        let with = replay(&topo, &series, &replay_cfg(true), &NOOP)
+            .unwrap_or_else(|e| panic!("{kind}: {e}"));
+        let without = replay(&topo, &series, &replay_cfg(false), &NOOP)
+            .unwrap_or_else(|e| panic!("{kind}: {e}"));
         assert!(
             with.loss.mean() <= without.loss.mean() + 1e-9,
             "{kind}: failover worsened mean loss: {} vs {}",
@@ -57,7 +59,7 @@ fn failover_never_hurts_on_the_evaluation_trio() {
 fn helper_cores_bounded_and_released() {
     let topo = zoo::internet2();
     let series = bursty(&topo, 32);
-    let out = replay(&topo, &series, &replay_cfg(true)).expect("replay runs");
+    let out = replay(&topo, &series, &replay_cfg(true), &NOOP).expect("replay runs");
     // The §IX-E claim at our scale: bounded extra cores.
     assert!(
         out.peak_helper_cores <= 32,
@@ -98,7 +100,14 @@ fn failover_decisions_never_change_paths() {
         .flat_map(|s| s.instances.clone())
         .collect();
     for inst in instances {
-        let _ = handler.handle_overload(inst, &rates, &classes, apple.orchestrator_mut());
+        let _ = handler.handle_overload(
+            inst,
+            &rates,
+            &classes,
+            apple.orchestrator_mut(),
+            &mut ControlOps::reliable(0),
+            &NOOP,
+        );
     }
     for share in handler.shares() {
         let class = classes.class(share.class).expect("share has a class");
@@ -146,13 +155,20 @@ fn roll_back_is_idempotent() {
     let rates: BTreeMap<ClassId, f64> =
         classes.iter().map(|c| (c.id, c.rate_mbps * 20.0)).collect();
     let victim = handler.shares()[0].instances[0];
-    let _ = handler.handle_overload(victim, &rates, &classes, apple.orchestrator_mut());
+    let _ = handler.handle_overload(
+        victim,
+        &rates,
+        &classes,
+        apple.orchestrator_mut(),
+        &mut ControlOps::reliable(0),
+        &NOOP,
+    );
     let count_after_failover = apple.orchestrator().instance_count();
-    handler.roll_back(apple.orchestrator_mut());
+    handler.roll_back(apple.orchestrator_mut(), &NOOP);
     let baseline = apple.orchestrator().instance_count();
     assert!(baseline <= count_after_failover);
     // Second roll-back changes nothing.
-    handler.roll_back(apple.orchestrator_mut());
+    handler.roll_back(apple.orchestrator_mut(), &NOOP);
     assert_eq!(apple.orchestrator().instance_count(), baseline);
     assert!(handler.fractions_consistent());
     assert_eq!(handler.helper_cores(), 0);
@@ -163,7 +179,7 @@ fn loss_probabilities_valid_across_topologies() {
     for kind in TopologyKind::evaluation_trio() {
         let topo = kind.build();
         let series = bursty(&topo, 35);
-        let out = replay(&topo, &series, &replay_cfg(true)).expect("replay runs");
+        let out = replay(&topo, &series, &replay_cfg(true), &NOOP).expect("replay runs");
         assert_eq!(out.loss.len(), series.len());
         for (_, v) in out.loss.samples() {
             assert!((0.0..=1.0).contains(v));

@@ -6,9 +6,11 @@
 
 use apple_nfv::core::classes::{ClassConfig, ClassId};
 use apple_nfv::core::controller::{Apple, AppleConfig};
-use apple_nfv::telemetry::{MemoryRecorder, Snapshot};
+use apple_nfv::core::orchestrator::ControlOps;
+use apple_nfv::sim::replay::{replay, ReplayConfig};
+use apple_nfv::telemetry::{MemoryRecorder, Snapshot, NOOP};
 use apple_nfv::topology::zoo;
-use apple_nfv::traffic::GravityModel;
+use apple_nfv::traffic::{GravityModel, SeriesConfig, TmSeries};
 use std::collections::BTreeMap;
 
 /// Base seed for this file (see `tests/README.md`).
@@ -39,14 +41,21 @@ fn full_pipeline_emits_a_complete_json_snapshot() {
     let burst: BTreeMap<ClassId, f64> =
         classes.iter().map(|c| (c.id, c.rate_mbps * 40.0)).collect();
     let act = handler
-        .handle_overload_recorded(victim, &burst, &classes, &mut orch, &rec)
+        .handle_overload(
+            victim,
+            &burst,
+            &classes,
+            &mut orch,
+            &mut ControlOps::reliable(SEED),
+            &rec,
+        )
         .unwrap();
     assert_ne!(
         act,
         apple_nfv::core::failover::FailoverAction::None,
         "a burst through a live instance must trigger failover"
     );
-    handler.roll_back_recorded(&mut orch, &rec);
+    handler.roll_back(&mut orch, &rec);
 
     // --- The snapshot: non-empty, JSON round-trippable, and carrying the
     // headline metrics of every subsystem. ---
@@ -95,4 +104,54 @@ fn full_pipeline_emits_a_complete_json_snapshot() {
     assert!(json.contains("lp.pivots") && json.contains("span.engine.place"));
     let back = Snapshot::from_json(&json).expect("snapshot JSON parses");
     assert_eq!(back, snap);
+}
+
+#[test]
+fn replay_telemetry_matches_the_replay_outcome() {
+    // A bursty Internet2 replay trips failover, spawns helpers and rolls
+    // back; its counters must agree with the outcome it returns, and
+    // recording must not change what the replay computes.
+    let topo = zoo::internet2();
+    let series = TmSeries::generate(
+        &topo,
+        &SeriesConfig {
+            snapshots: 72,
+            burst_pairs: 2,
+            burst_scale: 8.0,
+            ..SeriesConfig::paper(SEED)
+        },
+    );
+    let cfg = ReplayConfig {
+        apple: AppleConfig {
+            classes: ClassConfig {
+                max_classes: 12,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let rec = MemoryRecorder::new();
+    let recorded = replay(&topo, &series, &cfg, &rec).expect("replay runs");
+    let quiet = replay(&topo, &series, &cfg, &NOOP).expect("replay runs");
+    assert_eq!(recorded, quiet, "recording changed the replay");
+    assert!(
+        recorded.notifications > 0,
+        "the bursts never tripped failover"
+    );
+
+    let snap = rec.snapshot();
+    assert_eq!(
+        snap.counter("sim.notifications").unwrap_or(0),
+        recorded.notifications as u64
+    );
+    assert_eq!(
+        snap.counter("failover.helpers_spawned").unwrap_or(0),
+        recorded.helpers_spawned as u64
+    );
+    assert_eq!(
+        snap.gauge("sim.peak_helper_cores"),
+        Some(f64::from(recorded.peak_helper_cores))
+    );
+    assert!(snap.counter("failover.rollbacks").unwrap_or(0) >= 1);
 }

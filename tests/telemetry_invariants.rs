@@ -6,7 +6,7 @@
 use apple_nfv::core::classes::{ClassConfig, ClassSet};
 use apple_nfv::core::engine::{EngineConfig, OptimizationEngine};
 use apple_nfv::core::orchestrator::ResourceOrchestrator;
-use apple_nfv::sim::failover_lab::{detection_timeline_recorded, DetectorConfig};
+use apple_nfv::sim::failover_lab::{detection_timeline, DetectorConfig};
 use apple_nfv::telemetry::{MemoryRecorder, Recorder};
 use apple_nfv::topology::zoo;
 use apple_nfv::traffic::GravityModel;
@@ -108,7 +108,7 @@ fn forced_overload_records_detection_and_helper_events() {
     // must also be counted.
     let rec = MemoryRecorder::new();
     let cfg = DetectorConfig::paper();
-    let tl = detection_timeline_recorded(&cfg, &rec);
+    let tl = detection_timeline(&cfg, &rec);
     let snap = rec.snapshot();
 
     assert!(snap.counter("sim.overloads_detected").unwrap_or(0) >= 1);

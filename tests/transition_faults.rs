@@ -1,20 +1,15 @@
-//! Regression battery for `apply_transition_with` under control-plane
+//! Regression battery for `apply_transition` under control-plane
 //! faults: a transition that fails mid-flight must surface the partial
 //! state it had built — instances booted before a failed rule install,
 //! switches already re-ruled — as a typed rollback plan
 //! ([`RollbackReport`] inside [`TransitionError`]), and the orchestrator
 //! must be back at exactly the old population when the error returns.
-//!
-//! This is the fix for the naive `apply_transition`'s partial-failure
-//! window: fresh instances used to be torn down silently with no record
-//! of what had happened, and a rule-install failure after a successful
-//! boot phase left no way to tell how far the switch-over had progressed.
 
 use apple_nfv::core::classes::{ClassConfig, ClassSet};
 use apple_nfv::core::engine::{EngineConfig, OptimizationEngine, Placement};
 use apple_nfv::core::orchestrator::{ControlOps, ResourceOrchestrator};
 use apple_nfv::core::transition::{
-    apply_transition_with, plan_transition_from_live, TransitionError, TransitionPlan,
+    apply_transition, plan_transition_from_live, TransitionError, TransitionPlan,
 };
 use apple_nfv::faults::{FailFirstN, FaultInjector};
 use apple_nfv::nf::NfType;
@@ -100,7 +95,7 @@ fn live_deployment() -> (ResourceOrchestrator, TransitionPlan, Placement) {
     let (_, small) = placement_for(2_000.0, SEED, &orch);
     let mut ops = ControlOps::reliable(SEED);
     let bootstrap = plan_transition_from_live(&orch, &small, &mut ops.timing);
-    apply_transition_with(&bootstrap, &mut orch, &mut ops, &NOOP).expect("bootstrap transition");
+    apply_transition(&bootstrap, &mut orch, &mut ops, &NOOP).expect("bootstrap transition");
     let (_, large) = placement_for(
         6_000.0,
         SEED ^ 1,
@@ -130,7 +125,7 @@ fn boot_failure_reports_and_reverts_fresh_instances() {
     let rec = MemoryRecorder::new();
     let mut ops =
         ControlOps::with_injector(SEED ^ 0x10, Box::new(FailBootsAfter { skip: 2, seen: 0 }));
-    let err = apply_transition_with(&plan, &mut orch, &mut ops, &rec)
+    let err = apply_transition(&plan, &mut orch, &mut ops, &rec)
         .expect_err("boots fail after the first two");
     match &err {
         TransitionError::Boot { rollback, .. } => {
@@ -160,8 +155,8 @@ fn rule_failure_after_boots_reverts_everything() {
     let total_launches: u32 = plan.launches.iter().map(|&(_, _, c)| c).sum();
 
     let mut ops = ControlOps::with_injector(SEED ^ 0x20, Box::new(FailFirstN::new(0, 10_000)));
-    let err = apply_transition_with(&plan, &mut orch, &mut ops, &NOOP)
-        .expect_err("every rule install fails");
+    let err =
+        apply_transition(&plan, &mut orch, &mut ops, &NOOP).expect_err("every rule install fails");
     match &err {
         TransitionError::RuleInstall { rollback, .. } => {
             assert_eq!(
@@ -190,7 +185,7 @@ fn partial_rule_installs_are_reported_reverted() {
     let fail_at = touched[1];
 
     let mut ops = ControlOps::with_injector(SEED ^ 0x30, Box::new(FailRulesAt { switch: fail_at }));
-    let err = apply_transition_with(&plan, &mut orch, &mut ops, &NOOP)
+    let err = apply_transition(&plan, &mut orch, &mut ops, &NOOP)
         .expect_err("second touched switch rejects its rules");
     match &err {
         TransitionError::RuleInstall {
@@ -223,7 +218,7 @@ fn retryable_faults_still_complete_the_transition() {
     let total_launches: u32 = plan.launches.iter().map(|&(_, _, c)| c).sum();
 
     let mut ops = ControlOps::with_injector(SEED ^ 0x40, Box::new(FailFirstN::new(2, 2)));
-    let report = apply_transition_with(&plan, &mut orch, &mut ops, &NOOP)
+    let report = apply_transition(&plan, &mut orch, &mut ops, &NOOP)
         .expect("two flaky boots and two flaky installs are retryable");
     assert_eq!(report.launched.len(), total_launches as usize);
     assert_eq!(report.rules_installed.len(), touched.len());
