@@ -2,14 +2,17 @@
 //! data plane of §V-B — Table III TCAM programs on physical switches and
 //! `<InPort, class, sub-class>` rules on host vSwitches — and accounts for
 //! TCAM usage with and without the tagging scheme (Fig. 10).
+//!
+//! The generator launches instances, assigns sub-class stages to them and
+//! lowers the result into a [`CompilerSnapshot`] ([`snapshot_of`]); the
+//! rules themselves come from [`apple_dataplane::compiler::compile`], the
+//! one Table III encoder.
 
 use crate::classes::{ClassId, ClassSet, EquivalenceClass};
 use crate::engine::Placement;
 use crate::orchestrator::{OrchestratorError, ResourceOrchestrator};
 use crate::subclass::{SplitStrategy, SubclassPlan};
-use apple_dataplane::packet::HostTag;
-use apple_dataplane::switch::{PhysicalSwitch, VPort, VSwitch, VSwitchRule};
-use apple_dataplane::tcam::{Action, MatchSpec, TcamRule};
+use apple_dataplane::compiler::{compile, CompilerSnapshot, SubclassSpec};
 use apple_dataplane::walk::NetworkWalker;
 use apple_nf::{InstanceId, NfType, VnfSpec};
 use apple_topology::{NodeId, Topology};
@@ -264,31 +267,6 @@ pub fn generate_with(
     if plan.strategy() != SplitStrategy::PrefixSplit {
         return Err(RuleGenError::NeedsPrefixSplit);
     }
-    // §X: classes whose chain rewrites headers get globally-unique
-    // sub-class tags (allocated from the top half of the tag space so they
-    // never collide with per-class local ids).
-    let mut global_tag: BTreeMap<(ClassId, u16), u16> = BTreeMap::new();
-    if config.global_tags {
-        let mut next: u16 = 0x8000;
-        for s in plan.subclasses() {
-            let class = classes
-                .class(s.class)
-                .expect("plan refers to known classes");
-            let rewrites = class
-                .chain
-                .nfs()
-                .iter()
-                .any(|&nf| VnfSpec::of(nf).rewrites_headers());
-            if rewrites {
-                global_tag.insert((s.class, s.id), next);
-                next = next
-                    .checked_add(1)
-                    .expect("fewer than 32k rewritten sub-classes");
-            }
-        }
-    }
-    let tag_of =
-        |class: ClassId, sub: u16| -> u16 { global_tag.get(&(class, sub)).copied().unwrap_or(sub) };
     // 1. Launch instances per q.
     for (v, nf, count) in placement.q_entries() {
         for _ in 0..count {
@@ -299,206 +277,18 @@ pub fn generate_with(
     //    load).
     let assignment = assign_instances(classes, plan, orch);
 
-    // 3. Program physical switches.
-    let mut walker = NetworkWalker::new();
-    let mut switches: BTreeMap<usize, PhysicalSwitch> = topo
-        .graph
-        .node_ids()
-        .map(|n| (n.0, PhysicalSwitch::new(n.0, false)))
-        .collect();
-    // Host-match + pass-by rules.
-    let hosts_in_use = orch.hosts_in_use();
-    for (id, sw) in switches.iter_mut() {
-        if hosts_in_use.contains(id) {
-            sw.has_host = true;
-            sw.install_host_match();
-        }
-        sw.install_pass_by();
-    }
-    // Ingress classification rules per sub-class (Table III rows 2 and 3).
-    // With compression, the sub-class owning the most prefix rules becomes
-    // a single lower-priority catch-all over the whole class /24; its
-    // siblings' higher-priority rules carve out their shares.
-    let mut catch_all: BTreeMap<ClassId, u16> = BTreeMap::new();
-    if config.compress_classification {
-        let mut best: BTreeMap<ClassId, (u16, usize)> = BTreeMap::new();
-        for s in plan.subclasses() {
-            let entry = best.entry(s.class).or_insert((s.id, 0));
-            if s.prefixes.len() > entry.1 {
-                *entry = (s.id, s.prefixes.len());
-            }
-        }
-        // Only worth it when the elected sub-class has more than one rule.
-        for (class, (sid, count)) in best {
-            if count > 1 {
-                catch_all.insert(class, sid);
-            }
-        }
-    }
-    for s in plan.subclasses() {
-        let class = classes
-            .class(s.class)
-            .expect("plan refers to known classes");
-        let ingress = class.path.first().0;
-        let positions = s.host_positions();
-        let first_pos = positions.first().copied();
-        let sw = switches.get_mut(&ingress).expect("ingress switch exists");
-        let tag = tag_of(s.class, s.id);
-        // Transport predicates from operator policies make a class more
-        // specific than its same-pair siblings; specificity lifts the
-        // priority so e.g. the http class wins over the pair's default.
-        let specificity = class_specificity(class);
-        let actions = match first_pos {
-            // Row 2: first processing host hangs off the ingress switch.
-            Some(0) => vec![Action::SetSubclassTag(tag), Action::ForwardToHost],
-            // Row 3: tag sub-class + next host, continue forwarding.
-            Some(i) => vec![
-                Action::SetSubclassTag(tag),
-                Action::SetHostTag(HostTag::Host(class.path.nodes()[i].0 as u16)),
-                Action::GotoNextTable,
-            ],
-            // Chain fully satisfied elsewhere (cannot happen: chains are
-            // non-empty), mark finished defensively.
-            None => vec![
-                Action::SetSubclassTag(tag),
-                Action::SetHostTag(HostTag::Fin),
-                Action::GotoNextTable,
-            ],
-        };
-        if catch_all.get(&s.class) == Some(&s.id) {
-            // Catch-all rule(s) over the class's whole source /24, one per
-            // transport variant.
-            for variant in predicate_variants(class) {
-                let spec = apply_variant(
-                    MatchSpec::any()
-                        .host_tag(HostTag::Empty)
-                        .src(class.src_prefix.0, class.src_prefix.1)
-                        .dst(class.dst_prefix.0, class.dst_prefix.1),
-                    variant,
-                );
-                sw.apple_table.install(TcamRule {
-                    // Specificity dominates the exact/catch-all split: a
-                    // specific class's catch-all must still beat a
-                    // same-pair wildcard class's exact rules.
-                    priority: 1_000 * specificity + 150,
-                    spec,
-                    actions: actions.clone(),
-                    label: format!("classify {}/s{} (catch-all)", s.class, s.id),
-                });
-            }
-            continue;
-        }
-        for &(addr, len) in &s.prefixes {
-            for variant in predicate_variants(class) {
-                let spec = apply_variant(
-                    MatchSpec::any()
-                        .host_tag(HostTag::Empty)
-                        .src(addr, len)
-                        .dst(class.dst_prefix.0, class.dst_prefix.1),
-                    variant,
-                );
-                sw.apple_table.install(TcamRule {
-                    priority: 1_000 * specificity + 200,
-                    spec,
-                    actions: actions.clone(),
-                    label: format!("classify {}/s{}", s.class, s.id),
-                });
-            }
-        }
-    }
-
-    // 4. Program vSwitches. vSwitch lookup is first-match, so sub-classes
-    //    of transport-specific classes install before wildcard siblings of
-    //    the same OD pair (a port-80 packet must hit the http rules, not
-    //    the pair's default).
-    let mut vswitches: BTreeMap<usize, VSwitch> =
-        hosts_in_use.iter().map(|&v| (v, VSwitch::new(v))).collect();
-    let mut ordered: Vec<&crate::subclass::Subclass> = plan.subclasses().iter().collect();
-    ordered.sort_by_key(|s| {
-        let class = classes
-            .class(s.class)
-            .expect("plan refers to known classes");
-        std::cmp::Reverse(class_specificity(class))
-    });
-    for s in ordered {
-        let class = classes
-            .class(s.class)
-            .expect("plan refers to known classes");
-        let tag = tag_of(s.class, s.id);
-        // Globally-tagged sub-classes match on the tag alone: their header
-        // prefixes stop being valid once the rewriting NF has run (§X).
-        let global = global_tag.contains_key(&(s.class, s.id));
-        let base_spec = if global {
-            MatchSpec::any()
-        } else {
-            MatchSpec::any()
-                .src(class.src_prefix.0, class.src_prefix.1)
-                .dst(class.dst_prefix.0, class.dst_prefix.1)
-        };
-        // Global tags are unique, so no transport variant is needed to
-        // disambiguate; header-matched rules need one per variant.
-        let variants: Vec<Variant> = if global {
-            vec![(None, None)]
-        } else {
-            predicate_variants(class)
-        };
-        let positions = s.host_positions();
-        for (pi, &pos) in positions.iter().enumerate() {
-            let v = class.path.nodes()[pos].0;
-            let stages = s.stages_at(pos);
-            let insts: Vec<InstanceId> = stages
-                .iter()
-                .map(|&j| {
-                    assignment
-                        .instance(s.class, s.id, j)
-                        .expect("assignment covers every stage")
-                })
-                .collect();
-            let vs = vswitches.get_mut(&v).expect("hosts in use have vswitches");
-            // Exit tag: next host on the path, or Fin.
-            let exit_tag = match positions.get(pi + 1) {
-                Some(&next) => HostTag::Host(class.path.nodes()[next].0 as u16),
-                None => HostTag::Fin,
-            };
-            for &variant in &variants {
-                let class_spec = apply_variant(base_spec, variant);
-                let mut port = VPort::Network;
-                for (k, &inst) in insts.iter().enumerate() {
-                    vs.install(VSwitchRule {
-                        in_port: port,
-                        spec: class_spec,
-                        subclass: Some(tag),
-                        set_host_tag: None,
-                        set_subclass_tag: None,
-                        verdict: apple_dataplane::switch::VSwitchVerdict::ToVnf(inst),
-                        label: format!("{}/s{} stage{}", s.class, s.id, stages[k]),
-                    });
-                    port = VPort::FromVnf(inst);
-                }
-                vs.install(VSwitchRule {
-                    in_port: port,
-                    spec: class_spec,
-                    subclass: Some(tag),
-                    set_host_tag: Some(exit_tag),
-                    set_subclass_tag: None,
-                    verdict: apple_dataplane::switch::VSwitchVerdict::ToNetwork,
-                    label: format!("{}/s{} exit@v{v}", s.class, s.id),
-                });
-            }
-        }
-    }
-
-    // 5. Accounting + assembly. The pass-by rule is the table-miss default
-    //    (costs no TCAM entry), so it is excluded from the count.
-    let mut tagged_per_switch = BTreeMap::new();
-    for (id, sw) in &switches {
-        let billable = sw
-            .apple_table
-            .iter()
-            .filter(|r| r.label != "pass-by")
-            .count();
-        tagged_per_switch.insert(*id, billable);
-    }
+    // 3. Lower the deployed state through the data-plane compiler, the one
+    //    Table III encoder. The pass-by rule is the table-miss default
+    //    (costs no TCAM entry), so billing excludes it.
+    let program = compile(&snapshot_of(
+        topo,
+        classes,
+        plan,
+        &assignment,
+        orch,
+        config,
+    )?);
+    let tagged_per_switch = program.billable_per_switch();
     let tagged_total = tagged_per_switch.values().sum();
     // §V-B fallback: without pipelining, every APPLE entry is multiplied by
     // the routing table it must be cross-producted with.
@@ -530,28 +320,8 @@ pub fn generate_with(
         .values()
         .map(|&billable| billable * routing_rules.max(1))
         .sum();
-    for (_, sw) in switches {
-        walker.add_switch(sw);
-    }
-    for (_, vs) in vswitches {
-        walker.add_host(vs);
-    }
-    // Register header-rewriting instances so walks exercise the §X
-    // behaviour.
-    if config.model_rewrites {
-        for (&(class, _sub, stage), &inst) in assignment.entries() {
-            let nf = classes
-                .class(class)
-                .expect("assignment refers to known classes")
-                .chain
-                .nfs()[stage];
-            if VnfSpec::of(nf).rewrites_headers() {
-                walker.add_rewriter(inst);
-            }
-        }
-    }
     Ok(DataPlaneProgram {
-        walker,
+        walker: program.walker(),
         assignment,
         tcam: TcamReport {
             tagged_per_switch,
@@ -562,16 +332,15 @@ pub fn generate_with(
     })
 }
 
-/// Lowers the deployed state into a plain-data
-/// [`CompilerSnapshot`](apple_dataplane::compiler::CompilerSnapshot) for
-/// the incremental data-plane compiler.
+/// Lowers the deployed state into a plain-data [`CompilerSnapshot`] for
+/// the data-plane compiler.
 ///
 /// `assignment` and `orch` must come from a prior [`generate_with`] run on
 /// the same plan (the snapshot captures which instance serves each stage
-/// and which hosts are in use). [`apple_dataplane::compiler::compile`] on
-/// the snapshot reproduces the generator's program rule for rule — pinned
-/// by the parity test below — which is what lets transitions and the
-/// online loop install deltas instead of recompiling.
+/// and which hosts are in use). [`generate_with`] builds its own program
+/// as [`compile`] of this snapshot, so transitions and the online loop
+/// that compile later snapshots install deltas against the very rules the
+/// generator produced.
 ///
 /// # Errors
 ///
@@ -588,13 +357,13 @@ pub fn snapshot_of(
     assignment: &InstanceAssignment,
     orch: &ResourceOrchestrator,
     config: &RuleGenConfig,
-) -> Result<apple_dataplane::compiler::CompilerSnapshot, RuleGenError> {
-    use apple_dataplane::compiler::{CompilerSnapshot, SubclassSpec};
-
+) -> Result<CompilerSnapshot, RuleGenError> {
     if plan.strategy() != SplitStrategy::PrefixSplit {
         return Err(RuleGenError::NeedsPrefixSplit);
     }
-    // Same §X global-tag allocation walk as `generate_with`.
+    // §X: classes whose chain rewrites headers get globally-unique
+    // sub-class tags (allocated from the top half of the tag space so they
+    // never collide with per-class local ids).
     let mut global_tag: BTreeMap<(ClassId, u16), u16> = BTreeMap::new();
     if config.global_tags {
         let mut next: u16 = 0x8000;
@@ -671,41 +440,6 @@ pub fn snapshot_of(
     })
 }
 
-/// One transport-predicate variant: `(proto, dst_port)` with `None` =
-/// wildcard. A class with N ports needs N TCAM rules per prefix — real
-/// hardware pays the same.
-type Variant = (Option<u8>, Option<u16>);
-
-/// The transport variants of a class's predicate.
-fn predicate_variants(class: &crate::classes::EquivalenceClass) -> Vec<Variant> {
-    if class.dst_ports.is_empty() {
-        vec![(class.proto, None)]
-    } else {
-        class
-            .dst_ports
-            .iter()
-            .map(|&p| (class.proto, Some(p)))
-            .collect()
-    }
-}
-
-/// Applies a variant to a match spec.
-fn apply_variant(mut spec: MatchSpec, variant: Variant) -> MatchSpec {
-    if let Some(p) = variant.0 {
-        spec = spec.proto(p);
-    }
-    if let Some(port) = variant.1 {
-        spec = spec.dst_port(port);
-    }
-    spec
-}
-
-/// Priority bump for classes with transport predicates: proto +1, ports
-/// +2 — specific classes must beat same-pair wildcard classes.
-fn class_specificity(class: &crate::classes::EquivalenceClass) -> u16 {
-    u16::from(class.proto.is_some()) + 2 * u16::from(!class.dst_ports.is_empty())
-}
-
 /// Best-fit-decreasing assignment of sub-class stage loads to instances.
 fn assign_instances(
     classes: &ClassSet,
@@ -775,13 +509,31 @@ fn assign_instances(
     asg
 }
 
+/// What makes two classes ECMP siblings: the same OD pair and the same
+/// policy (chain and transport predicates) on different paths.
+type SiblingKey<'a> = ((NodeId, NodeId), &'a [NfType], Option<u8>, &'a [u16]);
+
+fn sibling_key(c: &EquivalenceClass) -> SiblingKey<'_> {
+    (c.od_pair(), c.chain.nfs(), c.proto, &c.dst_ports)
+}
+
+/// ECMP sibling count per [`SiblingKey`]: how many paths of its OD pair
+/// carry each policy's traffic.
+fn ecmp_siblings(classes: &ClassSet) -> BTreeMap<SiblingKey<'_>, usize> {
+    let mut siblings = BTreeMap::new();
+    for c in classes {
+        *siblings.entry(sibling_key(c)).or_insert(0) += 1;
+    }
+    siblings
+}
+
 /// TCAM cost without the tagging scheme.
 ///
 /// Without host/sub-class tags a switch cannot tell whether a packet has
 /// already been processed, so the sub-class classification rules must be
 /// present at **every switch on the flow's path** (the "duplicated
 /// classifications" §V-B avoids). On multipath topologies they are further
-/// replicated across all ECMP sibling paths of the OD pair, because the
+/// replicated across all ECMP sibling paths of the class, because the
 /// hash-selected path is unknown to the controller — the Fig. 10 reason
 /// UNIV1 benefits most.
 fn untagged_estimate(
@@ -790,11 +542,7 @@ fn untagged_estimate(
     plan: &SubclassPlan,
     compress: bool,
 ) -> usize {
-    // ECMP sibling count per OD pair.
-    let mut siblings: BTreeMap<(NodeId, NodeId), usize> = BTreeMap::new();
-    for c in classes {
-        *siblings.entry(c.od_pair()).or_insert(0) += 1;
-    }
+    let siblings = ecmp_siblings(classes);
     // Per-class rule counts, with the same default-rule compression the
     // tagging scheme benefits from (fair comparison).
     let mut per_class: BTreeMap<ClassId, (usize, usize)> = BTreeMap::new(); // (total, max)
@@ -820,7 +568,7 @@ fn untagged_estimate(
         };
         let hops = class.path.len();
         let replicas = if topo.multipath {
-            siblings.get(&class.od_pair()).copied().unwrap_or(1)
+            siblings[&sibling_key(class)]
         } else {
             1
         };
@@ -834,7 +582,7 @@ mod tests {
     use super::*;
     use crate::classes::ClassConfig;
     use crate::engine::{EngineConfig, OptimizationEngine};
-    use apple_dataplane::packet::Packet;
+    use apple_dataplane::packet::{HostTag, Packet};
     use apple_topology::zoo;
     use apple_traffic::GravityModel;
 
@@ -848,12 +596,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut orch = ResourceOrchestrator::with_uniform_hosts(topo, 64);
-        let placement = OptimizationEngine::new(EngineConfig::default())
-            .place(&classes, &orch)
-            .unwrap();
-        let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
-        let prog = generate(topo, &classes, &plan, &placement, &mut orch).unwrap();
+        let prog = deploy(topo, &classes, &RuleGenConfig::default());
         (classes, prog)
     }
 
@@ -878,101 +621,105 @@ mod tests {
         assert!(matches!(err, Err(RuleGenError::NeedsPrefixSplit)));
     }
 
-    /// The incremental compiler must reproduce the generator rule for
-    /// rule: same switch tables in the same order, same vSwitch rule
-    /// lists, same rewriter registry.
+    /// Plans and generates `classes` on `topo` under `config`.
+    fn deploy(topo: &Topology, classes: &ClassSet, config: &RuleGenConfig) -> DataPlaneProgram {
+        let mut orch = ResourceOrchestrator::with_uniform_hosts(topo, 64);
+        let placement = OptimizationEngine::new(EngineConfig::default())
+            .place(classes, &orch)
+            .unwrap();
+        let plan = SubclassPlan::derive(classes, &placement, SplitStrategy::PrefixSplit);
+        generate_with(topo, classes, &plan, &placement, &mut orch, config).unwrap()
+    }
+
+    /// A semantic oracle independent of how rules are lowered: a probe
+    /// packet of every class, carrying the class's transport predicate,
+    /// traverses exactly the class's path, meets its chain in order and
+    /// leaves tagged `Fin`.
     #[test]
-    fn compiler_parity_with_generator() {
+    fn every_class_walks_its_chain_in_order() {
+        use crate::policy_spec::PolicySpec;
+        use apple_topology::zoo::TopologyKind;
+
+        let mut cases = Vec::new();
+        for kind in TopologyKind::all() {
+            let topo = kind.build();
+            let tm = GravityModel::new(2_000.0, 17).base_matrix(&topo);
+            let cfg = ClassConfig {
+                max_classes: 12,
+                ..Default::default()
+            };
+            for compress in [true, false] {
+                let config = RuleGenConfig {
+                    compress_classification: compress,
+                    ..RuleGenConfig::default()
+                };
+                let name = format!("{kind} compress={compress}");
+                cases.push((
+                    name,
+                    topo.clone(),
+                    ClassSet::build(&topo, &tm, &cfg),
+                    config,
+                ));
+            }
+        }
         let topo = zoo::internet2();
-        let tm = GravityModel::new(2_200.0, 17).base_matrix(&topo);
-        let classes = ClassSet::build(
+        let tm = GravityModel::new(2_000.0, 17).base_matrix(&topo);
+        let policies = ClassSet::build_with_policies(
             &topo,
             &tm,
+            &PolicySpec::example(),
             &ClassConfig {
-                max_classes: 12,
+                max_classes: 40,
                 ..Default::default()
             },
         );
-        let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let placement = OptimizationEngine::new(EngineConfig::default())
-            .place(&classes, &orch)
-            .unwrap();
-        let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
-        let config = RuleGenConfig::default();
-        let prog = generate_with(&topo, &classes, &plan, &placement, &mut orch, &config).unwrap();
-        let snap = snapshot_of(&topo, &classes, &plan, &prog.assignment, &orch, &config).unwrap();
-        let compiled = apple_dataplane::compiler::compile(&snap);
+        cases.push((
+            "Internet2 policies".into(),
+            topo,
+            policies,
+            RuleGenConfig::default(),
+        ));
 
-        for (&id, sr) in &compiled.switches {
-            let sw = prog.walker.switch(id).expect("switch exists in both");
-            let generated: Vec<TcamRule> = sw.apple_table.iter().cloned().collect();
-            assert_eq!(generated, sr.rules, "switch {id} table diverged");
-            assert_eq!(sw.has_host, sr.has_host, "switch {id} host flag");
-        }
-        assert_eq!(
-            prog.walker.switches().count(),
-            compiled.switches.len(),
-            "switch universe diverged"
-        );
-        for (&v, rules) in &compiled.hosts {
-            let vs = prog.walker.host(v).expect("host exists in both");
-            let generated: Vec<_> = vs.iter().cloned().collect();
-            assert_eq!(generated, *rules, "host {v} rules diverged");
-        }
-        assert_eq!(
-            prog.walker.hosts().count(),
-            compiled.hosts.len(),
-            "host universe diverged"
-        );
-        for inst in &compiled.rewriters {
-            assert!(prog.walker.is_rewriter(*inst), "rewriter set diverged");
-        }
-        assert_eq!(
-            compiled.walker().total_tcam_entries(),
-            prog.walker.total_tcam_entries()
-        );
-        assert_eq!(compiled.billable_rules(), prog.tcam.tagged_total);
-    }
-
-    #[test]
-    fn every_class_walks_its_chain_in_order() {
-        let topo = zoo::internet2();
-        let (classes, prog) = build(&topo, 2_000.0, 12);
-        for class in &classes {
-            // Walk a representative packet: first host in the class's /24.
-            let p = Packet::new(
-                class.src_prefix.0 | 1,
-                class.dst_prefix.0 | 1,
-                40_000,
-                80,
-                6,
-            );
-            let rec = prog.walker.walk(p, &class.path).unwrap();
-            // Policy enforcement: NF sequence matches the chain.
-            let nfs: Vec<NfType> = rec
-                .instances
-                .iter()
-                .map(|&id| {
-                    // Look the NF up through the assignment's reverse map.
-                    prog.assignment
-                        .entries()
-                        .find(|(_, &i)| i == id)
-                        .map(|((c, _, j), _)| classes.class(*c).unwrap().chain.nfs()[*j])
-                        .expect("walked instances come from the assignment")
-                })
-                .collect();
-            assert_eq!(
-                nfs,
-                class.chain.nfs().to_vec(),
-                "chain mismatch for {} ({})",
-                class.id,
-                class.chain
-            );
-            // Interference freedom: the switch trajectory equals the path.
-            let expect: Vec<usize> = class.path.iter().map(|n| n.0).collect();
-            assert_eq!(rec.switches, expect);
-            // Completion: packet tagged Fin.
-            assert_eq!(rec.packet.host_tag, HostTag::Fin);
+        for (name, topo, classes, config) in cases {
+            let prog = deploy(&topo, &classes, &config);
+            for class in &classes {
+                // Port-less classes get a port no example policy matches.
+                let port = class.dst_ports.first().copied().unwrap_or(9);
+                let proto = class.proto.unwrap_or(6);
+                let p = Packet::new(
+                    class.src_prefix.0 | 1,
+                    class.dst_prefix.0 | 1,
+                    40_000,
+                    port,
+                    proto,
+                );
+                let rec = prog.walker.walk(p, &class.path).unwrap();
+                // Policy enforcement: NF sequence matches the chain.
+                let nfs: Vec<NfType> = rec
+                    .instances
+                    .iter()
+                    .map(|&id| {
+                        // Look the NF up through the assignment's reverse map.
+                        prog.assignment
+                            .entries()
+                            .find(|(_, &i)| i == id)
+                            .map(|((c, _, j), _)| classes.class(*c).unwrap().chain.nfs()[*j])
+                            .expect("walked instances come from the assignment")
+                    })
+                    .collect();
+                assert_eq!(
+                    nfs,
+                    class.chain.nfs().to_vec(),
+                    "{name}: chain mismatch for {} ({})",
+                    class.id,
+                    class.chain
+                );
+                // Interference freedom: the switch trajectory equals the path.
+                let expect: Vec<usize> = class.path.iter().map(|n| n.0).collect();
+                assert_eq!(rec.switches, expect, "{name}: {} strayed", class.id);
+                // Completion: packet tagged Fin.
+                assert_eq!(rec.packet.host_tag, HostTag::Fin, "{name}: {}", class.id);
+            }
         }
     }
 
@@ -986,6 +733,28 @@ mod tests {
             "tagging must reduce TCAM: {:?}",
             prog.tcam
         );
+    }
+
+    /// Fig. 10 replicates a class's untagged rules over its ECMP siblings:
+    /// one per equal-cost path of its OD pair, however many policies split
+    /// the pair's traffic.
+    #[test]
+    fn ecmp_replicas_count_paths_not_policies() {
+        use crate::policy_spec::PolicySpec;
+        use apple_topology::ksp;
+        let topo = zoo::univ1();
+        let tm = GravityModel::new(2_000.0, 17).base_matrix(&topo);
+        let cfg = ClassConfig::default();
+        let synthetic = ClassSet::build(&topo, &tm, &cfg);
+        let policies = ClassSet::build_with_policies(&topo, &tm, &PolicySpec::example(), &cfg);
+        for classes in [synthetic, policies] {
+            let siblings = ecmp_siblings(&classes);
+            for class in &classes {
+                let (src, dst) = class.od_pair();
+                let paths = ksp::ecmp_paths(&topo.graph, src, dst, cfg.ecmp_limit).len();
+                assert_eq!(siblings[&sibling_key(class)], paths, "{}", class.id);
+            }
+        }
     }
 
     #[test]
@@ -1039,13 +808,7 @@ mod tests {
             dst_ports: Vec::new(),
         };
         let classes = ClassSet::from_classes(vec![class]);
-        let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let placement = OptimizationEngine::new(EngineConfig::default())
-            .place(&classes, &orch)
-            .unwrap();
-        let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
-        let prog =
-            super::generate_with(&topo, &classes, &plan, &placement, &mut orch, config).unwrap();
+        let prog = deploy(&topo, &classes, config);
         (classes, prog)
     }
 
@@ -1065,12 +828,11 @@ mod tests {
 
     #[test]
     fn rewriting_chain_breaks_without_global_tags() {
-        // The §X failure mode: prefix-matched vSwitch rules cannot match a
-        // NAT-rewritten packet when the NAT and a later stage sit at
-        // different hosts. With one class on a line topology the engine may
-        // co-locate both stages (in-host chaining dodges the problem), so
-        // assert the weaker, always-true statement: either the walk fails,
-        // or it only survived because every stage shared one host.
+        // The §X failure mode: every vSwitch rule after the NAT still
+        // matches on the class's source prefix, which the rewrite has just
+        // left — so even with both stages co-located, the rule steering the
+        // packet on from the NAT at the first host (switch 0) misses.
+        use apple_dataplane::walk::WalkError;
         let cfg = RuleGenConfig {
             global_tags: false,
             ..RuleGenConfig::default()
@@ -1078,24 +840,10 @@ mod tests {
         let (classes, prog) = nat_deployment(&cfg);
         let class = &classes.classes()[0];
         let p = Packet::new(class.src_prefix.0 | 1, class.dst_prefix.0 | 1, 1, 80, 6);
-        match prog.walker.walk(p, &class.path) {
-            Err(_) => {} // prefix classification broke downstream, as §X warns
-            Ok(rec) => {
-                let hosts: std::collections::BTreeSet<usize> = rec
-                    .instances
-                    .iter()
-                    .filter_map(|&id| {
-                        prog.assignment
-                            .entries()
-                            .find(|(_, &i)| i == id)
-                            .map(|_| 0usize)
-                    })
-                    .collect();
-                // All stages in one host: the packet never re-entered a
-                // prefix-matching rule after the rewrite.
-                assert!(hosts.len() <= 1, "walk should have failed across hosts");
-            }
-        }
+        assert_eq!(
+            prog.walker.walk(p, &class.path),
+            Err(WalkError::VSwitchNoMatch(0))
+        );
     }
 
     #[test]
@@ -1111,23 +859,11 @@ mod tests {
             },
         );
         let build_with = |compress: bool| {
-            let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-            let placement = OptimizationEngine::new(EngineConfig::default())
-                .place(&classes, &orch)
-                .unwrap();
-            let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
-            super::generate_with(
-                &topo,
-                &classes,
-                &plan,
-                &placement,
-                &mut orch,
-                &RuleGenConfig {
-                    compress_classification: compress,
-                    ..RuleGenConfig::default()
-                },
-            )
-            .unwrap()
+            let config = RuleGenConfig {
+                compress_classification: compress,
+                ..RuleGenConfig::default()
+            };
+            deploy(&topo, &classes, &config)
         };
         let on = build_with(true);
         let off = build_with(false);

@@ -223,12 +223,12 @@ fn apply_variant(mut spec: MatchSpec, variant: Variant) -> MatchSpec {
 /// `ingress` — the sub-classes whose path starts at this switch, in plan
 /// order.
 ///
-/// Mirrors the control-plane rule generator exactly: same priorities
-/// (host-match 10 000, exact classification `1000·specificity + 200`,
-/// catch-all `+150`, pass-by 0), same labels and same catch-all election
-/// (first sub-class with a strict maximum of prefix rules, kept only when
-/// it saves more than one rule). The election is per class and a class's
-/// sub-classes share its path, so every candidate is in `ingress`.
+/// Priorities: host-match 10 000, exact classification
+/// `1000·specificity + 200`, catch-all `+150`, pass-by 0. Catch-all
+/// election picks the first sub-class with a strict maximum of prefix
+/// rules, kept only when it saves more than one rule. The election is per
+/// class and a class's sub-classes share its path, so every candidate is
+/// in `ingress`.
 pub fn lower_switch<'a>(
     id: usize,
     has_host: bool,
@@ -263,6 +263,9 @@ pub fn lower_switch<'a>(
     for s in ingress {
         debug_assert_eq!(s.ingress(), id, "sub-class lowered at a foreign ingress");
         let first_pos = s.host_positions().first().copied();
+        // Specificity dominates the exact/catch-all split: a transport-
+        // specific class's catch-all still beats a same-pair wildcard
+        // class's exact rules.
         let specificity = s.specificity();
         let actions = match first_pos {
             Some(0) => vec![Action::SetSubclassTag(s.tag), Action::ForwardToHost],
@@ -331,6 +334,8 @@ pub fn lower_host<'a>(
     ordered.sort_by_key(|s| std::cmp::Reverse(s.specificity()));
     let mut rules = Vec::new();
     for s in ordered {
+        // Globally-tagged sub-classes match on the tag alone: their header
+        // prefixes stop being valid once the rewriting NF has run (§X).
         let base_spec = if s.global {
             MatchSpec::any()
         } else {
