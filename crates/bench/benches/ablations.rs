@@ -5,8 +5,7 @@
 //! * `aggregation` — optimisation time at per-flow-ish vs class
 //!   granularity (§IV-A's scalability argument),
 //! * `subclass_split` — consistent hashing vs prefix splitting
-//!   (sub-class derivation cost; rule-count impact is printed by `fig10`),
-//! * `consolidation` — the LP-guided descent's cost at increasing budgets.
+//!   (sub-class derivation cost; rule-count impact is printed by `fig10`).
 //!
 //! Telemetry snapshot: `target/telemetry/ablations.json`.
 
@@ -38,7 +37,6 @@ fn bench_lp_vs_exact(bench: &Bench) {
     for (label, exact) in [("lp_round", false), ("exact_bnb", true)] {
         let engine = OptimizationEngine::new(EngineConfig {
             exact,
-            consolidation_attempts: 0,
             ..Default::default()
         });
         bench.iter(&format!("lp_round_vs_exact.{label}"), || {
@@ -52,10 +50,7 @@ fn bench_aggregation(bench: &Bench) {
     // the optimisation input small.
     for classes_n in [10usize, 40, 132] {
         let (classes, orch) = small_problem(classes_n);
-        let engine = OptimizationEngine::new(EngineConfig {
-            consolidation_attempts: 0,
-            ..Default::default()
-        });
+        let engine = OptimizationEngine::new(EngineConfig::default());
         bench.iter(&format!("aggregation_granularity.{classes_n}"), || {
             engine.place(&classes, &orch).expect("feasible")
         });
@@ -77,27 +72,11 @@ fn bench_subclass_split(bench: &Bench) {
     }
 }
 
-fn bench_consolidation(bench: &Bench) {
-    let (classes, orch) = small_problem(30);
-    for attempts in [0usize, 8, 24] {
-        let engine = OptimizationEngine::new(EngineConfig {
-            consolidation_attempts: attempts,
-            ..Default::default()
-        });
-        bench.iter(&format!("consolidation_budget.{attempts}"), || {
-            engine.place(&classes, &orch).expect("feasible")
-        });
-    }
-}
-
 fn bench_global_vs_online(bench: &Bench) {
     use apple_core::online::OnlinePlacer;
     let (classes, orch) = small_problem(20);
     // Global: one engine run over all classes.
-    let engine = OptimizationEngine::new(EngineConfig {
-        consolidation_attempts: 0,
-        ..Default::default()
-    });
+    let engine = OptimizationEngine::new(EngineConfig::default());
     bench.iter("online_vs_global.global_batch", || {
         engine.place(&classes, &orch).expect("feasible")
     });
@@ -119,7 +98,6 @@ fn main() {
     bench_lp_vs_exact(&bench);
     bench_aggregation(&bench);
     bench_subclass_split(&bench);
-    bench_consolidation(&bench);
     bench_global_vs_online(&bench);
     bench.finish().expect("snapshot written");
 }

@@ -60,10 +60,7 @@ pub fn apple_config(kind: TopologyKind) -> AppleConfig {
             max_classes: class_budget(kind),
             ..Default::default()
         },
-        engine: EngineConfig {
-            consolidation_attempts: 24,
-            ..Default::default()
-        },
+        engine: EngineConfig::default(),
         host_cores: 64,
     }
 }

@@ -28,7 +28,7 @@ use apple_lp::{
 use apple_nf::{NfType, VnfSpec};
 use apple_telemetry::{Recorder, RecorderExt, NOOP};
 use apple_topology::NodeId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -79,12 +79,6 @@ pub struct EngineConfig {
     /// Maximum rounding-repair iterations when ceiling violates host
     /// resources.
     pub max_repair_rounds: usize,
-    /// Budget of consolidation candidates tried (certified or solved)
-    /// while trying to *decrement* under-utilised instances after ceiling
-    /// (LP-guided descent). Ceiling a degenerate LP can over-provision one
-    /// instance per touched (switch, NF); this pass claws those back. 0
-    /// disables it.
-    pub consolidation_attempts: usize,
     /// Simplex options forwarded to the LP solver.
     pub simplex: SimplexOptions,
 }
@@ -94,7 +88,6 @@ impl Default for EngineConfig {
         EngineConfig {
             exact: false,
             max_repair_rounds: 32,
-            consolidation_attempts: 24,
             simplex: SimplexOptions::default(),
         }
     }
@@ -250,14 +243,17 @@ impl ReducedPlacement {
     }
 }
 
+/// Instance counts `q` (or caps on them) by `(switch, NF index)`.
+type Counts = BTreeMap<(usize, usize), u32>;
+
 /// Whether instance counts are decision variables or fixed data.
 enum QMode<'a> {
     /// q are integer decision variables, optionally with extra upper
     /// bounds from the rounding-repair loop.
-    Variables(&'a BTreeMap<(usize, usize), u32>),
+    Variables(&'a Counts),
     /// q are constants; the model is a pure d-feasibility LP (used by the
     /// consolidation descent).
-    Fixed(&'a BTreeMap<(usize, usize), u32>),
+    Fixed(&'a Counts),
 }
 
 impl OptimizationEngine {
@@ -326,9 +322,8 @@ impl OptimizationEngine {
             return Err(EngineError::NoClasses);
         }
         let start = Instant::now();
-        let no_caps = BTreeMap::new();
-
-        if self.config.exact {
+        let (q, d, sol) = if self.config.exact {
+            let no_caps = BTreeMap::new();
             let (model, vmap) = {
                 let _s = rec.span("engine.build");
                 self.build_model(classes, orch, QMode::Variables(&no_caps))
@@ -339,25 +334,41 @@ impl OptimizationEngine {
                 ..BranchConfig::default()
             })?;
             sol.stats().record(rec, "lp");
-            let placement = self.extract(
-                classes,
-                &vmap,
-                sol.values(),
-                sol.objective(),
-                start,
-                sol.stats().pivots,
-            );
-            rec.gauge("engine.rounding_gap", placement.rounding_gap());
-            rec.gauge("engine.lp_objective", placement.lp_objective());
-            rec.gauge(
-                "engine.total_instances",
-                f64::from(placement.total_instances()),
-            );
-            return Ok(placement);
-        }
+            let q = vmap
+                .q_vars
+                .iter()
+                .map(|(&key, &var)| (key, (sol.value(var) - 1e-9).ceil().max(0.0) as u32))
+                .collect();
+            (q, d_grid(&vmap, sol.values()), sol)
+        } else {
+            let (q_ceil, sol, vmap) = self.relax_and_round(classes, orch, rec, cache)?;
+            let _s = rec.span("engine.consolidate");
+            let d = d_grid(&vmap, sol.values());
+            let (q, d) = self.consolidate(classes, orch, q_ceil, d, rec, cache);
+            (q, d, sol)
+        };
+        let placement = assemble(classes, &q, &d, sol.objective(), start, sol.stats().pivots);
+        rec.gauge("engine.rounding_gap", placement.rounding_gap());
+        rec.gauge("engine.lp_objective", placement.lp_objective());
+        rec.gauge(
+            "engine.total_instances",
+            f64::from(placement.total_instances()),
+        );
+        Ok(placement)
+    }
 
-        // LP relaxation + ceiling + resource repair.
-        let mut extra_caps: BTreeMap<(usize, usize), u32> = BTreeMap::new();
+    /// LP relaxation + ceiling + resource repair: solves the q-eliminated
+    /// relaxation and ceils its `q`; while that overshoots a live host,
+    /// caps the offending `q` ([`tighten_caps`]) and solves again. Returns
+    /// the ceiled counts with the lifted relaxation they came from.
+    fn relax_and_round(
+        &self,
+        classes: &ClassSet,
+        orch: &ResourceOrchestrator,
+        rec: &dyn Recorder,
+        cache: &mut WarmCache,
+    ) -> Result<(Counts, Solution, VarMap), EngineError> {
+        let mut extra_caps: Counts = BTreeMap::new();
         for _round in 0..=self.config.max_repair_rounds {
             let reduced = {
                 let _s = rec.span("engine.build");
@@ -367,108 +378,58 @@ impl OptimizationEngine {
                 let _s = rec.span("engine.solve");
                 reduced.lift(&self.solve_blocks(&reduced.model, cache, rec)?)
             };
-            let vmap = &reduced.vmap;
-            let lp_obj = sol.objective();
-            let round_span = rec.span("engine.round");
-            let q_ceil = ceil_q(&sol, vmap);
+            let _s = rec.span("engine.round");
+            let q_ceil = ceil_q(&sol, &reduced.vmap);
             let violations = violated_hosts(orch, &q_ceil);
             if violations.is_empty() {
-                drop(round_span);
-                let pivots = sol.stats().pivots;
-                // LP-guided descent: try to decrement under-utilised
-                // instances while a d-feasibility LP still succeeds.
-                let (q_final, d_values, d_vmap) = {
-                    let _s = rec.span("engine.consolidate");
-                    self.consolidate(classes, orch, q_ceil, &sol, vmap, rec, cache)
-                };
-                let mut placement = match (d_values, d_vmap) {
-                    (Some(values), Some(vm)) => {
-                        self.extract(classes, &vm, &values, lp_obj, start, pivots)
-                    }
-                    _ => self.extract(classes, vmap, sol.values(), lp_obj, start, pivots),
-                };
-                placement.q = q_final
-                    .into_iter()
-                    .filter(|(_, c)| *c > 0)
-                    .map(|((v, nf_idx), c)| ((v, NfType::from_index(nf_idx)), c))
-                    .collect();
-                placement.total_instances = placement.q.values().sum();
-                placement.solve_time = start.elapsed();
-                rec.gauge("engine.rounding_gap", placement.rounding_gap());
-                rec.gauge("engine.lp_objective", placement.lp_objective());
-                rec.gauge(
-                    "engine.total_instances",
-                    f64::from(placement.total_instances()),
-                );
-                return Ok(placement);
+                return Ok((q_ceil, sol, reduced.vmap));
             }
             rec.counter("engine.repair_rounds", 1);
-            tighten_caps(orch, &violations, &q_ceil, &sol, vmap, &mut extra_caps)?;
+            tighten_caps(
+                orch,
+                &violations,
+                &q_ceil,
+                &sol,
+                &reduced.vmap,
+                &mut extra_caps,
+            )?;
         }
         // Repair budget exhausted.
         Err(EngineError::Infeasible)
     }
 
-    /// LP-guided descent: repeatedly try to remove the least-utilised
-    /// instance; keep a removal whenever the d-only feasibility LP still
-    /// succeeds. A candidate the max-flow certificate ([`certify_reject`])
-    /// proves infeasible fails without building or solving its LP; the
-    /// rest are solved under an `engine.consolidate.lp` span. Returns the
-    /// final counts and, when any removal happened, the matching d
-    /// solution.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)] // internal plumbing
+    /// Consolidation descent, run to its fixed point: repeatedly try to
+    /// remove one instance from the least-utilised (switch, NF) and keep
+    /// the removal whenever the fixed-`q` model still has a `d`
+    /// (DESIGN.md §8, *Consolidation certificates*). Each candidate is
+    /// decided by the max-flow reject certificate ([`certify_reject`]),
+    /// else by the re-routing accept certificate ([`certify_accept`]),
+    /// else by the fixed-`q` LP under an `engine.consolidate.lp` span. A
+    /// key whose candidate fails is never tried again: removals only shrink
+    /// `q`, so that candidate stays infeasible. Returns the final counts
+    /// and a `d` feasible for them.
     fn consolidate(
         &self,
         classes: &ClassSet,
         orch: &ResourceOrchestrator,
-        mut q: BTreeMap<(usize, usize), u32>,
-        lp_sol: &apple_lp::Solution,
-        vmap: &VarMap,
+        mut q: Counts,
+        mut d: Vec<Vec<f64>>,
         rec: &dyn Recorder,
         cache: &mut WarmCache,
-    ) -> (
-        BTreeMap<(usize, usize), u32>,
-        Option<Vec<f64>>,
-        Option<VarMap>,
-    ) {
-        let mut budget = self.config.consolidation_attempts;
-        if budget == 0 {
-            return (q, None, None);
-        }
-        // Current d accessor (starts from the relaxation's d).
-        let mut d_values: Option<Vec<f64>> = None;
-        let mut d_map: Option<VarMap> = None;
-        let d_of = |values: &[f64], vm: &VarMap, h: usize, i: usize, clen: usize, j: usize| {
-            values[vm.d_vars[h][i * clen + j].index()]
-        };
-
-        loop {
-            // Utilisation per (v, nf) under the current d.
-            let mut load: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-            for (h, c) in classes.iter().enumerate() {
-                let clen = c.chain.len();
-                for (i, node) in c.path.iter().enumerate() {
-                    for (j, nf) in c.chain.nfs().iter().enumerate() {
-                        let d = match (&d_values, &d_map) {
-                            (Some(vals), Some(vm)) => d_of(vals, vm, h, i, clen, j),
-                            _ => d_of(lp_sol.values(), vmap, h, i, clen, j),
-                        };
-                        if d > 1e-9 {
-                            *load.entry((node.0, nf.index())).or_insert(0.0) += c.rate_mbps * d;
-                        }
-                    }
-                }
-            }
+    ) -> (Counts, Vec<Vec<f64>>) {
+        let mut failed = BTreeSet::new();
+        'descent: loop {
+            let load = loads(classes, &d);
             // Candidates: q > 0, sorted by utilisation ascending.
-            // Only instances with visible slack are worth a feasibility
-            // solve; a nearly-full instance cannot be removed.
+            // Only instances with visible slack are worth a decision; a
+            // nearly-full instance cannot be removed.
             // Utilisation is quantised to 1e-6 before filtering/sorting so
             // that sub-tolerance float noise cannot reorder candidates (the
             // sort is stable, so quantised ties keep deterministic BTreeMap
             // key order).
             let mut cands: Vec<((usize, usize), f64)> = q
                 .iter()
-                .filter(|(_, &c)| c > 0)
+                .filter(|&(key, &c)| c > 0 && !failed.contains(key))
                 .filter_map(|(&key, &c)| {
                     let cap = VnfSpec::of(NfType::from_index(key.1)).capacity_mbps * f64::from(c);
                     let util =
@@ -478,48 +439,43 @@ impl OptimizationEngine {
                 .collect();
             cands.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
 
-            let mut improved = false;
-            let mut failures = 0;
-            // `failures` counts only unsuccessful candidates (not
-            // iterations), so enumerate() would change the early-stop
-            // semantics.
-            #[allow(clippy::explicit_counter_loop)]
             for (key, _) in cands {
-                if budget == 0 || failures >= 4 {
-                    break;
-                }
-                budget -= 1;
                 let mut q_try = q.clone();
                 *q_try.get_mut(&key).expect("candidate exists") -= 1;
-                let certified = certify_reject(classes, &q_try, key.1);
+                let rejected = certify_reject(classes, &q_try, key.1);
+                let accepted = (!rejected)
+                    .then(|| certify_accept(classes, &q_try, &d, &load, key))
+                    .flatten();
                 #[cfg(test)]
-                self.oracle_check(classes, orch, &q_try, certified);
-                if certified {
-                    rec.counter("engine.consolidation_certified", 1);
-                    failures += 1;
-                    continue;
-                }
-                rec.counter("engine.consolidation_solves", 1);
-                let solved = {
-                    let _s = rec.span("engine.consolidate.lp");
-                    let (model, vm) = self.build_model(classes, orch, QMode::Fixed(&q_try));
-                    self.solve_blocks(&model, cache, rec).map(|sol| (sol, vm))
+                self.oracle_check(classes, orch, &q_try, rejected, accepted.as_deref());
+                let next = match (rejected, accepted) {
+                    (true, _) => {
+                        rec.counter("engine.consolidation_certified", 1);
+                        None
+                    }
+                    (false, Some(d)) => {
+                        rec.counter("engine.consolidation_accepted", 1);
+                        Some(d)
+                    }
+                    (false, None) => {
+                        rec.counter("engine.consolidation_solves", 1);
+                        let _s = rec.span("engine.consolidate.lp");
+                        let (model, vm) = self.build_model(classes, orch, QMode::Fixed(&q_try));
+                        let solved = self.solve_blocks(&model, cache, rec);
+                        solved.ok().map(|sol| d_grid(&vm, sol.values()))
+                    }
                 };
-                if let Ok((sol, vm)) = solved {
-                    rec.counter("engine.consolidation_removed", 1);
-                    q = q_try;
-                    d_values = Some(sol.values().to_vec());
-                    d_map = Some(vm);
-                    improved = true;
-                    break;
-                }
-                failures += 1;
+                let Some(next) = next else {
+                    failed.insert(key);
+                    continue;
+                };
+                rec.counter("engine.consolidation_removed", 1);
+                q = q_try;
+                d = next;
+                continue 'descent;
             }
-            if !improved || budget == 0 {
-                break;
-            }
+            return (q, d);
         }
-        (q, d_values, d_map)
     }
 
     /// Serialises the Eq. (1)–(8) model for this input in CPLEX LP format
@@ -649,7 +605,7 @@ impl OptimizationEngine {
         &self,
         classes: &ClassSet,
         orch: &ResourceOrchestrator,
-        extra_caps: &BTreeMap<(usize, usize), u32>,
+        extra_caps: &Counts,
     ) -> ReducedPlacement {
         // Full-layout twin: q then d, identical to `build_model` but
         // without constraint rows — it prices and indexes lifted vectors.
@@ -774,46 +730,6 @@ impl OptimizationEngine {
         sol.stats().record(rec, "lp");
         Ok(sol)
     }
-
-    fn extract(
-        &self,
-        classes: &ClassSet,
-        vmap: &VarMap,
-        values: &[f64],
-        lp_objective: f64,
-        start: Instant,
-        pivots: usize,
-    ) -> Placement {
-        let mut q = BTreeMap::new();
-        for (&(v, nf_idx), &var) in &vmap.q_vars {
-            let val = values[var.index()];
-            let count = (val - 1e-9).ceil().max(0.0) as u32;
-            if count > 0 {
-                q.insert((v, NfType::from_index(nf_idx)), count);
-            }
-        }
-        let mut d = BTreeMap::new();
-        for (h, c) in classes.iter().enumerate() {
-            let clen = c.chain.len();
-            for i in 0..c.path.len() {
-                for j in 0..clen {
-                    let val = values[vmap.d_vars[h][i * clen + j].index()];
-                    if val > 1e-9 {
-                        d.insert((h, i, j), val.min(1.0));
-                    }
-                }
-            }
-        }
-        let total_instances = q.values().sum();
-        Placement {
-            q,
-            d,
-            total_instances,
-            lp_objective,
-            solve_time: start.elapsed(),
-            pivots,
-        }
-    }
 }
 
 /// One `q[v][n]` column of Eq. (1)–(8).
@@ -832,23 +748,25 @@ struct QColumn {
 fn q_columns(
     classes: &ClassSet,
     orch: &ResourceOrchestrator,
-    extra_caps: &BTreeMap<(usize, usize), u32>,
+    extra_caps: &Counts,
 ) -> BTreeMap<(usize, usize), QColumn> {
-    // Switch popularity (total class rate crossing each switch). The pure
+    // Switch popularity (number of classes crossing each switch). The pure
     // Σq objective is heavily degenerate — any spatial spread of d is
     // LP-optimal — so rounding a scattered solution pays a ceil at every
     // touched (v, n). A tiny popularity-decreasing surcharge on q breaks
     // the ties toward concentrating load at shared switches, which is
     // exactly the multiplexing that beats the ingress strawman; the
     // surcharge (≤ 1e-3 per instance) is far too small to distort the
-    // instance count itself.
-    let mut popularity: BTreeMap<usize, f64> = BTreeMap::new();
+    // instance count itself. Popularity counts classes, not their rates:
+    // a traffic change then re-prices no block, and a re-solve answers
+    // every class whose rate held from the warm cache.
+    let mut popularity: BTreeMap<usize, usize> = BTreeMap::new();
     for c in classes {
         for node in c.path.iter() {
-            *popularity.entry(node.0).or_insert(0.0) += c.rate_mbps;
+            *popularity.entry(node.0).or_insert(0) += 1;
         }
     }
-    let max_pop = popularity.values().copied().fold(1.0, f64::max);
+    let max_pop = popularity.values().copied().max().unwrap_or(1) as f64;
 
     let mut columns = BTreeMap::new();
     for c in classes {
@@ -869,7 +787,8 @@ fn q_columns(
                     if let Some(&cap) = extra_caps.get(&(v, nf.index())) {
                         ub = ub.min(f64::from(cap));
                     }
-                    let surcharge = 1e-3 * (1.0 - popularity[&v] / max_pop) + 1e-6 * (v as f64);
+                    let surcharge =
+                        1e-3 * (1.0 - popularity[&v] as f64 / max_pop) + 1e-6 * (v as f64);
                     QColumn {
                         ub,
                         price: 1.0 + surcharge,
@@ -918,7 +837,7 @@ fn add_chain_rows(model: &mut Model, classes: &ClassSet, d_vars: &[Vec<Var>]) {
 /// a float sum of d terms, and a q sitting exactly on an integer must not
 /// ceil differently because one pivot sequence landed at 3−1e−12 and
 /// another at 3+1e−12.
-fn ceil_q(sol: &Solution, vmap: &VarMap) -> BTreeMap<(usize, usize), u32> {
+fn ceil_q(sol: &Solution, vmap: &VarMap) -> Counts {
     vmap.q_vars
         .iter()
         .map(|(&key, &var)| {
@@ -928,13 +847,72 @@ fn ceil_q(sol: &Solution, vmap: &VarMap) -> BTreeMap<(usize, usize), u32> {
         .collect()
 }
 
+/// The `d` values of a solution as per-class `|P_h| × |C_h|` row-major
+/// grids, `d[h][i·|C_h| + j]`.
+fn d_grid(vmap: &VarMap, values: &[f64]) -> Vec<Vec<f64>> {
+    vmap.d_vars
+        .iter()
+        .map(|grid| grid.iter().map(|var| values[var.index()]).collect())
+        .collect()
+}
+
+/// Packs final counts and `d` grids into a [`Placement`].
+fn assemble(
+    classes: &ClassSet,
+    q: &Counts,
+    d: &[Vec<f64>],
+    lp_objective: f64,
+    start: Instant,
+    pivots: usize,
+) -> Placement {
+    let q: BTreeMap<(usize, NfType), u32> = q
+        .iter()
+        .filter(|(_, &c)| c > 0)
+        .map(|(&(v, nf_idx), &c)| ((v, NfType::from_index(nf_idx)), c))
+        .collect();
+    let mut d_map = BTreeMap::new();
+    for (h, (c, grid)) in classes.iter().zip(d).enumerate() {
+        let clen = c.chain.len();
+        for (k, &val) in grid.iter().enumerate() {
+            if val > 1e-9 {
+                d_map.insert((h, k / clen, k % clen), val.min(1.0));
+            }
+        }
+    }
+    Placement {
+        total_instances: q.values().sum(),
+        q,
+        d: d_map,
+        lp_objective,
+        solve_time: start.elapsed(),
+        pivots,
+    }
+}
+
+/// The `(switch, NF index)` that entry `k = i·|C_h| + j` of class `c`'s
+/// `d` grid loads.
+fn grid_key(c: &EquivalenceClass, k: usize) -> (usize, usize) {
+    let clen = c.chain.len();
+    (c.path.nodes()[k / clen].0, c.chain.nfs()[k % clen].index())
+}
+
+/// Offered load `Σ_h T_h·d[h][i][j]` per `(switch, NF index)` under `d`.
+fn loads(classes: &ClassSet, d: &[Vec<f64>]) -> BTreeMap<(usize, usize), f64> {
+    let mut load = BTreeMap::new();
+    for (c, grid) in classes.iter().zip(d) {
+        for (k, &share) in grid.iter().enumerate() {
+            if share > 0.0 {
+                *load.entry(grid_key(c, k)).or_insert(0.0) += c.rate_mbps * share;
+            }
+        }
+    }
+    load
+}
+
 /// Live hosts whose resources the ceiled counts exceed. Down hosts carry
 /// no instances (their q upper bound is zero), so only live hosts can be
 /// violated.
-fn violated_hosts(
-    orch: &ResourceOrchestrator,
-    q_ceil: &BTreeMap<(usize, usize), u32>,
-) -> Vec<usize> {
+fn violated_hosts(orch: &ResourceOrchestrator, q_ceil: &Counts) -> Vec<usize> {
     let mut violations = Vec::new();
     for (&v, host) in orch.hosts().iter().filter(|(_, h)| h.up) {
         let mut used = apple_nf::ResourceVector::zero();
@@ -963,10 +941,10 @@ fn violated_hosts(
 fn tighten_caps(
     orch: &ResourceOrchestrator,
     violations: &[usize],
-    q_ceil: &BTreeMap<(usize, usize), u32>,
+    q_ceil: &Counts,
     sol: &Solution,
     vmap: &VarMap,
-    extra_caps: &mut BTreeMap<(usize, usize), u32>,
+    extra_caps: &mut Counts,
 ) -> Result<(), EngineError> {
     for &v in violations {
         let host_caps = orch.hosts().get(&v).map(|h| h.capacity.cores).unwrap_or(0);
@@ -1029,7 +1007,7 @@ fn tighten_caps(
 /// margin (1e-6 of the demand) is far looser than the simplex's phase-1
 /// tolerance, so a borderline candidate falls through to the LP instead
 /// of becoming a wrong reject.
-fn certify_reject(classes: &ClassSet, q: &BTreeMap<(usize, usize), u32>, nf: usize) -> bool {
+fn certify_reject(classes: &ClassSet, q: &Counts, nf: usize) -> bool {
     let nf = NfType::from_index(nf);
     let count = |v: NodeId, n: NfType| q.get(&(v.0, n.index())).copied().unwrap_or(0);
     let cap = VnfSpec::of(nf).capacity_mbps;
@@ -1098,36 +1076,149 @@ fn stage_window(
     lo..=hi
 }
 
+/// Accept certificate for one consolidation candidate (DESIGN.md §8,
+/// *Consolidation certificates*): `Some(d')` is a `d` that satisfies the
+/// fixed-`q` model for `q`, which proves the candidate feasible; `None`
+/// decides nothing.
+///
+/// `q` has one instance fewer at `key` than the counts `d` is feasible for
+/// (`load` is `d`'s [`loads`]). Holding every other class fixed, it moves
+/// the classes that use `key` off it one at a time, the largest load at
+/// `key` first, each by a max-flow over that class's layered chain graph
+/// ([`reroute`]), and accepts as soon as `key` fits `Cap_n · q[key]`.
+/// Zero-rate classes load nothing and are not moved.
+fn certify_accept(
+    classes: &ClassSet,
+    q: &Counts,
+    d: &[Vec<f64>],
+    load: &BTreeMap<(usize, usize), f64>,
+    key: (usize, usize),
+) -> Option<Vec<Vec<f64>>> {
+    let limit = |k: &(usize, usize)| {
+        let count = q.get(k).copied().unwrap_or(0);
+        VnfSpec::of(NfType::from_index(k.1)).capacity_mbps * f64::from(count)
+    };
+    let fits = |load: &BTreeMap<(usize, usize), f64>| {
+        load.get(&key).copied().unwrap_or(0.0) <= limit(&key) + 1e-9
+    };
+    let nf = NfType::from_index(key.1);
+    let mut users: Vec<(usize, f64)> = classes
+        .iter()
+        .enumerate()
+        .filter_map(|(h, c)| {
+            let i = c.path.index_of(NodeId(key.0))?;
+            let j = c.chain.position(nf)?;
+            let share = c.rate_mbps * d[h][i * c.chain.len() + j];
+            (share > 0.0).then_some((h, share))
+        })
+        .collect();
+    users.sort_by(|a, b| b.1.total_cmp(&a.1));
+
+    let mut load = load.clone();
+    let mut d = d.to_vec();
+    for (h, _) in users {
+        if fits(&load) {
+            break;
+        }
+        let c = &classes.classes()[h];
+        let Some(grid) = reroute(c, &d[h], &load, limit) else {
+            continue;
+        };
+        for (k, (&old, &new)) in d[h].iter().zip(&grid).enumerate() {
+            *load.entry(grid_key(c, k)).or_insert(0.0) += c.rate_mbps * (new - old);
+        }
+        d[h] = grid;
+    }
+    fits(&load).then_some(d)
+}
+
+/// Re-routes class `c`, whose current `d` grid is `grid`, through its
+/// layered chain graph, with every other class's load held fixed. Node
+/// `(j, i)` is stage `j` at path position `i`; its capacity is the residual
+/// of `(path_i, chain_j)` under `limit`, after the class's own load is
+/// released, divided by `T_h`. Edges run source → `(0, i)`, `(j, i)` →
+/// `(j+1, i')` for every `i' ≥ i`, and `(last, i)` → sink. A unit flow
+/// splits into monotone paths, so the flow through each node is a grid
+/// that satisfies Eq. (3)/(4), and the node capacities keep Eq. (5).
+/// `None` when less than the whole class fits.
+fn reroute(
+    c: &EquivalenceClass,
+    grid: &[f64],
+    load: &BTreeMap<(usize, usize), f64>,
+    limit: impl Fn(&(usize, usize)) -> f64,
+) -> Option<Vec<f64>> {
+    let (plen, clen) = (c.path.len(), c.chain.len());
+    // Nodes: 0 source, 1 unit gate, 2 sink; stage node k = i·clen + j is
+    // split into `inn(k)` → `out(k)`, and that edge is edge `1 + k`.
+    let inn = |k: usize| 3 + 2 * k;
+    let out = |k: usize| 4 + 2 * k;
+    let mut edges = vec![(0, 1, 1.0)];
+    for (k, &share) in grid.iter().enumerate() {
+        let key = grid_key(c, k);
+        let others = load.get(&key).copied().unwrap_or(0.0) - c.rate_mbps * share;
+        let room = (limit(&key) - others) / c.rate_mbps;
+        edges.push((inn(k), out(k), room.max(0.0)));
+    }
+    for i in 0..plen {
+        edges.push((1, inn(i * clen), f64::INFINITY));
+        edges.push((out(i * clen + clen - 1), 2, f64::INFINITY));
+        for j in 0..clen - 1 {
+            for i2 in i..plen {
+                edges.push((out(i * clen + j), inn(i2 * clen + j + 1), f64::INFINITY));
+            }
+        }
+    }
+    let (total, flow) = max_flow(3 + 2 * plen * clen, &edges, 0, 2);
+    (total >= 1.0 - 1e-9).then(|| flow[1..=plen * clen].to_vec())
+}
+
 /// Maximum flow of a bipartite transportation network: source → demand
 /// `k` (capacity `demands[k].0`) → each sink in `demands[k].1` (unbounded)
-/// → target (capacity `sink_caps[s]`). Edmonds–Karp on a residual edge
-/// list; residuals within 1e-12 of the total demand count as saturated.
+/// → target (capacity `sink_caps[s]`).
 fn transport_flow(demands: &[(f64, Vec<usize>)], sink_caps: &[f64]) -> f64 {
     let n = demands.len() + sink_caps.len() + 2;
-    let (source, target) = (0, n - 1);
     let sink = |s: usize| 1 + demands.len() + s;
-    // Residual capacities; edge `e ^ 1` is the reverse of edge `e`.
-    let mut to = Vec::new();
-    let mut residual = Vec::new();
+    let mut edges = Vec::new();
+    for (k, (rate, sinks)) in demands.iter().enumerate() {
+        edges.push((0, 1 + k, *rate));
+        edges.extend(sinks.iter().map(|&s| (1 + k, sink(s), f64::INFINITY)));
+    }
+    for (s, &cap) in sink_caps.iter().enumerate() {
+        edges.push((sink(s), n - 1, cap));
+    }
+    max_flow(n, &edges, 0, n - 1).0
+}
+
+/// Maximum flow from `source` to `target` over the directed edges
+/// `(from, to, capacity)` on nodes `0..n`: Edmonds–Karp on a residual edge
+/// list. Returns the flow value and the flow on each edge. Residuals
+/// within 1e-12 of the finite capacity leaving the source count as
+/// saturated.
+fn max_flow(
+    n: usize,
+    edges: &[(usize, usize, f64)],
+    source: usize,
+    target: usize,
+) -> (f64, Vec<f64>) {
+    // Residual capacities; edge `e ^ 1` is the reverse of edge `e`, and the
+    // reverse residual of input edge `e` is the flow on it.
+    let mut to = Vec::with_capacity(2 * edges.len());
+    let mut residual = Vec::with_capacity(2 * edges.len());
     let mut adj = vec![Vec::new(); n];
-    let mut add = |a: usize, b: usize, cap: f64| {
+    for &(a, b, cap) in edges {
         adj[a].push(to.len());
         to.push(b);
         residual.push(cap);
         adj[b].push(to.len());
         to.push(a);
         residual.push(0.0);
-    };
-    for (k, (rate, sinks)) in demands.iter().enumerate() {
-        add(source, 1 + k, *rate);
-        for &s in sinks {
-            add(1 + k, sink(s), f64::INFINITY);
-        }
     }
-    for (s, &cap) in sink_caps.iter().enumerate() {
-        add(sink(s), target, cap);
-    }
-    let eps = 1e-12 * demands.iter().map(|d| d.0).sum::<f64>().max(1.0);
+    let out_of_source: f64 = edges
+        .iter()
+        .filter(|e| e.0 == source && e.2.is_finite())
+        .map(|e| e.2)
+        .sum();
+    let eps = 1e-12 * out_of_source.max(1.0);
     let mut flow = 0.0;
     loop {
         // Shortest augmenting path by BFS; `via[b]` is the edge into `b`.
@@ -1143,7 +1234,8 @@ fn transport_flow(demands: &[(f64, Vec<usize>)], sink_caps: &[f64]) -> f64 {
             }
         }
         if via[target] == usize::MAX {
-            return flow;
+            let per_edge = (0..edges.len()).map(|e| residual[2 * e + 1]).collect();
+            return (flow, per_edge);
         }
         let mut push = f64::INFINITY;
         let mut b = target;
@@ -1161,14 +1253,27 @@ fn transport_flow(demands: &[(f64, Vec<usize>)], sink_caps: &[f64]) -> f64 {
     }
 }
 
+/// One consolidation candidate as the test-only oracle saw it.
+#[cfg(test)]
+#[derive(Debug)]
+struct OracleVerdict {
+    /// [`certify_reject`] proved the candidate infeasible.
+    rejected: bool,
+    /// When [`certify_accept`] accepted it: the largest violation of the
+    /// fixed-`q` model by the patched `d`.
+    accept_violation: Option<f64>,
+    /// The fixed-`q` LP found a `d`.
+    lp_feasible: bool,
+}
+
 #[cfg(test)]
 thread_local! {
-    /// Test-only oracle for [`certify_reject`]: while armed on the current
+    /// Test-only oracle for both certificates: while armed on the current
     /// thread, every consolidation candidate's fixed-`q` LP is solved as
     /// well (cache-free, so the descent's warm cache is untouched) and its
-    /// `(certified, lp_feasible)` verdict pair is logged. The certificate
-    /// stays in charge of the descent.
-    static ORACLE: std::cell::RefCell<Option<Vec<(bool, bool)>>> =
+    /// [`OracleVerdict`] is logged. The certificates stay in charge of the
+    /// descent.
+    static ORACLE: std::cell::RefCell<Option<Vec<OracleVerdict>>> =
         const { std::cell::RefCell::new(None) };
 }
 
@@ -1178,16 +1283,41 @@ impl OptimizationEngine {
         &self,
         classes: &ClassSet,
         orch: &ResourceOrchestrator,
-        q_try: &BTreeMap<(usize, usize), u32>,
-        certified: bool,
+        q_try: &Counts,
+        rejected: bool,
+        accepted: Option<&[Vec<f64>]>,
     ) {
         ORACLE.with(|log| {
             if let Some(log) = log.borrow_mut().as_mut() {
                 let (model, _) = self.build_model(classes, orch, QMode::Fixed(q_try));
-                let feasible = solve_decomposed(&model, &self.config.simplex, None).is_ok();
-                log.push((certified, feasible));
+                let lp_feasible = solve_decomposed(&model, &self.config.simplex, None).is_ok();
+                let accept_violation =
+                    accepted.map(|d| self.fixed_q_violation(classes, orch, q_try, d));
+                log.push(OracleVerdict {
+                    rejected,
+                    accept_violation,
+                    lp_feasible,
+                });
             }
         });
+    }
+
+    /// Largest violation of the fixed-`q` model for `q` by the `d` grids.
+    fn fixed_q_violation(
+        &self,
+        classes: &ClassSet,
+        orch: &ResourceOrchestrator,
+        q: &Counts,
+        d: &[Vec<f64>],
+    ) -> f64 {
+        let (model, vm) = self.build_model(classes, orch, QMode::Fixed(q));
+        let mut x = vec![0.0; model.var_count()];
+        for (vars, grid) in vm.d_vars.iter().zip(d) {
+            for (var, &val) in vars.iter().zip(grid) {
+                x[var.index()] = val;
+            }
+        }
+        model.max_violation(&x)
     }
 }
 
@@ -1468,18 +1598,14 @@ mod tests {
     }
 
     /// Fixed counts from `(switch, NF, count)` triples.
-    fn counts(entries: &[(usize, NfType, u32)]) -> BTreeMap<(usize, usize), u32> {
+    fn counts(entries: &[(usize, NfType, u32)]) -> Counts {
         entries
             .iter()
             .map(|&(v, nf, c)| ((v, nf.index()), c))
             .collect()
     }
 
-    fn lp_feasible(
-        classes: &ClassSet,
-        orch: &ResourceOrchestrator,
-        q: &BTreeMap<(usize, usize), u32>,
-    ) -> bool {
+    fn lp_feasible(classes: &ClassSet, orch: &ResourceOrchestrator, q: &Counts) -> bool {
         let engine = OptimizationEngine::default();
         let (model, _) = engine.build_model(classes, orch, QMode::Fixed(q));
         solve_decomposed(&model, &engine.config.simplex, None).is_ok()
@@ -1566,8 +1692,8 @@ mod tests {
     }
 
     /// Runs `work` with the certificate oracle armed and returns every
-    /// consolidation candidate's `(certified, lp_feasible)` pair.
-    fn oracle_verdicts(work: impl FnOnce()) -> Vec<(bool, bool)> {
+    /// consolidation candidate's verdicts.
+    fn oracle_verdicts(work: impl FnOnce()) -> Vec<OracleVerdict> {
         ORACLE.with(|log| *log.borrow_mut() = Some(Vec::new()));
         work();
         ORACLE.with(|log| log.borrow_mut().take()).expect("armed")
@@ -1602,12 +1728,16 @@ mod tests {
         assert!(looper.resolves() > 0);
     }
 
-    /// The reject certificate never disagrees with the LP it replaces: no
-    /// certified candidate is LP-feasible, on every scenario family the
-    /// relaxation oracle uses plus GEANT and AS-3679. On Internet2 it must
-    /// also catch most of the LP's rejects, or it saves nothing.
+    /// Neither certificate ever disagrees with the LP it replaces: no
+    /// certified reject is LP-feasible, and every certified accept's
+    /// patched `d` satisfies the fixed-`q` model to within 1e-6, on every
+    /// scenario family the relaxation oracle uses plus GEANT and AS-3679.
+    /// Every final placement passes [`verify_placement`]. On Internet2 the
+    /// reject certificate must also catch most of the LP's rejects, or it
+    /// saves nothing, and the accept certificate must decide some accepts.
     #[test]
-    fn certified_rejects_are_lp_infeasible() {
+    fn consolidation_certificates_agree_with_the_lp() {
+        use crate::verify::verify_placement;
         let internet2 = zoo::internet2();
         let orch = ResourceOrchestrator::with_uniform_hosts(&internet2, 64);
         let mut scenarios = Vec::new();
@@ -1636,24 +1766,41 @@ mod tests {
         down.fail_host(busy).expect("host up");
         scenarios.push(("internet2 host down".into(), classes, down));
 
-        let (mut rejects, mut caught) = (0, 0);
-        let mut check = |name: &str, verdicts: Vec<(bool, bool)>| {
-            assert!(
-                !verdicts.contains(&(true, true)),
-                "{name}: certified a feasible candidate: {verdicts:?}"
-            );
+        let (mut rejects, mut caught, mut accepts) = (0, 0, 0);
+        let mut check = |name: &str, verdicts: Vec<OracleVerdict>| {
+            for v in &verdicts {
+                assert!(
+                    !(v.rejected && v.lp_feasible),
+                    "{name}: certified a feasible candidate infeasible: {v:?}"
+                );
+                if let Some(violation) = v.accept_violation {
+                    assert!(
+                        violation <= 1e-6 && v.lp_feasible,
+                        "{name}: wrong accept: {v:?}"
+                    );
+                }
+            }
             if name.starts_with("internet2") {
-                rejects += verdicts.iter().filter(|v| !v.1).count();
-                caught += verdicts.iter().filter(|v| v.0).count();
+                rejects += verdicts.iter().filter(|v| !v.lp_feasible).count();
+                caught += verdicts.iter().filter(|v| v.rejected).count();
+                accepts += verdicts
+                    .iter()
+                    .filter(|v| v.accept_violation.is_some())
+                    .count();
             }
         };
         for (name, classes, orch) in &scenarios {
+            let mut placement = None;
             let verdicts = oracle_verdicts(|| {
-                OptimizationEngine::default()
-                    .place(classes, orch)
-                    .expect("placement");
+                placement = Some(
+                    OptimizationEngine::default()
+                        .place(classes, orch)
+                        .expect("placement"),
+                );
             });
             check(name, verdicts);
+            let violations = verify_placement(classes, &placement.unwrap(), orch, 1e-6);
+            assert!(violations.is_empty(), "{name}: {violations:?}");
         }
         check(
             "internet2 online re-solves",
@@ -1664,6 +1811,115 @@ mod tests {
             caught as f64 >= 0.85 * rejects as f64,
             "Internet2: caught {caught} of {rejects} LP rejects"
         );
+        assert!(accepts > 0, "no Internet2 accept certified");
+    }
+
+    /// Classes with their own paths, one per `(path, rate, chain)`.
+    fn path_classes(specs: &[(&[usize], f64, &[NfType])]) -> ClassSet {
+        let (_topo, base, _orch) = tiny();
+        let classes = specs
+            .iter()
+            .enumerate()
+            .map(|(h, (path, rate, chain))| EquivalenceClass {
+                id: ClassId(h),
+                path: Path::new(path.iter().map(|&v| NodeId(v)).collect()).unwrap(),
+                rate_mbps: *rate,
+                chain: PolicyChain::new(chain.to_vec()).unwrap(),
+                ..base.classes()[0].clone()
+            })
+            .collect();
+        ClassSet::from_classes(classes)
+    }
+
+    /// Runs the accept certificate for removing one instance at `key`
+    /// from `q` under `d`, and checks any patched `d` against the
+    /// fixed-`q` model of the reduced counts.
+    fn accept(
+        classes: &ClassSet,
+        q: &Counts,
+        d: &[Vec<f64>],
+        key: (usize, NfType),
+    ) -> Option<Vec<Vec<f64>>> {
+        let key = (key.0, key.1.index());
+        let mut q_try = q.clone();
+        *q_try.get_mut(&key).expect("candidate exists") -= 1;
+        let patched = certify_accept(classes, &q_try, d, &loads(classes, d), key)?;
+        let violation =
+            OptimizationEngine::default().fixed_q_violation(classes, &tiny().2, &q_try, &patched);
+        assert!(violation <= 1e-9, "patched d: {patched:?}");
+        Some(patched)
+    }
+
+    #[test]
+    fn accept_moves_a_whole_chain_to_another_switch() {
+        // FW → IDS, both at switch 1; switch 2 hosts both as well. With the
+        // FW at switch 1 gone, the IDS cannot stay upstream of its FW, so
+        // the whole chain moves to switch 2.
+        let (classes, _orch) = line_classes(&[(100.0, &[Fw, Ids])]);
+        let q = counts(&[(1, Fw, 1), (1, Ids, 1), (2, Fw, 1), (2, Ids, 1)]);
+        let d = vec![vec![0.0, 0.0, 1.0, 1.0, 0.0, 0.0]];
+        let patched = accept(&classes, &q, &d, (1, Fw)).expect("certified");
+        assert_eq!(patched, vec![vec![0.0, 0.0, 0.0, 0.0, 1.0, 1.0]]);
+    }
+
+    #[test]
+    fn accept_moves_only_the_overflow() {
+        // 1.2 Gbps through two firewalls at switch 0; one of them goes, and
+        // the 300 Mbps that no longer fit spill to switch 1.
+        let (classes, _orch) = line_classes(&[(1_200.0, &[Fw])]);
+        let q = counts(&[(0, Fw, 2), (1, Fw, 1)]);
+        let patched = accept(&classes, &q, &[vec![1.0, 0.0, 0.0]], (0, Fw)).expect("certified");
+        assert!((patched[0][0] - 0.75).abs() < 1e-12, "{patched:?}");
+        assert!((patched[0][1] - 0.25).abs() < 1e-12, "{patched:?}");
+    }
+
+    #[test]
+    fn accept_leaves_a_zero_rate_class_in_place() {
+        // The idle class sits on the removed firewall; it loads nothing
+        // there, so only the 500 Mbps class moves.
+        let (classes, _orch) = line_classes(&[(0.0, &[Fw]), (500.0, &[Fw])]);
+        let q = counts(&[(0, Fw, 1), (1, Fw, 1)]);
+        let d = vec![vec![1.0, 0.0, 0.0], vec![1.0, 0.0, 0.0]];
+        let patched = accept(&classes, &q, &d, (0, Fw)).expect("certified");
+        assert_eq!(patched, vec![vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0]]);
+    }
+
+    #[test]
+    fn accept_leaves_a_swap_to_the_lp() {
+        // A (switches 0-1) must leave switch 0 for switch 1, where B
+        // (switches 1-2) leaves too little room. The candidate is feasible
+        // once B moves on to switch 2, but the certificate moves only the
+        // classes on the removed instance, so it decides nothing.
+        let classes = path_classes(&[(&[0, 1], 600.0, &[Fw]), (&[1, 2], 600.0, &[Fw])]);
+        let orch = tiny().2;
+        let q = counts(&[(0, Fw, 1), (1, Fw, 1), (2, Fw, 1)]);
+        let d = vec![vec![1.0, 0.0], vec![1.0, 0.0]];
+        assert!(accept(&classes, &q, &d, (0, Fw)).is_none());
+        let q_try = counts(&[(1, Fw, 1), (2, Fw, 1)]);
+        assert!(!certify_reject(&classes, &q_try, Fw.index()));
+        assert!(lp_feasible(&classes, &orch, &q_try));
+    }
+
+    /// Consolidation is an optimisation, not a correctness fix: the raw
+    /// ceiling of the (repaired) relaxation already satisfies the whole
+    /// formulation.
+    #[test]
+    fn raw_ceiling_is_a_valid_placement() {
+        use crate::verify::verify_placement;
+        let topo = zoo::geant();
+        let classes = gravity_classes(&topo, 2_500.0, 10, 20);
+        let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
+        let engine = OptimizationEngine::default();
+        let mut cache = WarmCache::default();
+        let (q, sol, vmap) = engine
+            .relax_and_round(&classes, &orch, &NOOP, &mut cache)
+            .expect("relaxation");
+        let d = d_grid(&vmap, sol.values());
+        let raw = assemble(&classes, &q, &d, sol.objective(), Instant::now(), 0);
+        let violations = verify_placement(&classes, &raw, &orch, 1e-6);
+        assert!(violations.is_empty(), "{violations:?}");
+        let consolidated = engine.place(&classes, &orch).expect("placement");
+        assert!(consolidated.total_instances() <= raw.total_instances());
     }
 
     #[test]

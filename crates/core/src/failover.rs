@@ -1412,6 +1412,15 @@ mod tests {
         assert_eq!(repeat.warm_misses, 0, "identical re-plan must be free");
         assert!(repeat.warm_hits > 0);
 
+        // A rate change re-solves the changed class's block only: the q
+        // surcharge counts classes per switch, not their rates, so no
+        // other block is re-priced.
+        let mut bumped = classes.classes().to_vec();
+        bumped[0].rate_mbps *= 1.1;
+        let moved = rp.replan(&ClassSet::from_classes(bumped), &orch).unwrap();
+        assert!(moved.warm_hits > 0, "a rate change re-priced every block");
+        assert_eq!(moved.warm_misses, 1, "only the changed class re-solves");
+
         // A single host failure only invalidates the blocks whose classes
         // cross that host — the rest still hit.
         let (dead, _, _) = first.placement.q_entries().next().unwrap();
@@ -1419,7 +1428,7 @@ mod tests {
         let after = rp.replan(&classes, &orch).unwrap();
         assert!(after.warm_hits > 0, "untouched blocks should be cached");
         assert!(after.warm_misses > 0, "touched blocks must re-solve");
-        assert_eq!(rp.replans(), 3);
+        assert_eq!(rp.replans(), 4);
         assert!(!rp.cache().is_empty());
     }
 

@@ -7,8 +7,12 @@
 //! the same scenarios through the whole pipeline and checks what a user of
 //! the plan sees:
 //!
-//! * the **instance count** equals the value pinned from the retired
-//!   monolithic solve (the two were bit-identical when it was deleted),
+//! * the **instance count** equals the pinned value (first pinned from the
+//!   retired monolithic solve, which was bit-identical when it was
+//!   deleted; Internet2 seed 5 re-pinned 12 → 10 when the consolidation
+//!   descent gained its accept certificate and lost its budget, UNIV1
+//!   26 → 27 when the q surcharge switched from the class rate crossing
+//!   each switch to the number of classes crossing it),
 //! * the **runtime invariants**: the bootstrapped Dynamic Handler state
 //!   passes `verify_shares` (interference freedom + traffic accounting),
 //! * a **down host** carries no instance.
@@ -49,7 +53,7 @@ fn assert_plan(topo: &Topology, load: f64, seed: u64, max_classes: usize, instan
 #[test]
 fn internet2_equivalent_across_seeds() {
     let topo = TopologyKind::Internet2.build();
-    for (seed, instances) in [(0, 10), (7, 12), (23, 11), (5, 12)] {
+    for (seed, instances) in [(0, 10), (7, 12), (23, 11), (5, 10)] {
         assert_plan(&topo, 3_000.0, seed, 10, instances);
     }
 }
@@ -67,7 +71,7 @@ fn univ1_equivalent_in_the_elephant_flow_regime() {
     // Per-class rates exceed instance capacity here, exercising the
     // repair-round path (extra_caps).
     let topo = TopologyKind::Univ1.build();
-    assert_plan(&topo, 9_000.0, 0, 8, 26);
+    assert_plan(&topo, 9_000.0, 0, 8, 27);
 }
 
 #[test]

@@ -80,27 +80,3 @@ fn exact_solutions_valid_on_synthetic_fabrics() {
         );
     }
 }
-
-#[test]
-fn no_consolidation_still_valid() {
-    // The raw ceil rounding (consolidation disabled) must also satisfy the
-    // formulation — the descent is an optimisation, not a correctness fix.
-    let topo = zoo::geant();
-    let tm = GravityModel::new(2_500.0, 10).base_matrix(&topo);
-    let classes = ClassSet::build(
-        &topo,
-        &tm,
-        &ClassConfig {
-            max_classes: 20,
-            ..Default::default()
-        },
-    );
-    assert_valid(
-        &classes,
-        &topo,
-        EngineConfig {
-            consolidation_attempts: 0,
-            ..Default::default()
-        },
-    );
-}
