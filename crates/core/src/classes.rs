@@ -16,6 +16,7 @@
 
 use crate::policy::PolicyChain;
 use apple_nf::NfType;
+use apple_topology::spf::{dijkstra, ShortestPathTree};
 use apple_topology::{ksp, NodeId, Path, Topology};
 use apple_traffic::{Flow, TrafficMatrix};
 use std::fmt;
@@ -110,14 +111,20 @@ impl ClassSet {
     /// rate (split evenly across ECMP paths when the topology is
     /// multipath).
     pub fn build(topo: &Topology, tm: &TrafficMatrix, cfg: &ClassConfig) -> ClassSet {
+        let mut router = Router::default();
+        Self::build_routed(tm, cfg, |src, dst| router.paths(topo, cfg, src, dst))
+    }
+
+    /// [`ClassSet::build`] over the forwarding paths `route` gives a pair.
+    fn build_routed(
+        tm: &TrafficMatrix,
+        cfg: &ClassConfig,
+        mut route: impl FnMut(NodeId, NodeId) -> Vec<Path>,
+    ) -> ClassSet {
         let mut classes = Vec::new();
         for (src, dst, rate) in tm.entries() {
             let chain = PolicyChain::assign(src.0, dst.0);
-            let paths: Vec<Path> = if topo.multipath {
-                ksp::ecmp_paths(&topo.graph, src, dst, cfg.ecmp_limit)
-            } else {
-                topo.graph.shortest_path(src, dst).into_iter().collect()
-            };
+            let paths = route(src, dst);
             if paths.is_empty() {
                 continue; // disconnected pair: no class
             }
@@ -149,6 +156,14 @@ impl ClassSet {
             .partial_cmp(&a.rate_mbps)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.path.nodes().cmp(b.path.nodes()))
+    }
+
+    /// [`Self::canonical_cmp`], with ties between classes of one
+    /// forwarding path broken by chain: the order of
+    /// [`ClassSet::build_with_policies`], where a path carries one class
+    /// per policy.
+    fn policy_cmp(a: &EquivalenceClass, b: &EquivalenceClass) -> std::cmp::Ordering {
+        Self::canonical_cmp(a, b).then_with(|| a.chain.nfs().cmp(b.chain.nfs()))
     }
 
     /// Shared tail of class construction: canonical sort, heaviest-first
@@ -192,14 +207,24 @@ impl ClassSet {
         spec: &crate::policy_spec::PolicySpec,
         cfg: &ClassConfig,
     ) -> ClassSet {
+        let mut router = Router::default();
+        Self::build_with_policies_routed(tm, spec, cfg, |src, dst| {
+            router.paths(topo, cfg, src, dst)
+        })
+    }
+
+    /// [`ClassSet::build_with_policies`] over the forwarding paths `route`
+    /// gives a pair.
+    fn build_with_policies_routed(
+        tm: &TrafficMatrix,
+        spec: &crate::policy_spec::PolicySpec,
+        cfg: &ClassConfig,
+        mut route: impl FnMut(NodeId, NodeId) -> Vec<Path>,
+    ) -> ClassSet {
         let policies = spec.weighted_policies();
         let mut classes = Vec::new();
         for (src, dst, rate) in tm.entries() {
-            let paths: Vec<Path> = if topo.multipath {
-                ksp::ecmp_paths(&topo.graph, src, dst, cfg.ecmp_limit)
-            } else {
-                topo.graph.shortest_path(src, dst).into_iter().collect()
-            };
+            let paths = route(src, dst);
             if paths.is_empty() {
                 continue;
             }
@@ -222,13 +247,7 @@ impl ClassSet {
                 }
             }
         }
-        classes.sort_by(|a, b| {
-            b.rate_mbps
-                .partial_cmp(&a.rate_mbps)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.path.nodes().cmp(b.path.nodes()))
-                .then_with(|| a.chain.nfs().cmp(b.chain.nfs()))
-        });
+        classes.sort_by(Self::policy_cmp);
         if cfg.max_classes > 0 && classes.len() > cfg.max_classes {
             let total: f64 = classes.iter().map(|c| c.rate_mbps).sum();
             // A policy whose classes are all truncated away would silently
@@ -266,13 +285,7 @@ impl ClassSet {
                 *kept_counts.entry(kind.clone()).or_insert(0) += 1;
             }
             // Swaps may break the rate-descending order; restore it.
-            classes.sort_by(|a, b| {
-                b.rate_mbps
-                    .partial_cmp(&a.rate_mbps)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.path.nodes().cmp(b.path.nodes()))
-                    .then_with(|| a.chain.nfs().cmp(b.chain.nfs()))
-            });
+            classes.sort_by(Self::policy_cmp);
             let kept: f64 = classes.iter().map(|c| c.rate_mbps).sum();
             if kept > 0.0 {
                 let scale = total / kept;
@@ -362,6 +375,36 @@ impl<'a> IntoIterator for &'a ClassSet {
     }
 }
 
+/// Routes OD pairs from one shortest-path tree per source, computed when
+/// the first pair from that source is routed and reused for the rest, so
+/// routing every pair costs one Dijkstra per source rather than one or more
+/// per pair. A new router holds nothing, so creating one costs no work.
+#[derive(Debug, Clone, Default)]
+struct Router {
+    /// `trees[s]`: the tree from source `s`, once a pair from `s` was routed.
+    trees: Vec<Option<ShortestPathTree>>,
+}
+
+impl Router {
+    /// The pair's forwarding paths: its ECMP set (up to
+    /// `cfg.ecmp_limit` paths) on multipath topologies, its shortest path
+    /// otherwise. Empty when the pair is disconnected.
+    fn paths(&mut self, topo: &Topology, cfg: &ClassConfig, src: NodeId, dst: NodeId) -> Vec<Path> {
+        let n = topo.graph.node_count();
+        if src.0 >= n {
+            return Vec::new(); // unknown source: no route
+        }
+        self.trees.resize(n, None);
+        let tree = self.trees[src.0]
+            .get_or_insert_with(|| dijkstra(&topo.graph, src).expect("source is in range"));
+        if topo.multipath {
+            ksp::ecmp_paths_in(&topo.graph, tree, dst, cfg.ecmp_limit)
+        } else {
+            tree.path_to(dst).into_iter().collect()
+        }
+    }
+}
+
 /// How one flow event changed its OD pair's aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaKind {
@@ -405,8 +448,9 @@ struct PairState {
 /// matrix, derives paths and chains for every pair, sorts and assigns ids.
 /// Under flow churn that is O(pairs) work per event. `IncrementalClasses`
 /// applies one arrival/departure at a time and reports only the affected
-/// pair ([`PairDelta`]): routing (`ksp`) and policy assignment run once per
-/// pair on first contact and are cached thereafter.
+/// pair ([`PairDelta`]): a pair's paths and policy chain are derived on
+/// first contact and cached thereafter, and routing runs one Dijkstra per
+/// *source* (on the first pair from it), not one per pair.
 ///
 /// # Parity guarantee
 ///
@@ -429,6 +473,7 @@ struct PairState {
 pub struct IncrementalClasses {
     topo: Topology,
     cfg: ClassConfig,
+    router: Router,
     pairs: std::collections::BTreeMap<(NodeId, NodeId), PairState>,
 }
 
@@ -438,25 +483,18 @@ impl IncrementalClasses {
         IncrementalClasses {
             topo: topo.clone(),
             cfg: cfg.clone(),
+            router: Router::default(),
             pairs: std::collections::BTreeMap::new(),
         }
     }
 
     /// Derives (and caches) the routing/policy state for a pair.
     fn pair_state(&mut self, src: NodeId, dst: NodeId) -> &mut PairState {
-        let topo = &self.topo;
-        let ecmp_limit = self.cfg.ecmp_limit;
-        self.pairs.entry((src, dst)).or_insert_with(|| {
-            let paths: Vec<Path> = if topo.multipath {
-                ksp::ecmp_paths(&topo.graph, src, dst, ecmp_limit)
-            } else {
-                topo.graph.shortest_path(src, dst).into_iter().collect()
-            };
-            PairState {
-                flows: std::collections::BTreeMap::new(),
-                chain: PolicyChain::assign(src.0, dst.0),
-                paths,
-            }
+        let (topo, cfg, router) = (&self.topo, &self.cfg, &mut self.router);
+        self.pairs.entry((src, dst)).or_insert_with(|| PairState {
+            flows: std::collections::BTreeMap::new(),
+            chain: PolicyChain::assign(src.0, dst.0),
+            paths: router.paths(topo, cfg, src, dst),
         })
     }
 
@@ -857,6 +895,66 @@ mod tests {
         let f = flow_between(NodeId(0), NodeId(1), 3.0);
         inc.apply_arrival(7, &f);
         inc.apply_arrival(7, &f);
+    }
+
+    /// Routing every pair afresh — a Dijkstra per pair, plus Yen's on
+    /// multipath topologies — gives the class sets the per-source trees
+    /// give, bit for bit, on every topology and configuration.
+    #[test]
+    fn per_source_routing_equals_per_pair_routing() {
+        use crate::policy_spec::PolicySpec;
+        let spec = PolicySpec::example();
+        let mut topos = zoo::TopologyKind::all().map(|k| k.build()).to_vec();
+        topos.push(zoo::fat_tree(4));
+        topos.push(zoo::jellyfish(20, 4, 1));
+        for (seed, base) in topos.into_iter().enumerate() {
+            let n = base.graph.node_count();
+            let full = GravityModel::new(4_000.0, seed as u64).base_matrix(&base);
+            // AS-3679 keeps the pairs of three sources (234 pairs), which
+            // still share a tree per source, so the debug run stays short.
+            let mut tm = TrafficMatrix::zeros(n);
+            for (src, dst, rate) in full.entries().filter(|(src, ..)| n < 50 || src.0 < 3) {
+                tm.set(src, dst, rate);
+            }
+            for multipath in [false, true] {
+                let topo = Topology {
+                    multipath,
+                    ..base.clone()
+                };
+                for ecmp_limit in [1, 2, 4, 8] {
+                    let routes: std::collections::BTreeMap<_, Vec<Path>> = tm
+                        .entries()
+                        .map(|(src, dst, _)| {
+                            let paths = if multipath {
+                                ksp::ecmp_paths(&topo.graph, src, dst, ecmp_limit)
+                            } else {
+                                topo.graph.shortest_path(src, dst).into_iter().collect()
+                            };
+                            ((src, dst), paths)
+                        })
+                        .collect();
+                    let per_pair = |src, dst| routes[&(src, dst)].clone();
+                    for max_classes in [0, 30] {
+                        let cfg = ClassConfig {
+                            max_classes,
+                            ecmp_limit,
+                        };
+                        let case = format!("{} multipath={multipath} {cfg:?}", topo.summary());
+                        assert_eq!(
+                            ClassSet::build(&topo, &tm, &cfg).classes(),
+                            ClassSet::build_routed(&tm, &cfg, per_pair).classes(),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            ClassSet::build_with_policies(&topo, &tm, &spec, &cfg).classes(),
+                            ClassSet::build_with_policies_routed(&tm, &spec, &cfg, per_pair)
+                                .classes(),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -82,6 +82,24 @@ impl PartialOrd for HeapEntry {
 ///
 /// Returns [`GraphError::UnknownNode`] if `source` is out of range.
 pub fn dijkstra(graph: &Graph, source: NodeId) -> Result<ShortestPathTree, GraphError> {
+    dijkstra_avoiding(graph, source, |_, _| true)
+}
+
+/// Runs Dijkstra from `source` over the links `usable(u, v)` admits when
+/// relaxed from `u` towards `v`; every other link is treated as absent. For
+/// a `usable` symmetric in its arguments, the tree equals [`dijkstra`] on a
+/// copy of `graph` without those links, since neighbours are visited in
+/// ascending id order either way — which is what lets Yen's spur search
+/// filter links in place instead of copying the graph.
+///
+/// # Errors
+///
+/// Returns [`GraphError::UnknownNode`] if `source` is out of range.
+pub(crate) fn dijkstra_avoiding(
+    graph: &Graph,
+    source: NodeId,
+    usable: impl Fn(NodeId, NodeId) -> bool,
+) -> Result<ShortestPathTree, GraphError> {
     graph.node(source)?;
     let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
@@ -99,6 +117,9 @@ pub fn dijkstra(graph: &Graph, source: NodeId) -> Result<ShortestPathTree, Graph
         }
         done[u.0] = true;
         for (v, lid) in graph.incident(u) {
+            if !usable(u, v) {
+                continue;
+            }
             let w = graph.link(lid).expect("incident links exist").weight;
             let nd = d + w;
             let better = nd < dist[v.0] || (nd == dist[v.0] && prev[v.0].is_some_and(|p| u < p));
@@ -132,15 +153,6 @@ impl Graph {
     /// ```
     pub fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<Path> {
         dijkstra(self, from).ok()?.path_to(to)
-    }
-
-    /// All-pairs shortest paths as a dense matrix of trees (one Dijkstra run
-    /// per source). Suitable for the topology sizes in the paper (≤ 79
-    /// switches).
-    pub fn all_pairs(&self) -> Vec<ShortestPathTree> {
-        self.node_ids()
-            .map(|s| dijkstra(self, s).expect("node ids from iterator are valid"))
-            .collect()
     }
 }
 
@@ -205,15 +217,6 @@ mod tests {
             let p = g.shortest_path(a, d).unwrap();
             assert_eq!(p.nodes(), &[a, b, d]);
         }
-    }
-
-    #[test]
-    fn all_pairs_covers_every_source() {
-        let (g, [a, _, _, d]) = diamond();
-        let trees = g.all_pairs();
-        assert_eq!(trees.len(), 4);
-        assert_eq!(trees[a.0].path_to(d).unwrap().hops(), 2);
-        assert_eq!(trees[d.0].path_to(a).unwrap().hops(), 2);
     }
 
     #[test]
