@@ -28,6 +28,7 @@ use crate::transition::{apply_transition, plan_transition_from_live};
 use apple_dataplane::compiler::{CompilerSnapshot, RuleProgram, SubclassSpec};
 use apple_dataplane::diff::{DiffScope, UpdateBatch, UpdatePlan};
 use apple_dataplane::fastpath::CompiledProgram;
+use apple_dataplane::southbound::{SouthboundChannel, SouthboundConfig};
 use apple_nf::{InstanceId, VnfSpec};
 use apple_telemetry::{Recorder, RecorderExt};
 use apple_topology::{NodeId, Topology};
@@ -387,7 +388,7 @@ impl LiveTable {
 
     /// Empties the table (every key it held is touched).
     fn take(&mut self) -> BTreeMap<LiveKey, LiveClass> {
-        self.touch_all();
+        self.touched.extend(self.map.keys().copied());
         std::mem::take(&mut self.map)
     }
 
@@ -404,10 +405,6 @@ impl LiveTable {
             "a re-rate changes the rate only"
         );
         lc.class = class;
-    }
-
-    fn touch_all(&mut self) {
-        self.touched.extend(self.map.keys().copied());
     }
 }
 
@@ -565,18 +562,17 @@ pub struct OnlineConfig {
     pub engine: EngineConfig,
     /// Seed for control-plane retry jitter.
     pub seed: u64,
-    /// Maintain an incrementally patched compiled rule program: each step
-    /// that changes the serving state re-lowers the devices the change
-    /// touched, diffs them against the installed program, and applies only
-    /// the delta (work and cost scale with churn, not topology size).
+    /// Ignored: every loop maintains its incrementally patched rule
+    /// program. Kept only so existing configurations still build.
     pub compile_rules: bool,
-    /// Route each sync's update plan through the asynchronous southbound
-    /// channel instead of applying it synchronously: batches are enqueued
-    /// per device, their ops draw seeded bounded latency and reordering,
-    /// and the installed mirror only advances when a barrier is fully
-    /// acked ([`StepReport::southbound_wait_ms`] bills the virtual wait).
-    /// `None` (the default) keeps the synchronous apply.
-    pub southbound: Option<apple_dataplane::southbound::SouthboundConfig>,
+    /// Timing of the southbound channel every sync's update plan goes
+    /// through: batches are enqueued per device, their ops draw seeded
+    /// bounded latency and reordering, and the installed mirror only
+    /// advances when a barrier is fully acked
+    /// ([`StepReport::southbound_wait_ms`] bills the virtual wait). `None`
+    /// (the default) is [`SouthboundConfig::instant`] seeded with
+    /// [`Self::seed`]: the same barriers, acked in plan order with no wait.
+    pub southbound: Option<SouthboundConfig>,
 }
 
 /// What one [`OrchestrationLoop::step`] did.
@@ -602,12 +598,12 @@ pub struct StepReport {
     /// the in-place re-pack (implies [`Self::resolved`]).
     pub resolve_repacked: bool,
     /// Data-plane rule operations (installs + modifies + removes) the
-    /// incremental compiler emitted for this step; 0 when the compiler is
-    /// disabled or nothing rule-relevant changed.
+    /// incremental compiler emitted for this step; 0 when nothing
+    /// rule-relevant changed.
     pub dataplane_ops: u64,
     /// Virtual milliseconds this step spent awaiting southbound barrier
     /// acks (enqueue of the step's update plan to the last barrier's
-    /// ack); 0 on the synchronous path or when nothing changed.
+    /// ack); 0 on the instant channel or when nothing changed.
     pub southbound_wait_ms: u64,
 }
 
@@ -672,14 +668,14 @@ pub struct OrchestrationLoop {
     pub(crate) live: LiveTable,
     pub(crate) rejected: BTreeMap<LiveKey, EquivalenceClass>,
     pub(crate) events_seen: u64,
-    /// The incrementally patched installed program (None = compiler off).
-    pub(crate) compiled: Option<RuleProgram>,
+    /// The incrementally patched installed program.
+    pub(crate) compiled: RuleProgram,
     /// The compiled fast-path mirror of [`Self::compiled`]: the same
     /// installed state lowered into per-switch LPM tries and exact-match
     /// tag tables ([`apple_dataplane::fastpath::CompiledProgram`]), patched
     /// per update-plan barrier through `rebuild_delta` so it is never
     /// rebuilt from scratch during churn.
-    pub(crate) fastpath: Option<CompiledProgram>,
+    pub(crate) fastpath: CompiledProgram,
     /// The sub-class spec [`Self::compiled`] holds for each live class as
     /// of the last sync, persistent tag included. Lowest-unused allocation
     /// on placement, freed on departure: tags must survive unrelated churn
@@ -690,19 +686,17 @@ pub struct OrchestrationLoop {
     /// The barriers the last step or instance crash committed, in commit
     /// order (see [`Self::committed`]).
     committed: UpdatePlan,
-    /// The asynchronous southbound channel, when configured: syncs become
-    /// enqueue + await-barrier and the installed mirror advances only on
-    /// acked barriers. The channel persists across steps so its virtual
-    /// clock, barrier ids and reorder streams are continuous over a run.
-    pub(crate) southbound: Option<apple_dataplane::southbound::SouthboundChannel>,
+    /// The southbound channel: syncs are enqueue + await-barrier and the
+    /// installed mirror advances only on acked barriers. The channel
+    /// persists across steps so its virtual clock, barrier ids and reorder
+    /// streams are continuous over a run.
+    pub(crate) southbound: SouthboundChannel,
 }
 
-/// Commits one acked barrier: the installed mirror, then the fast path —
-/// in that order on both the synchronous and the southbound arm of the
-/// sync.
+/// Commits one acked barrier: the installed mirror, then the fast path.
 fn commit_barrier(
     installed: &mut RuleProgram,
-    fastpath: &mut Option<CompiledProgram>,
+    fastpath: &mut CompiledProgram,
     batch: &UpdateBatch,
     rec: &dyn Recorder,
 ) {
@@ -710,10 +704,8 @@ fn commit_barrier(
         let _a = rec.span("dataplane.sync.apply");
         apple_dataplane::diff::apply_batch_unchecked(installed, batch);
     }
-    if let Some(fp) = fastpath {
-        let _f = rec.span("dataplane.sync.fastpath");
-        fp.rebuild_delta(batch);
-    }
+    let _f = rec.span("dataplane.sync.fastpath");
+    fastpath.rebuild_delta(batch);
 }
 
 impl OrchestrationLoop {
@@ -732,11 +724,9 @@ impl OrchestrationLoop {
         cfg: OnlineConfig,
         ops: ControlOps,
     ) -> Self {
-        let compiled = cfg.compile_rules.then(RuleProgram::default);
-        let fastpath = cfg.compile_rules.then(CompiledProgram::default);
-        let southbound = cfg
+        let timing = cfg
             .southbound
-            .map(apple_dataplane::southbound::SouthboundChannel::new);
+            .unwrap_or_else(|| SouthboundConfig::instant(cfg.seed));
         OrchestrationLoop {
             inc: IncrementalClasses::new(topo, &cfg.class_cfg),
             placer: OnlinePlacer::new(),
@@ -747,17 +737,17 @@ impl OrchestrationLoop {
             live: LiveTable::default(),
             rejected: BTreeMap::new(),
             events_seen: 0,
-            compiled,
-            fastpath,
+            compiled: RuleProgram::default(),
+            fastpath: CompiledProgram::default(),
             lowered: Lowered::default(),
             committed: UpdatePlan::default(),
-            southbound,
+            southbound: SouthboundChannel::new(timing),
         }
     }
 
     /// The barriers the last [`Self::step`] or
     /// [`Self::handle_instance_crash`] committed to the installed program,
-    /// in commit order (plan order on both apply arms). Empty after any
+    /// in commit order, which is plan order. Empty after any
     /// such call that synced nothing. The journaled wrapper
     /// ([`crate::recovery::JournaledLoop`]) journals each one and mirrors it
     /// onto the switch fabric after the call returns.
@@ -1109,36 +1099,24 @@ impl OrchestrationLoop {
         affected.len()
     }
 
-    /// Turns the data-plane compiler on mid-run (the config flag does the
-    /// same at construction). The first sync after this installs the full
-    /// program as one delta from empty.
-    pub fn enable_dataplane_compiler(&mut self) {
-        if self.compiled.is_none() {
-            self.compiled = Some(RuleProgram::default());
-            self.fastpath = Some(CompiledProgram::default());
-            self.live.touch_all();
-        }
+    /// The incrementally maintained installed rule program. Reflects the
+    /// state as of the last completed step (syncs run at step end).
+    pub fn dataplane_program(&self) -> &RuleProgram {
+        &self.compiled
     }
 
-    /// The incrementally maintained installed rule program, when the
-    /// compiler is enabled. Reflects the state as of the last completed
-    /// step (syncs run at step end).
-    pub fn dataplane_program(&self) -> Option<&RuleProgram> {
-        self.compiled.as_ref()
-    }
-
-    /// The compiled fast-path mirror of [`Self::dataplane_program`], when
-    /// the compiler is enabled. Kept in lock-step with the installed
-    /// program by patching it per barrier during the data-plane
-    /// sync — callers get switch-rate lookups
+    /// The compiled fast-path mirror of [`Self::dataplane_program`]. Kept
+    /// in lock-step with the installed program by patching it per barrier
+    /// during the data-plane sync — callers get switch-rate lookups
     /// ([`apple_dataplane::walk::WalkEngine`]) without ever paying a full
     /// recompile.
-    pub fn dataplane_fastpath(&self) -> Option<&CompiledProgram> {
-        self.fastpath.as_ref()
+    pub fn dataplane_fastpath(&self) -> &CompiledProgram {
+        &self.fastpath
     }
 
-    /// The compiler snapshot of the whole current serving state, when the
-    /// compiler is enabled — what [`apple_dataplane::compiler::compile`]
+    /// The compiler snapshot of the whole current serving state (always
+    /// `Some`; the `Option` is kept for existing callers) — what
+    /// [`apple_dataplane::compiler::compile`]
     /// turns into the program the step-end sync leaves installed. The loop
     /// itself never builds it outside debug assertions; journal recovery,
     /// tests and the benchmark's correctness gate do. Tags are computed
@@ -1146,10 +1124,14 @@ impl OrchestrationLoop {
     /// call even between a state change and the step-end sync (a live key
     /// without a persisted tag gets the tag the next sync would assign it).
     pub fn dataplane_snapshot(&self) -> Option<CompilerSnapshot> {
-        self.compiled.as_ref()?;
+        Some(self.serving_snapshot())
+    }
+
+    /// [`Self::dataplane_snapshot`] without the `Option`.
+    pub(crate) fn serving_snapshot(&self) -> CompilerSnapshot {
         let tags = Self::allocate_tags(&self.live, self.lowered.specs());
         let specs = self.live.iter().map(|(key, lc)| spec_of(lc, tags[key]));
-        Some(self.snapshot_of(specs.collect()))
+        self.snapshot_of(specs.collect())
     }
 
     /// Wraps sub-class specs (in live-key order) into a snapshot of the
@@ -1221,12 +1203,10 @@ impl OrchestrationLoop {
     /// (always so before the first sync). False between steps — every step
     /// ends in a sync — except before the first one.
     pub(crate) fn sync_pending(&self) -> bool {
-        self.compiled.as_ref().is_some_and(|installed| {
-            !self.live.touched.is_empty()
-                || !self
-                    .stale_scaffold(installed, &self.orch.hosts_in_use())
-                    .is_empty()
-        })
+        !self.live.touched.is_empty()
+            || !self
+                .stale_scaffold(&self.compiled, &self.orch.hosts_in_use())
+                .is_empty()
     }
 
     /// The switches whose hosts-in-use bit is not the installed one (or
@@ -1271,8 +1251,8 @@ impl OrchestrationLoop {
         self.lowered.rebuild_tag_pool();
         let snap = self.snapshot_of(self.lowered.specs().values().cloned().collect());
         let prog = apple_dataplane::compiler::compile(&snap);
-        self.fastpath = Some(CompiledProgram::new(&prog));
-        self.compiled = Some(prog);
+        self.fastpath = CompiledProgram::new(&prog);
+        self.compiled = prog;
         let lowered = self.lowered.specs();
         self.live.touched = (self.live.map.iter())
             .filter(|(key, lc)| !lowered.get(key).is_some_and(|spec| same_decision(spec, lc)))
@@ -1285,25 +1265,26 @@ impl OrchestrationLoop {
     /// written (bitwise what [`Self::allocate_tags`] yields on the whole
     /// state), re-lowers only the devices their old or new specs put rules
     /// on plus the switches whose hosts-in-use bit flipped, diffs those
-    /// devices against the installed program and applies the delta in
-    /// place. Does nothing when nothing changed. Returns the rule
-    /// operations billed and the virtual southbound wait (0 on the
-    /// synchronous path), and leaves the plan in [`Self::committed`].
+    /// devices against the installed program and ships the delta through
+    /// the southbound channel, committing each barrier to the installed
+    /// program and its fast-path mirror as it acks. Does nothing when
+    /// nothing changed. Returns the rule operations billed and the virtual
+    /// southbound wait (0 on the instant channel), and leaves the plan in
+    /// [`Self::committed`].
     /// Telemetry: `dataplane.sync` span with children
-    /// `dataplane.sync.{tags,lower,diff,southbound,apply,fastpath}`,
+    /// `dataplane.sync.{tags,lower,diff,southbound}` and, nested in
+    /// `dataplane.sync.southbound`, `dataplane.sync.{apply,fastpath}` (the
+    /// channel's own share is southbound minus both);
     /// `dataplane.compile` / `dataplane.diff` spans,
     /// `dataplane.rules_compiled` (rules actually lowered),
-    /// `dataplane.plans` / `dataplane.rule_ops` counters,
-    /// `dataplane.program_rules` gauge; with the southbound channel also
-    /// `southbound.barriers`, `southbound.retries` counters and the
+    /// `dataplane.plans` / `dataplane.rule_ops` /
+    /// `southbound.barriers` / `southbound.retries` counters,
+    /// `dataplane.program_rules` gauge and the
     /// `southbound.barrier_wait_ms` histogram.
     fn sync_dataplane(&mut self, rec: &dyn Recorder) -> (u64, u64) {
         let touched = std::mem::take(&mut self.live.touched);
-        let Some(installed) = self.compiled.as_ref() else {
-            return (0, 0);
-        };
         let in_use = self.orch.hosts_in_use();
-        let mut scope = self.stale_scaffold(installed, &in_use);
+        let mut scope = self.stale_scaffold(&self.compiled, &in_use);
         if touched.is_empty() && scope.is_empty() {
             return (0, 0);
         }
@@ -1385,72 +1366,49 @@ impl OrchestrationLoop {
             "re-tagging the touched keys must equal allocating over the whole state"
         );
 
-        let installed = self
-            .compiled
-            .as_mut()
-            .expect("compiler presence checked above");
         let plan = {
             let _d = rec.span("dataplane.sync.diff");
-            apple_dataplane::diff::diff_scoped(installed, &target, &scope, rec)
+            apple_dataplane::diff::diff_scoped(&self.compiled, &target, &scope, rec)
         };
-        let mut wait_ms = 0u64;
-        if let Some(chan) = self.southbound.as_mut() {
-            // Async path: enqueue the whole plan, then await each
-            // barrier's ack — the installed mirror and the fast path
-            // advance only when a barrier's acked set equals its op set.
-            // The channel completes barriers in plan order, and the
-            // fault-free channel cannot fail, so the ops bill matches the
-            // synchronous path bitwise.
-            let submitted = chan.now_ms();
-            {
-                let _sb = rec.span("dataplane.sync.southbound");
-                chan.submit_plan(&plan);
-            }
-            let mut last_ack = submitted;
-            let mut acked = 0;
-            while chan.pending() > 0 {
-                let events = {
-                    let _sb = rec.span("dataplane.sync.southbound");
-                    chan.advance(3_600_000)
-                        .expect("fault-free southbound channel cannot fail")
-                };
-                for ev in events {
-                    let apple_dataplane::southbound::SouthboundEvent::Barrier(done) = ev else {
-                        continue;
-                    };
-                    debug_assert_eq!(
-                        done.batch,
-                        plan.batches()[acked],
-                        "barriers complete in plan order"
-                    );
-                    acked += 1;
-                    commit_barrier(installed, &mut self.fastpath, &done.batch, rec);
-                    last_ack = done.completed_ms;
-                    rec.counter("southbound.barriers", 1);
-                    rec.counter("southbound.retries", done.retries);
-                    rec.observe("southbound.barrier_wait_ms", done.wait_ms() as f64);
-                }
-            }
-            wait_ms = last_ack.saturating_sub(submitted);
-        } else {
-            // The uncapped path is infallible — no phantom error.
-            for batch in plan.batches() {
-                commit_barrier(installed, &mut self.fastpath, batch, rec);
-            }
-        }
+        // Enqueue the whole plan, then await each barrier's ack — the
+        // installed mirror and the fast path advance only when a barrier's
+        // acked set equals its op set. The channel completes barriers in
+        // plan order, and the fault-free channel cannot fail, so every
+        // channel timing lands the same program and bills the same ops.
+        let (installed, fastpath, chan) =
+            (&mut self.compiled, &mut self.fastpath, &mut self.southbound);
+        let submitted = chan.now_ms();
+        let mut acked = 0;
+        let report = {
+            let _sb = rec.span("dataplane.sync.southbound");
+            chan.submit_plan(&plan);
+            chan.drive(|done| {
+                debug_assert_eq!(
+                    done.batch,
+                    plan.batches()[acked],
+                    "barriers complete in plan order"
+                );
+                acked += 1;
+                commit_barrier(installed, fastpath, &done.batch, rec);
+                rec.counter("southbound.barriers", 1);
+                rec.counter("southbound.retries", done.retries);
+                rec.observe("southbound.barrier_wait_ms", done.wait_ms() as f64);
+            })
+            .expect("fault-free southbound channel cannot fail")
+        };
+        let wait_ms = report.elapsed_ms.saturating_sub(submitted);
         let stats = plan.stats();
         rec.counter("dataplane.plans", 1);
         rec.counter("dataplane.rule_ops", stats.total() as u64);
         rec.gauge("dataplane.program_rules", installed.rule_count() as f64);
         debug_assert_eq!(
             self.compiled,
-            self.dataplane_snapshot()
-                .map(|snap| apple_dataplane::compiler::compile(&snap)),
+            apple_dataplane::compiler::compile(&self.serving_snapshot()),
             "incremental patch must reproduce the full compile"
         );
         debug_assert_eq!(
             self.fastpath,
-            self.compiled.as_ref().map(CompiledProgram::new),
+            CompiledProgram::new(&self.compiled),
             "delta-patched fast path must equal a fresh compile of the installed program"
         );
         self.committed = plan;
@@ -1758,9 +1716,6 @@ mod tests {
         let (mut looper, timeline) = twelve_pair_loop(0);
         let e = &timeline.events()[0];
         looper.step(e, &NOOP);
-        assert!(looper.committed().is_empty(), "the compiler is off");
-        looper.enable_dataplane_compiler();
-        looper.step(&trickle(e, u64::MAX), &NOOP);
         assert!(
             !looper.committed().is_empty(),
             "the first sync installs all"
@@ -1902,7 +1857,6 @@ mod tests {
             &topo,
             orch,
             OnlineConfig {
-                compile_rules: true,
                 resolve_every: 15,
                 ..Default::default()
             },
@@ -1918,18 +1872,17 @@ mod tests {
                     crashed = true;
                 }
             }
-            let snap = looper.dataplane_snapshot().expect("compiler enabled");
-            let full = apple_dataplane::compiler::compile(&snap);
+            let full = apple_dataplane::compiler::compile(&looper.serving_snapshot());
             assert_eq!(
                 looper.dataplane_program(),
-                Some(&full),
+                &full,
                 "installed program diverged from full compile at event {n}"
             );
         }
         assert!(crashed, "expected a crash mid-run");
         assert!(total_ops > 0, "rule deltas must have been billed");
         assert_eq!(looper.live_count(), 0);
-        let final_prog = looper.dataplane_program().unwrap();
+        let final_prog = looper.dataplane_program();
         assert!(final_prog.hosts.is_empty(), "drained fleet has no hosts");
         assert_eq!(
             final_prog.billable_rules(),
@@ -1965,22 +1918,17 @@ mod tests {
                 };
                 let timeline = EventTimeline::generate(&pairs, &arrivals, 6.0);
                 let orch = ResourceOrchestrator::with_uniform_hosts(&topo, host_cores);
-                let cfg = OnlineConfig {
-                    compile_rules: true,
-                    ..Default::default()
-                };
-                let mut looper = OrchestrationLoop::new(&topo, orch, cfg);
+                let mut looper = OrchestrationLoop::new(&topo, orch, OnlineConfig::default());
                 for (n, e) in timeline.events().iter().enumerate() {
                     let live_before = looper.live_count();
                     let report = looper.step(e, &apple_telemetry::NOOP);
                     // A placement that adds no class re-placed a live one.
                     replaced += u32::from(report.placed > 0 && looper.live_count() <= live_before);
                     let at = format!("{mean_rate_mbps} Mbps, seed {seed}, event {n}");
-                    let installed = looper.dataplane_program().expect("compiler enabled");
-                    let snap = looper.dataplane_snapshot().expect("compiler enabled");
+                    let installed = looper.dataplane_program();
                     assert_eq!(
                         installed,
-                        &apple_dataplane::compiler::compile(&snap),
+                        &apple_dataplane::compiler::compile(&looper.serving_snapshot()),
                         "installed program is stale ({at})"
                     );
                     for rule in installed.hosts.values().flatten() {
@@ -1998,52 +1946,57 @@ mod tests {
         assert!(replaced > 0, "no timeline took the re-place arm");
     }
 
-    /// Enqueue + await-barrier must land the installed mirror bitwise on
-    /// the synchronous path's program after every event, while billing a
-    /// nonzero virtual barrier wait whenever rule ops shipped.
+    /// Every channel timing lands the same barriers: after every event
+    /// the instant channel and the paper's timed channel must bill the
+    /// same ops, commit the same plan and leave the same program, while
+    /// only the timed channel waits — and always when rule ops shipped.
     #[test]
-    fn southbound_mode_matches_synchronous_path_bitwise() {
+    fn instant_channel_matches_paper_timing_bitwise() {
         use apple_traffic::arrivals::{ArrivalConfig, EventTimeline};
         let topo = zoo::internet2();
         let pairs = vec![(NodeId(0), NodeId(5)), (NodeId(2), NodeId(6))];
         let timeline = EventTimeline::generate(&pairs, &ArrivalConfig::default(), 40.0);
         let cfg = OnlineConfig {
-            compile_rules: true,
             resolve_every: 15,
             ..Default::default()
         };
-        let async_cfg = OnlineConfig {
-            southbound: Some(apple_dataplane::southbound::SouthboundConfig::paper(0x5b)),
+        let timed_cfg = OnlineConfig {
+            southbound: Some(SouthboundConfig::paper(0x5b)),
             ..cfg.clone()
         };
         let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let mut sync_loop = OrchestrationLoop::new(&topo, orch, cfg);
+        let mut instant = OrchestrationLoop::new(&topo, orch, cfg);
         let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let mut async_loop = OrchestrationLoop::new(&topo, orch, async_cfg);
+        let mut timed = OrchestrationLoop::new(&topo, orch, timed_cfg);
         let mut waited = 0u64;
         for (n, e) in timeline.events().iter().enumerate() {
-            let sync_report = sync_loop.step(e, &apple_telemetry::NOOP);
-            let async_report = async_loop.step(e, &apple_telemetry::NOOP);
+            let instant_report = instant.step(e, &apple_telemetry::NOOP);
+            let timed_report = timed.step(e, &apple_telemetry::NOOP);
             assert_eq!(
-                sync_report.dataplane_ops, async_report.dataplane_ops,
+                instant_report.dataplane_ops, timed_report.dataplane_ops,
                 "ops bill diverged at event {n}"
             );
-            assert_eq!(sync_report.southbound_wait_ms, 0);
-            if async_report.dataplane_ops > 0 {
+            assert_eq!(instant_report.southbound_wait_ms, 0);
+            if timed_report.dataplane_ops > 0 {
                 assert!(
-                    async_report.southbound_wait_ms > 0,
+                    timed_report.southbound_wait_ms > 0,
                     "rule ops shipped with no barrier wait at event {n}"
                 );
             }
-            waited += async_report.southbound_wait_ms;
+            waited += timed_report.southbound_wait_ms;
             assert_eq!(
-                sync_loop.dataplane_program(),
-                async_loop.dataplane_program(),
+                instant.committed(),
+                timed.committed(),
+                "committed plans diverged at event {n}"
+            );
+            assert_eq!(
+                instant.dataplane_program(),
+                timed.dataplane_program(),
                 "installed programs diverged at event {n}"
             );
         }
         assert!(waited > 0, "the run must have waited on some barrier");
-        assert_eq!(async_loop.live_count(), 0);
+        assert_eq!(timed.live_count(), 0);
     }
 
     #[test]

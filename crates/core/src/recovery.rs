@@ -584,8 +584,7 @@ fn decode_state(setup: &RecoverySetup, bytes: &[u8]) -> Result<OrchestrationLoop
     let next_id = r.get_u64()?;
     let orch = ResourceOrchestrator::from_parts(hosts, instances, next_id);
 
-    let mut cfg = setup.cfg.clone();
-    cfg.compile_rules = true;
+    let cfg = setup.cfg.clone();
     let ops = ControlOps::reliable(cfg.seed);
     let mut looper = OrchestrationLoop::with_ops(&setup.topo, orch, cfg, ops);
     looper.events_seen = events_seen;
@@ -699,8 +698,7 @@ impl Default for RecoveryConfig {
 pub struct RecoverySetup {
     /// The network.
     pub topo: Topology,
-    /// Loop configuration (`compile_rules` is forced on: journaling
-    /// without a data plane to reconcile would be vacuous).
+    /// Loop configuration.
     pub cfg: OnlineConfig,
     /// Durability settings.
     pub recovery: RecoveryConfig,
@@ -748,10 +746,8 @@ impl<S: JournalStore> JournaledLoop<S> {
     /// A fresh journaled controller over an empty (or about-to-be-ignored)
     /// store. Use [`recover`] instead when the store may hold history.
     pub fn new(setup: &RecoverySetup, store: S, fabric: SharedFabric, crash: CrashPoint) -> Self {
-        let mut cfg = setup.cfg.clone();
-        cfg.compile_rules = true;
         let orch = ResourceOrchestrator::with_uniform_hosts(&setup.topo, setup.host_cores);
-        let inner = OrchestrationLoop::new(&setup.topo, orch, cfg);
+        let inner = OrchestrationLoop::new(&setup.topo, orch, setup.cfg.clone());
         Self::wrap(
             inner,
             store,
@@ -944,9 +940,9 @@ pub struct RecoveryReport {
     /// The compiler context of the recovered state *before* the final
     /// replayed intent — the "old" side for repair conformance (stale
     /// fabric rules can date from exactly one sync before the crash).
-    pub prev_ctx: Option<CompilerSnapshot>,
+    pub prev_ctx: CompilerSnapshot,
     /// The compiler context of the fully recovered state (the "new" side).
-    pub intended_ctx: Option<CompilerSnapshot>,
+    pub intended_ctx: CompilerSnapshot,
 }
 
 /// Recover a controller from `store`: truncate any torn journal tail, load
@@ -985,10 +981,9 @@ pub fn recover<S: JournalStore>(
             (decode_state(setup, &payload)?, seq, Some(seq))
         }
         None => {
-            let mut cfg = setup.cfg.clone();
-            cfg.compile_rules = true;
             let orch = ResourceOrchestrator::with_uniform_hosts(&setup.topo, setup.host_cores);
-            (OrchestrationLoop::new(&setup.topo, orch, cfg), 0, None)
+            let looper = OrchestrationLoop::new(&setup.topo, orch, setup.cfg.clone());
+            (looper, 0, None)
         }
     };
 
@@ -1020,7 +1015,7 @@ pub fn recover<S: JournalStore>(
     let n = intents.len();
     for (i, intent) in intents.into_iter().enumerate() {
         if i + 1 == n {
-            prev_ctx = inner.dataplane_snapshot();
+            prev_ctx = Some(inner.serving_snapshot());
         }
         match intent {
             Intent::Step(event) => {
@@ -1033,9 +1028,7 @@ pub fn recover<S: JournalStore>(
     }
     // A recovery from snapshot-only (no replayed intents) still needs an
     // "old" context: the snapshot state itself.
-    if prev_ctx.is_none() {
-        prev_ctx = inner.dataplane_snapshot();
-    }
+    let prev_ctx = prev_ctx.unwrap_or_else(|| inner.serving_snapshot());
     rec.counter("recovery.records_replayed", n as u64);
 
     let report = RecoveryReport {
@@ -1045,7 +1038,7 @@ pub fn recover<S: JournalStore>(
         torn_truncated_bytes: scanned.truncated_bytes,
         unacked_barriers: barriers_submitted.saturating_sub(barriers_acked),
         prev_ctx,
-        intended_ctx: inner.dataplane_snapshot(),
+        intended_ctx: inner.serving_snapshot(),
     };
     let looper = JournaledLoop::wrap(
         inner,
@@ -1086,11 +1079,7 @@ pub fn reconcile<S: JournalStore>(
     looper: &JournaledLoop<S>,
     rec: &dyn Recorder,
 ) -> ReconcileReport {
-    let intended = looper
-        .inner
-        .dataplane_program()
-        .cloned()
-        .unwrap_or_default();
+    let intended = looper.inner.dataplane_program().clone();
     let pre_repair_fabric = looper.fabric.program();
     let plan = apple_dataplane::diff::diff_recorded(&pre_repair_fabric, &intended, rec);
     let was_clean = plan.batches().is_empty();
@@ -1234,7 +1223,7 @@ mod tests {
             jl.step(e, &NOOP).unwrap();
             assert_eq!(
                 &fabric.program(),
-                jl.inner().dataplane_program().unwrap(),
+                jl.inner().dataplane_program(),
                 "fabric lags the controller by at most zero barriers at rest"
             );
         }

@@ -126,6 +126,19 @@ impl SouthboundConfig {
             retry: RetryPolicy::for_rule_install(&t),
         }
     }
+
+    /// A zero-latency, in-order channel: every barrier acks at the
+    /// virtual instant it is submitted, so a plan lands in plan order with
+    /// no wait billed. The paper's retry policy still governs injected
+    /// failures.
+    pub fn instant(seed: u64) -> SouthboundConfig {
+        SouthboundConfig {
+            rule_install_ms: 0,
+            jitter_ms: 0,
+            reorder_window: 0,
+            ..SouthboundConfig::paper(seed)
+        }
+    }
 }
 
 /// Typed failure of an in-flight install. The channel freezes on the
@@ -572,17 +585,20 @@ impl<I: FaultInjector> SouthboundChannel<I> {
         InjectedAck::Acked
     }
 
-    /// Drive the channel until every submitted barrier completes,
-    /// applying each completed batch to `prog` in plan order. Returns the
-    /// per-barrier latency record; on failure the typed error, with
-    /// `prog` intact at the last completed barrier.
-    pub fn drive(&mut self, prog: &mut RuleProgram) -> Result<SouthboundReport, SouthboundError> {
+    /// Drive the channel until every submitted barrier completes, handing
+    /// each completed barrier to `commit` in plan order. Returns the
+    /// per-barrier latency record; on failure the typed error, with every
+    /// barrier before it committed and none after.
+    pub fn drive(
+        &mut self,
+        mut commit: impl FnMut(&CompletedBarrier),
+    ) -> Result<SouthboundReport, SouthboundError> {
         let mut report = SouthboundReport::default();
         while !self.queue.is_empty() {
             let events = self.advance(DRIVE_CHUNK_MS)?;
             for ev in events {
                 if let SouthboundEvent::Barrier(done) = ev {
-                    apply_batch_unchecked(prog, &done.batch);
+                    commit(&done);
                     report.absorb(&done);
                 }
             }
@@ -631,7 +647,7 @@ pub fn apply_plan_async(
 ) -> Result<SouthboundReport, SouthboundError> {
     let mut chan = SouthboundChannel::new(cfg);
     chan.submit_plan(plan);
-    chan.drive(prog)
+    chan.drive(|done| apply_batch_unchecked(prog, &done.batch))
 }
 
 #[cfg(test)]
@@ -781,7 +797,9 @@ mod tests {
         let mut chan = SouthboundChannel::with_injector(fast_cfg(SEED ^ 0x33), inj);
         chan.submit_plan(&plan);
         let mut prog = a.clone();
-        let err = chan.drive(&mut prog).unwrap_err();
+        let err = chan
+            .drive(|done| apply_batch_unchecked(&mut prog, &done.batch))
+            .unwrap_err();
         match &err {
             SouthboundError::InstallFailed { attempts, .. } => {
                 assert_eq!(*attempts, chan.cfg.retry.max_attempts)
@@ -826,7 +844,9 @@ mod tests {
         assert!(stats.ignored_acks >= 2);
         // The run still converges to the exact target program.
         let mut prog = a.clone();
-        let report = chan.drive(&mut prog).unwrap();
+        let report = chan
+            .drive(|done| apply_batch_unchecked(&mut prog, &done.batch))
+            .unwrap();
         let mut sync = a.clone();
         plan.apply_unchecked(&mut sync);
         assert_eq!(prog, sync);
@@ -842,7 +862,9 @@ mod tests {
         let mut chan = SouthboundChannel::with_injector(fast_cfg(SEED ^ 0x55), inj);
         chan.submit_plan(&plan);
         let mut prog = a.clone();
-        let report = chan.drive(&mut prog).unwrap();
+        let report = chan
+            .drive(|done| apply_batch_unchecked(&mut prog, &done.batch))
+            .unwrap();
         assert_eq!(report.retries, 2);
         let mut sync = a.clone();
         plan.apply_unchecked(&mut sync);

@@ -609,14 +609,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 rr.batches,
                 rr.rule_ops
             );
-            let prev = report
-                .prev_ctx
-                .as_ref()
-                .ok_or("recovered loop has no compiler context")?;
-            let intended = report
-                .intended_ctx
-                .as_ref()
-                .ok_or("recovered loop has no compiler context")?;
+            let (prev, intended) = (&report.prev_ctx, &report.intended_ctx);
             let conf = conformance(
                 rr.pre_repair_fabric,
                 None,

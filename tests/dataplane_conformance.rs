@@ -154,9 +154,8 @@ fn identity_snapshots_have_no_barriers() {
 }
 
 /// Online crash/churn interleaving: stream a seeded timeline through the
-/// loop with the incremental compiler on, crash a live instance partway,
-/// and check conformance between every pair of consecutive post-sync
-/// snapshots the loop served.
+/// loop, crash a live instance partway, and check conformance between
+/// every pair of consecutive post-sync snapshots the loop served.
 #[test]
 fn online_crash_interleavings_conform() {
     let topo = zoo::internet2();
@@ -176,7 +175,6 @@ fn online_crash_interleavings_conform() {
             class_cfg: ClassConfig::default(),
             resolve_every: 150,
             max_churn: 64,
-            compile_rules: true,
             ..Default::default()
         };
         let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
@@ -184,9 +182,7 @@ fn online_crash_interleavings_conform() {
         let mut rng = StdRng::seed_from_u64(SEED ^ (0x200 + case));
         // Crash a live instance at two interior points of the timeline.
         let crash_at: Vec<usize> = vec![timeline.len() / 3, 2 * timeline.len() / 3];
-        let mut prev = looper
-            .dataplane_snapshot()
-            .expect("compiler enabled by config");
+        let mut prev = looper.dataplane_snapshot().expect("always a snapshot");
         let mut synced = 0u64;
         for (n, event) in timeline.events().iter().enumerate() {
             let step = looper.step(event, &NOOP);
@@ -201,7 +197,7 @@ fn online_crash_interleavings_conform() {
             if step.dataplane_ops == 0 && !matches!(event.kind, FlowEventKind::Departure) {
                 continue;
             }
-            let next = looper.dataplane_snapshot().expect("compiler stays on");
+            let next = looper.dataplane_snapshot().expect("always a snapshot");
             let ctx = format!("case {case} event {n}");
             let report = differential_conformance_with(&prev, &next, &WalkEngineConfig::default())
                 .unwrap_or_else(|e| panic!("{ctx}: {e}"));
@@ -211,10 +207,7 @@ fn online_crash_interleavings_conform() {
         }
         assert!(synced > 0, "case {case}: timeline never changed the rules");
         assert_eq!(
-            looper
-                .dataplane_program()
-                .expect("compiler stays on")
-                .billable_rules(),
+            looper.dataplane_program().billable_rules(),
             0,
             "case {case}: drained timeline left billable rules installed"
         );

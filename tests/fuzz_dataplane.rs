@@ -365,8 +365,8 @@ fn expected_tags(before: &CompilerSnapshot, after: &CompilerSnapshot) -> Vec<u16
 /// allocation and its fast-path mirror a fresh compile of what is
 /// installed. The schedule is hostile: heavy flows on small hosts (shed
 /// and re-admit, re-rates that must re-place), jumbo classes, instance
-/// crashes, a global re-solve every 50 events, the compiler switched on
-/// mid-run, and both the synchronous and the southbound apply arm.
+/// crashes, a global re-solve every 50 events, and both the instant and
+/// the paper-timed southbound channel.
 #[test]
 fn incremental_sync_equals_full_recompute_under_hostile_churn() {
     use apple_nfv::core::online::{OnlineConfig, OrchestrationLoop};
@@ -407,7 +407,6 @@ fn incremental_sync_equals_full_recompute_under_hostile_churn() {
                 ..Default::default()
             };
             let mut looper = OrchestrationLoop::new(topo, orch, cfg);
-            let enable_at = timeline.len() / 5;
             for (n, event) in timeline.events().iter().enumerate() {
                 // One event is one sync, or two when an instance crash
                 // (which syncs on its own) comes first.
@@ -415,13 +414,9 @@ fn incremental_sync_equals_full_recompute_under_hostile_churn() {
                     .then(|| looper.placer().loads().keys().next().copied())
                     .flatten();
                 for crash in crash.into_iter().map(Some).chain([None]) {
-                    // What is installed, as a snapshot: nothing until the
-                    // sync after the compiler comes on.
-                    let snapshot_before = looper.dataplane_snapshot().unwrap_or_default();
-                    if n == enable_at {
-                        looper.enable_dataplane_compiler();
-                    }
-                    let installed_before = looper.dataplane_program().cloned();
+                    // What is installed, as a snapshot.
+                    let snapshot_before = looper.dataplane_snapshot().expect("always a snapshot");
+                    let before = looper.dataplane_program().clone();
                     let shed_before = looper.shed_count();
                     match crash {
                         Some(id) => {
@@ -440,21 +435,17 @@ fn incremental_sync_equals_full_recompute_under_hostile_churn() {
                         .check_ledger()
                         .unwrap_or_else(|e| panic!("{at}: ledger: {e}"));
                     let committed = looper.committed().batches();
-                    let Some(before) = installed_before else {
-                        assert!(committed.is_empty(), "{at}: barriers, compiler off");
-                        continue;
-                    };
-                    let snapshot = looper.dataplane_snapshot().expect("compiler enabled");
+                    let snapshot = looper.dataplane_snapshot().expect("always a snapshot");
                     let full = compile(&snapshot);
                     assert_eq!(
                         committed,
                         diff(&before, &full).batches(),
                         "{at}: the loop's plan is not the whole-program diff"
                     );
-                    assert_eq!(looper.dataplane_program(), Some(&full), "{at}: program");
+                    assert_eq!(looper.dataplane_program(), &full, "{at}: program");
                     assert_eq!(
                         looper.dataplane_fastpath(),
-                        Some(&CompiledProgram::new(&full)),
+                        &CompiledProgram::new(&full),
                         "{at}: fast-path mirror"
                     );
                     let tags: Vec<u16> = snapshot.subclasses.iter().map(|s| s.tag).collect();

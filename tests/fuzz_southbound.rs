@@ -147,7 +147,7 @@ fn dropped_acks_converge_or_fail_typed_with_prefix_fabric() {
         );
         let ids = chan.submit_plan(&plan);
         let mut prog = old_prog.clone();
-        match chan.drive(&mut prog) {
+        match chan.drive(|done| apply_batch_unchecked(&mut prog, &done.batch)) {
             Ok(report) => {
                 converged += 1;
                 assert_eq!(prog, new_prog, "case {case}: lossy drain drifted");

@@ -95,10 +95,8 @@ enum Action {
 }
 
 fn build_script(s: &RecoverySetup, evs: &[FlowEvent]) -> Vec<Action> {
-    let mut cfg = s.cfg.clone();
-    cfg.compile_rules = true;
     let orch = ResourceOrchestrator::with_uniform_hosts(&s.topo, s.host_cores);
-    let mut looper = OrchestrationLoop::new(&s.topo, orch, cfg);
+    let mut looper = OrchestrationLoop::new(&s.topo, orch, s.cfg.clone());
     let mut script = Vec::new();
     for (i, e) in evs.iter().enumerate() {
         if i > 0 && i % INSTANCE_CRASH_EVERY == 0 {
@@ -198,22 +196,10 @@ fn run_pair(
     let rr = reconcile(&recovered, &rec);
     assert_eq!(
         &fabric.program(),
-        recovered
-            .inner()
-            .dataplane_program()
-            .expect("recovered loop compiles rules"),
+        recovered.inner().dataplane_program(),
         "{label}: fabric must match the recovered intent after repair"
     );
-    let (prev, intended) = (
-        report
-            .prev_ctx
-            .as_ref()
-            .expect("recovered loop has a context"),
-        report
-            .intended_ctx
-            .as_ref()
-            .expect("recovered loop has a context"),
-    );
+    let (prev, intended) = (&report.prev_ctx, &report.intended_ctx);
     conformance(
         rr.pre_repair_fabric,
         None,
@@ -618,10 +604,7 @@ fn southbound_fixture_freezes_partially_acked_tail() {
     reconcile(&recovered, &rec);
     assert_eq!(
         &fabric.program(),
-        recovered
-            .inner()
-            .dataplane_program()
-            .expect("recovered loop compiles rules"),
+        recovered.inner().dataplane_program(),
         "reconcile must repair the partially-acked fabric tail"
     );
     let (twin_final, _) = twin_and_sites(&s, &script);
@@ -750,10 +733,7 @@ fn store_failure_mid_barrier_leaves_a_repairable_plan_prefix() {
     reconcile(&recovered, &NOOP);
     assert_eq!(
         &fabric.program(),
-        recovered
-            .inner()
-            .dataplane_program()
-            .expect("recovered loop compiles rules"),
+        recovered.inner().dataplane_program(),
         "reconcile must repair the plan prefix"
     );
 }
