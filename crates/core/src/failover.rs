@@ -923,7 +923,6 @@ pub struct ReplanReport {
 pub struct Replanner {
     engine: OptimizationEngine,
     cache: WarmCache,
-    replans: u64,
 }
 
 impl Replanner {
@@ -932,7 +931,6 @@ impl Replanner {
         Replanner {
             engine: OptimizationEngine::new(config),
             cache: WarmCache::default(),
-            replans: 0,
         }
     }
 
@@ -968,7 +966,6 @@ impl Replanner {
         let placement = self
             .engine
             .place_cached(classes, orch, rec, &mut self.cache)?;
-        self.replans += 1;
         let warm_hits = self.cache.hits - hits0;
         let warm_misses = self.cache.misses - misses0;
         rec.counter("failover.replans", 1);
@@ -980,11 +977,6 @@ impl Replanner {
             warm_misses,
             down_hosts: orch.hosts().values().filter(|h| !h.up).count(),
         })
-    }
-
-    /// Re-plans performed so far.
-    pub fn replans(&self) -> u64 {
-        self.replans
     }
 
     /// The warm cache (for inspection / explicit invalidation).
@@ -1428,7 +1420,6 @@ mod tests {
         let after = rp.replan(&classes, &orch).unwrap();
         assert!(after.warm_hits > 0, "untouched blocks should be cached");
         assert!(after.warm_misses > 0, "touched blocks must re-solve");
-        assert_eq!(rp.replans(), 4);
         assert!(!rp.cache().is_empty());
     }
 

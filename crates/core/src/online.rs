@@ -29,7 +29,7 @@ use apple_dataplane::compiler::{CompilerSnapshot, RuleProgram, SubclassSpec};
 use apple_dataplane::diff::{DiffScope, UpdateBatch, UpdatePlan};
 use apple_dataplane::fastpath::CompiledProgram;
 use apple_dataplane::southbound::{SouthboundChannel, SouthboundConfig};
-use apple_nf::{InstanceId, VnfSpec};
+use apple_nf::{InstanceId, NfType, VnfSpec};
 use apple_telemetry::{Recorder, RecorderExt};
 use apple_topology::{NodeId, Topology};
 use apple_traffic::arrivals::{FlowEvent, FlowEventKind};
@@ -545,6 +545,23 @@ fn same_decision(spec: &SubclassSpec, lc: &LiveClass) -> bool {
         && spec.instances == lc.decision.stage_instances
 }
 
+/// The Optimization Engine's answer to one periodic re-solve, reduced to
+/// what the loop applies of it. A re-solve uses the engine's placement
+/// only through its per-(switch, NF) instance counts: the churn bound, the
+/// make-before-break transition (and its rollback), the heaviest-first
+/// re-map and the idle sweep are pure functions of those counts, the live
+/// state and the control ops. So this answer is all a journal needs to
+/// redo a re-solve without running the engine again
+/// ([`crate::recovery::Record::Resolve`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResolveAnswer {
+    /// The engine found no placement; the period changes nothing.
+    Failed,
+    /// The placement's instance counts, as
+    /// [`crate::engine::Placement::q_entries`] lists them.
+    Fleet(Vec<(NodeId, NfType, u32)>),
+}
+
 /// Configuration of the [`OrchestrationLoop`].
 #[derive(Debug, Clone, Default)]
 pub struct OnlineConfig {
@@ -686,6 +703,11 @@ pub struct OrchestrationLoop {
     /// The barriers the last step or instance crash committed, in commit
     /// order (see [`Self::committed`]).
     committed: UpdatePlan,
+    /// The engine answer the last step's re-solve applied (see
+    /// [`Self::resolve_answer`]).
+    resolve_answer: Option<ResolveAnswer>,
+    /// Re-solves answered with a fleet (see [`Self::resolves`]).
+    resolves: u64,
     /// The southbound channel: syncs are enqueue + await-barrier and the
     /// installed mirror advances only on acked barriers. The channel
     /// persists across steps so its virtual clock, barrier ids and reorder
@@ -741,6 +763,8 @@ impl OrchestrationLoop {
             fastpath: CompiledProgram::default(),
             lowered: Lowered::default(),
             committed: UpdatePlan::default(),
+            resolve_answer: None,
+            resolves: 0,
             southbound: SouthboundChannel::new(timing),
         }
     }
@@ -755,11 +779,34 @@ impl OrchestrationLoop {
         &self.committed
     }
 
+    /// The engine answer the last [`Self::step`] re-solved with: `Some`
+    /// only when that step's periodic re-solve reached the engine (it had
+    /// classes to place), whether the engine ran or a journaled answer
+    /// stood in for it. The journaled wrapper
+    /// ([`crate::recovery::JournaledLoop`]) logs it after the step returns,
+    /// so that recovery can redo the re-solve without solving.
+    pub fn resolve_answer(&self) -> Option<&ResolveAnswer> {
+        self.resolve_answer.as_ref()
+    }
+
     /// Applies one timeline event and returns what changed.
     pub fn step(&mut self, event: &FlowEvent, rec: &dyn Recorder) -> StepReport {
+        self.step_with(event, None, rec)
+    }
+
+    /// [`Self::step`], with the engine's answer to this step's re-solve
+    /// given instead of computed when `logged` is `Some` (journal redo).
+    /// Everything after the engine runs as in a live step.
+    pub(crate) fn step_with(
+        &mut self,
+        event: &FlowEvent,
+        logged: Option<ResolveAnswer>,
+        rec: &dyn Recorder,
+    ) -> StepReport {
         let _s = rec.span("online.step");
         rec.counter("online.events", 1);
         self.committed = UpdatePlan::default();
+        self.resolve_answer = None;
         self.events_seen += 1;
         let mut report = StepReport::default();
         let delta = match event.kind {
@@ -776,7 +823,7 @@ impl OrchestrationLoop {
             DeltaKind::Emptied => self.empty_pair(delta.pair, rec, &mut report),
         }
         if self.cfg.resolve_every > 0 && self.events_seen.is_multiple_of(self.cfg.resolve_every) {
-            self.resolve(rec, &mut report);
+            self.resolve(logged, rec, &mut report);
         }
         (report.dataplane_ops, report.southbound_wait_ms) = self.sync_dataplane(rec);
         report
@@ -969,8 +1016,14 @@ impl OrchestrationLoop {
 
     /// Runs the periodic warm-started global re-solve and, when the plan's
     /// churn is within bounds, applies it make-before-break and re-maps
-    /// every class onto the re-shaped fleet.
-    fn resolve(&mut self, rec: &dyn Recorder, report: &mut StepReport) {
+    /// every class onto the re-shaped fleet. A `logged` answer stands in
+    /// for the engine.
+    fn resolve(
+        &mut self,
+        logged: Option<ResolveAnswer>,
+        rec: &dyn Recorder,
+        report: &mut StepReport,
+    ) {
         rec.counter("online.resolves", 1);
         // Jumbo classes are excluded: the engine could split them
         // fractionally, but the online serving model cannot express the
@@ -985,19 +1038,24 @@ impl OrchestrationLoop {
         if input.is_empty() {
             return;
         }
-        let no_trunc = ClassConfig {
-            max_classes: 0,
-            ..self.cfg.class_cfg.clone()
-        };
-        let set = ClassSet::finalise(input, &no_trunc);
-        let planned = match self.replanner.replan_recorded(&set, &self.orch, rec) {
-            Ok(r) => r,
-            Err(_) => {
-                rec.counter("online.resolve_failed", 1);
-                return;
+        let answer = logged.unwrap_or_else(|| {
+            let no_trunc = ClassConfig {
+                max_classes: 0,
+                ..self.cfg.class_cfg.clone()
+            };
+            let set = ClassSet::finalise(input, &no_trunc);
+            match self.replanner.replan_recorded(&set, &self.orch, rec) {
+                Ok(r) => ResolveAnswer::Fleet(r.placement.q_entries().collect()),
+                Err(_) => ResolveAnswer::Failed,
             }
+        });
+        let ResolveAnswer::Fleet(fleet) = self.resolve_answer.insert(answer) else {
+            rec.counter("online.resolve_failed", 1);
+            return;
         };
-        let plan = plan_transition_from_live(&self.orch, &planned.placement, &mut self.ops.timing);
+        self.resolves += 1;
+        let plan =
+            plan_transition_from_live(&self.orch, fleet.iter().copied(), &mut self.ops.timing);
         let churn = plan.launch_count() + plan.teardown_count();
         rec.observe("online.resolve_churn", f64::from(churn));
         if self.cfg.max_churn > 0 && churn > self.cfg.max_churn {
@@ -1546,9 +1604,12 @@ impl OrchestrationLoop {
         self.rejected.values().map(|c| c.rate_mbps).sum()
     }
 
-    /// Global re-solves performed so far.
+    /// Global re-solves so far whose answer was a fleet (the engine found a
+    /// placement, or a journaled one stood in for it), counted by the loop
+    /// itself so that a journal redo counts as the live run did. Not part
+    /// of the logical state: a loop restored from a snapshot counts from 0.
     pub fn resolves(&self) -> u64 {
-        self.replanner.replans()
+        self.resolves
     }
 }
 
@@ -1787,12 +1848,12 @@ mod tests {
         assert!(looper.resolves() > 0, "no periodic re-solve ran");
         assert!(looper.live_count() > 0, "nothing live to re-solve");
         let counter = |name| rec.snapshot().counter(name).unwrap_or(0);
-        looper.resolve(&rec, &mut StepReport::default());
+        looper.resolve(None, &rec, &mut StepReport::default());
         let (hits, misses) = (
             counter("failover.replan_warm_hits"),
             counter("failover.replan_warm_misses"),
         );
-        looper.resolve(&rec, &mut StepReport::default());
+        looper.resolve(None, &rec, &mut StepReport::default());
         assert_eq!(
             counter("failover.replan_warm_misses"),
             misses,

@@ -6,15 +6,20 @@
 //! the next [`FlowEvent`]. That makes redo logging sufficient — the journal
 //! records an **intent** (the event about to be applied) before any side
 //! effect and a **commit** after, and recovery replays intents on top of
-//! the latest valid snapshot. Commit and barrier records never drive
+//! the latest valid snapshot. The periodic global re-solve is the costly
+//! part of a step, so a step that runs it also journals the engine's
+//! answer ([`Record::Resolve`]), and redo applies that answer instead of
+//! solving again; a re-solving step whose record is missing re-runs the
+//! engine, which answers the same. Commit and barrier records never drive
 //! replay; they exist so an operator (and the chaos battery) can see how
-//! far a crashed run got.
+//! far a crashed run got. Resolve records do drive it.
 //!
 //! Layering:
 //!
 //! * [`JournaledLoop`] wraps an [`OrchestrationLoop`], writing a
-//!   [`Record::StepIntent`] before each step, a [`Record::StepCommit`]
-//!   after, and a periodic checksummed snapshot of the full logical state
+//!   [`Record::StepIntent`] before each step, a [`Record::Resolve`] after
+//!   a re-solving one, a [`Record::StepCommit`] after, and a periodic
+//!   checksummed snapshot of the full logical state
 //!   ([`RecoveryConfig::snapshot_every`]). After each step it walks the
 //!   barriers the loop committed ([`OrchestrationLoop::committed`]) and,
 //!   per batch, journals a [`Record::Barrier`], mirrors the batch onto a
@@ -37,7 +42,7 @@
 
 use crate::classes::EquivalenceClass;
 use crate::online::{
-    LiveClass, LiveKey, OnlineConfig, OnlineDecision, OrchestrationLoop, StepReport,
+    LiveClass, LiveKey, OnlineConfig, OnlineDecision, OrchestrationLoop, ResolveAnswer, StepReport,
 };
 use crate::orchestrator::{ControlOps, Host, ResourceOrchestrator};
 use crate::policy::PolicyChain;
@@ -153,6 +158,15 @@ pub enum Record {
         /// Barrier ordinal within the journaled run.
         index: u64,
     },
+    /// Step intent `seq` ran a periodic re-solve and the engine answered
+    /// `answer`. Redo applies the answer instead of solving again; a
+    /// re-solving step without this record re-runs the engine.
+    Resolve {
+        /// The step whose re-solve this answers.
+        seq: u64,
+        /// The engine's answer.
+        answer: ResolveAnswer,
+    },
 }
 
 const TAG_STEP_INTENT: u8 = 1;
@@ -161,6 +175,7 @@ const TAG_CRASH_INTENT: u8 = 3;
 const TAG_CRASH_COMMIT: u8 = 4;
 const TAG_BARRIER: u8 = 5;
 const TAG_BARRIER_ACK: u8 = 6;
+const TAG_RESOLVE: u8 = 7;
 
 fn encode_flow_event(w: &mut ByteWriter, e: &FlowEvent) {
     w.put_f64(e.time_secs);
@@ -209,6 +224,47 @@ fn decode_flow_event(r: &mut ByteReader<'_>) -> Result<FlowEvent, DecodeError> {
     })
 }
 
+/// A fleet entry is 9 bytes: the switch as a `u32` (node ids are dense
+/// topology indices), the NF tag and the instance count.
+fn encode_answer(w: &mut ByteWriter, answer: &ResolveAnswer) {
+    match answer {
+        ResolveAnswer::Failed => w.put_u8(0),
+        ResolveAnswer::Fleet(fleet) => {
+            w.put_u8(1);
+            w.put_u32(u32::try_from(fleet.len()).expect("fleet entries fit in u32"));
+            for &(node, nf, count) in fleet {
+                w.put_u32(u32::try_from(node.0).expect("node ids fit in u32"));
+                w.put_u8(nf_to_u8(nf));
+                w.put_u32(count);
+            }
+        }
+    }
+}
+
+fn decode_answer(r: &mut ByteReader<'_>) -> Result<ResolveAnswer, DecodeError> {
+    match r.get_u8()? {
+        0 => Ok(ResolveAnswer::Failed),
+        1 => {
+            let n = r.get_u32()?;
+            // No preallocation from the untrusted count: a short payload
+            // fails on its first missing entry instead.
+            let mut fleet = Vec::new();
+            for _ in 0..n {
+                fleet.push((
+                    NodeId(r.get_u32()? as usize),
+                    nf_from_u8(r.get_u8()?)?,
+                    r.get_u32()?,
+                ));
+            }
+            Ok(ResolveAnswer::Fleet(fleet))
+        }
+        tag => Err(DecodeError::BadTag {
+            context: "resolve answer",
+            tag,
+        }),
+    }
+}
+
 impl Record {
     /// Serialise to a journal payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -242,6 +298,11 @@ impl Record {
                 w.put_u8(TAG_BARRIER_ACK);
                 w.put_u64(*seq);
                 w.put_u64(*index);
+            }
+            Record::Resolve { seq, answer } => {
+                w.put_u8(TAG_RESOLVE);
+                w.put_u64(*seq);
+                encode_answer(&mut w, answer);
             }
         }
         w.into_bytes()
@@ -282,6 +343,10 @@ impl Record {
                 seq: r.get_u64()?,
                 index: r.get_u64()?,
             },
+            TAG_RESOLVE => Record::Resolve {
+                seq: r.get_u64()?,
+                answer: decode_answer(&mut r)?,
+            },
             tag => {
                 return Err(DecodeError::BadTag {
                     context: "journal record",
@@ -303,7 +368,8 @@ impl Record {
             | Record::CrashIntent { seq, .. }
             | Record::CrashCommit { seq }
             | Record::Barrier { seq, .. }
-            | Record::BarrierAck { seq, .. } => *seq,
+            | Record::BarrierAck { seq, .. }
+            | Record::Resolve { seq, .. } => *seq,
         }
     }
 }
@@ -777,8 +843,10 @@ impl<S: JournalStore> JournaledLoop<S> {
         }
     }
 
-    /// Journal an intent, apply one timeline event, mirror the barriers it
-    /// committed, journal the commit, and snapshot when the period elapses.
+    /// Journal an intent, apply one timeline event, journal the engine's
+    /// answer when the step re-solved ([`Record::Resolve`]), mirror the
+    /// barriers it committed, journal the commit, and snapshot when the
+    /// period elapses.
     ///
     /// # Errors
     ///
@@ -799,6 +867,13 @@ impl<S: JournalStore> JournaledLoop<S> {
         };
         append_with_crash(&mut self.journal, &self.crash, &intent.encode())?;
         let report = self.inner.step(event, rec);
+        if let Some(answer) = self.inner.resolve_answer() {
+            let resolve = Record::Resolve {
+                seq,
+                answer: answer.clone(),
+            };
+            append_with_crash(&mut self.journal, &self.crash, &resolve.encode())?;
+        }
         self.mirror_committed(rec)?;
         append_with_crash(
             &mut self.journal,
@@ -929,6 +1004,13 @@ pub struct RecoveryReport {
     pub records_scanned: u64,
     /// Intent records actually replayed on top of the snapshot.
     pub records_replayed: u64,
+    /// Replayed re-solves that applied their journaled engine answer
+    /// ([`Record::Resolve`]) instead of solving.
+    pub resolves_logged: u64,
+    /// Replayed re-solves whose answer the journal lacks (a crash between
+    /// the step and its append, or a journal written before answers were
+    /// logged), so the engine ran again.
+    pub resolves_reexecuted: u64,
     /// Bytes of torn tail truncated (0 = clean shutdown or clean kill).
     pub torn_truncated_bytes: u64,
     /// Barrier submit records with no matching ack record — the length of
@@ -952,15 +1034,20 @@ pub struct RecoveryReport {
 ///
 /// Replay steps the bare loop and mirrors nothing: the fabric already
 /// holds whatever the crashed run installed, and [`reconcile`] repairs it
-/// by diffing, not by re-executing barriers.
+/// by diffing, not by re-executing barriers. A replayed step that
+/// re-solves applies its journaled [`Record::Resolve`] answer in place of
+/// the engine; only a re-solve with no such record runs the engine again.
 ///
 /// Telemetry: `recovery.torn_truncated` (bytes), `recovery.records_replayed`,
-/// `recovery.snapshot_used`.
+/// `recovery.snapshot_used`, `recovery.resolves_logged`,
+/// `recovery.resolves_reexecuted`.
 ///
 /// # Errors
 ///
 /// [`RecoveryError::Journal`] on store failures, [`RecoveryError::Codec`]
-/// when a CRC-valid record or snapshot fails structural decoding.
+/// when a CRC-valid record or snapshot fails structural decoding,
+/// [`RecoveryError::State`] when a [`Record::Resolve`] does not follow the
+/// intent of its `seq`, or answers a step that does not re-solve.
 pub fn recover<S: JournalStore>(
     setup: &RecoverySetup,
     mut store: S,
@@ -973,6 +1060,7 @@ pub fn recover<S: JournalStore>(
     for payload in &scanned.records {
         records.push(Record::decode(payload)?);
     }
+    let records_scanned = records.len() as u64;
 
     let snapshot = Journal::latest_snapshot(&store, None)?;
     let (mut inner, start_seq, snapshot_seq) = match snapshot {
@@ -987,24 +1075,31 @@ pub fn recover<S: JournalStore>(
         }
     };
 
-    // Intents past the snapshot, in journal order. Commits and barriers
-    // are diagnostics; replay is redo-only.
+    // Intents past the snapshot, in journal order, each step with the
+    // engine answer its re-solve logged. Commits and barriers are
+    // diagnostics.
     enum Intent {
-        Step(FlowEvent),
+        Step(FlowEvent, Option<ResolveAnswer>),
         Crash(InstanceId),
     }
     let mut last_seq = start_seq;
     let mut intents = Vec::new();
     let (mut barriers_submitted, mut barriers_acked) = (0u64, 0u64);
-    for record in &records {
+    for record in records {
         last_seq = last_seq.max(record.seq());
         match record {
-            Record::StepIntent { seq, event } if *seq > start_seq => {
-                intents.push(Intent::Step(event.clone()));
+            Record::StepIntent { seq, event } if seq > start_seq => {
+                intents.push((seq, Intent::Step(event, None)));
             }
-            Record::CrashIntent { seq, instance } if *seq > start_seq => {
-                intents.push(Intent::Crash(*instance));
+            Record::CrashIntent { seq, instance } if seq > start_seq => {
+                intents.push((seq, Intent::Crash(instance)));
             }
+            Record::Resolve { seq, answer } if seq > start_seq => match intents.last_mut() {
+                Some((step, Intent::Step(_, logged @ None))) if *step == seq => {
+                    *logged = Some(answer);
+                }
+                _ => return Err(RecoveryError::State("resolve record without its step")),
+            },
             Record::Barrier { .. } => barriers_submitted += 1,
             Record::BarrierAck { .. } => barriers_acked += 1,
             _ => {}
@@ -1013,13 +1108,24 @@ pub fn recover<S: JournalStore>(
 
     let mut prev_ctx = None;
     let n = intents.len();
-    for (i, intent) in intents.into_iter().enumerate() {
+    let (mut resolves_logged, mut resolves_reexecuted) = (0u64, 0u64);
+    for (i, (_, intent)) in intents.into_iter().enumerate() {
         if i + 1 == n {
             prev_ctx = Some(inner.serving_snapshot());
         }
         match intent {
-            Intent::Step(event) => {
+            Intent::Step(event, None) => {
                 inner.step(&event, rec);
+                resolves_reexecuted += u64::from(inner.resolve_answer().is_some());
+            }
+            Intent::Step(event, logged) => {
+                inner.step_with(&event, logged, rec);
+                if inner.resolve_answer().is_none() {
+                    return Err(RecoveryError::State(
+                        "resolve record for a step that does not re-solve",
+                    ));
+                }
+                resolves_logged += 1;
             }
             Intent::Crash(id) => {
                 inner.handle_instance_crash(id, rec);
@@ -1030,11 +1136,15 @@ pub fn recover<S: JournalStore>(
     // "old" context: the snapshot state itself.
     let prev_ctx = prev_ctx.unwrap_or_else(|| inner.serving_snapshot());
     rec.counter("recovery.records_replayed", n as u64);
+    rec.counter("recovery.resolves_logged", resolves_logged);
+    rec.counter("recovery.resolves_reexecuted", resolves_reexecuted);
 
     let report = RecoveryReport {
         snapshot_seq,
-        records_scanned: records.len() as u64,
+        records_scanned,
         records_replayed: n as u64,
+        resolves_logged,
+        resolves_reexecuted,
         torn_truncated_bytes: scanned.truncated_bytes,
         unacked_barriers: barriers_submitted.saturating_sub(barriers_acked),
         prev_ctx,
@@ -1140,6 +1250,17 @@ mod tests {
             Record::CrashCommit { seq: 8 },
             Record::Barrier { seq: 8, index: 3 },
             Record::BarrierAck { seq: 8, index: 3 },
+            Record::Resolve {
+                seq: 9,
+                answer: ResolveAnswer::Failed,
+            },
+            Record::Resolve {
+                seq: 10,
+                answer: ResolveAnswer::Fleet(vec![
+                    (NodeId(0), NfType::Firewall, 2),
+                    (NodeId(7), NfType::Ids, 1),
+                ]),
+            },
         ];
         for r in records {
             let bytes = r.encode();

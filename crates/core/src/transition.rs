@@ -67,16 +67,18 @@ pub fn plan_transition(
     timing: &mut TimingModel,
 ) -> TransitionPlan {
     let old_q = old.q_entries().map(|(v, nf, c)| ((v.0, nf), c)).collect();
-    plan_from(old_q, new, timing)
+    plan_from(old_q, new.q_entries(), timing)
 }
 
 /// Computes the staged transition from the orchestrator's *live* instance
-/// population to `new` — the online loop's variant of [`plan_transition`],
-/// where "old" is whatever is actually running (including instances the
-/// online DP placer booted outside any offline placement).
+/// population to the per-(switch, NF) instance counts `new` (a
+/// placement's [`Placement::q_entries`], or a fleet logged from one) —
+/// the online loop's variant of [`plan_transition`], where "old" is
+/// whatever is actually running (including instances the online DP
+/// placer booted outside any offline placement).
 pub fn plan_transition_from_live(
     orch: &ResourceOrchestrator,
-    new: &Placement,
+    new: impl IntoIterator<Item = (NodeId, NfType, u32)>,
     timing: &mut TimingModel,
 ) -> TransitionPlan {
     let mut old_q: BTreeMap<(usize, NfType), u32> = BTreeMap::new();
@@ -86,14 +88,15 @@ pub fn plan_transition_from_live(
     plan_from(old_q, new, timing)
 }
 
-/// The staged transition from the per-(switch, NF) counts `old_q` to `new`.
+/// The staged transition from the per-(switch, NF) counts `old_q` to
+/// `new`.
 fn plan_from(
     old_q: BTreeMap<(usize, NfType), u32>,
-    new: &Placement,
+    new: impl IntoIterator<Item = (NodeId, NfType, u32)>,
     timing: &mut TimingModel,
 ) -> TransitionPlan {
     let new_q: BTreeMap<(usize, NfType), u32> =
-        new.q_entries().map(|(v, nf, c)| ((v.0, nf), c)).collect();
+        new.into_iter().map(|(v, nf, c)| ((v.0, nf), c)).collect();
     let mut launches = Vec::new();
     let mut teardowns = Vec::new();
     let mut kept = 0u32;

@@ -90,7 +90,8 @@ the online timeline through a write-ahead-journaled controller, kills it
 at crash site --kill-at (counted across journal appends, snapshot writes
 and data-plane barriers; 0 = halfway through the run; --torn leaves a
 half-written journal record behind), then recovers from the surviving
-store, reconciles the torn switch fabric against the recovered intent,
+store (each replayed re-solve applies its journaled engine answer; one whose
+answer was lost runs the engine again), reconciles the torn switch fabric against the recovered intent,
 replays the repair through the packet-level conformance battery, resumes
 the rest of the timeline and checks the final state is bitwise-equal to
 a never-crashed twin.
@@ -589,12 +590,15 @@ fn run(args: &[String]) -> Result<(), String> {
             let (mut recovered, report) =
                 recover(&setup, store, fabric.clone(), rec).map_err(|e| e.to_string())?;
             println!(
-                "recovered from {}: {} records scanned, {} intents replayed, {} torn bytes truncated",
+                "recovered from {}: {} records scanned, {} intents replayed \
+                 ({} re-solves answered from the journal, {} re-executed), {} torn bytes truncated",
                 report
                     .snapshot_seq
                     .map_or("genesis".to_string(), |s| format!("snapshot seq {s}")),
                 report.records_scanned,
                 report.records_replayed,
+                report.resolves_logged,
+                report.resolves_reexecuted,
                 report.torn_truncated_bytes
             );
 

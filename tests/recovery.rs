@@ -23,7 +23,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use apple_nfv::core::online::{OnlineConfig, OrchestrationLoop};
+use apple_nfv::core::online::{OnlineConfig, OrchestrationLoop, ResolveAnswer};
 use apple_nfv::core::orchestrator::ResourceOrchestrator;
 use apple_nfv::core::recovery::{
     encode_state, reconcile, recover, state_digest, JournaledLoop, Record, RecoveryConfig,
@@ -35,7 +35,7 @@ use apple_nfv::dataplane::diff::apply_batch_unchecked;
 use apple_nfv::faults::crash::{install_quiet_kill_hook, kill_of};
 use apple_nfv::faults::{CrashPoint, CrashSite};
 use apple_nfv::journal::{Journal, JournalStore, MemStore, SharedMemStore, StoreError};
-use apple_nfv::nf::InstanceId;
+use apple_nfv::nf::{InstanceId, NfType};
 use apple_nfv::sim::{conformance, Schedule};
 use apple_nfv::telemetry::{MemoryRecorder, NOOP};
 use apple_nfv::topology::{zoo, NodeId};
@@ -145,6 +145,8 @@ struct PairOutcome {
     site: CrashSite,
     torn_bytes: u64,
     replayed: u64,
+    logged: u64,
+    reexecuted: u64,
     repaired: bool,
     unacked: u64,
 }
@@ -241,6 +243,8 @@ fn run_pair(
         site: kill.site,
         torn_bytes: report.torn_truncated_bytes,
         replayed: report.records_replayed,
+        logged: report.resolves_logged,
+        reexecuted: report.resolves_reexecuted,
         repaired: !rr.was_clean || snap.counter("recovery.reconcile_repairs").unwrap_or(0) > 0,
         unacked: report.unacked_barriers,
     }
@@ -328,12 +332,188 @@ fn journal_only_mode_recovers_bitwise() {
 }
 
 // ---------------------------------------------------------------------------
+// Journaled re-solve answers.
+//
+// A step that runs the periodic global re-solve journals the engine's
+// answer (`Record::Resolve`); redo applies it instead of solving, and
+// re-runs the engine only for a re-solving step whose record is missing.
+// ---------------------------------------------------------------------------
+
+/// The decoded records of `store`'s journal.
+fn journal_records(store: &SharedMemStore) -> Vec<Record> {
+    Journal::recover(&mut store.inner())
+        .expect("clean journal scans")
+        .records
+        .iter()
+        .map(|p| Record::decode(p).expect("record decodes"))
+        .collect()
+}
+
+/// A fresh store whose journal holds `records`, appended in order.
+fn store_of(records: &[Record]) -> MemStore {
+    let store = SharedMemStore::new();
+    let mut journal = Journal::new(store.clone());
+    for r in records {
+        journal.append(&r.encode()).expect("in-memory append");
+    }
+    store.inner()
+}
+
+fn is_resolve(r: &Record) -> bool {
+    matches!(r, Record::Resolve { .. })
+}
+
+/// A journal-only run recovers from its `Resolve` records without running
+/// the engine once, and from the same journal stripped of them by
+/// re-running the engine on every re-solve; both land on the live state
+/// and count the live loop's re-solves.
+#[test]
+fn redo_applies_logged_resolves_and_reexecutes_missing_ones() {
+    let s = RecoverySetup {
+        recovery: RecoveryConfig { snapshot_every: 0 },
+        ..setup()
+    };
+    let store = SharedMemStore::new();
+    let mut live = JournaledLoop::new(&s, store.clone(), SharedFabric::new(), CrashPoint::never());
+    for e in &events(SEED ^ 19) {
+        live.step(e, &NOOP)
+            .expect("in-memory journal append cannot fail");
+    }
+    let want = state_digest(live.inner());
+    let records = journal_records(&store);
+    let answers = records.iter().filter(|r| is_resolve(r)).count() as u64;
+    assert!(answers >= 2, "the run logged only {answers} re-solves");
+    assert_eq!(live.inner().resolves(), answers, "no re-solve failed");
+
+    let rec = MemoryRecorder::new();
+    let (logged, report) = recover(&s, store.inner(), SharedFabric::new(), &rec).expect("recover");
+    assert_eq!(state_digest(logged.inner()), want, "logged redo diverged");
+    assert_eq!(logged.inner().resolves(), live.inner().resolves());
+    assert_eq!(
+        (report.resolves_logged, report.resolves_reexecuted),
+        (answers, 0)
+    );
+    let snap = rec.snapshot();
+    assert_eq!(snap.counter("recovery.resolves_logged"), Some(answers));
+    assert_eq!(snap.counter("recovery.resolves_reexecuted"), Some(0));
+    assert_eq!(
+        snap.counter("failover.replans"),
+        None,
+        "redo ran the engine"
+    );
+    assert!(
+        snap.histogram("span.failover.replan").is_none(),
+        "redo ran the engine"
+    );
+
+    let stripped: Vec<Record> = records.into_iter().filter(|r| !is_resolve(r)).collect();
+    let rec = MemoryRecorder::new();
+    let (reexecuted, report) =
+        recover(&s, store_of(&stripped), SharedFabric::new(), &rec).expect("recover");
+    assert_eq!(
+        state_digest(reexecuted.inner()),
+        want,
+        "re-executed redo diverged"
+    );
+    assert_eq!(reexecuted.inner().resolves(), live.inner().resolves());
+    assert_eq!(
+        (report.resolves_logged, report.resolves_reexecuted),
+        (0, answers)
+    );
+    assert_eq!(rec.snapshot().counter("failover.replans"), Some(answers));
+}
+
+/// A kill at a `Resolve` append, clean or torn, loses that one answer:
+/// journal-only recovery applies the answers logged before it,
+/// re-executes that re-solve alone, and resumes bitwise to the twin.
+#[test]
+fn kill_at_a_resolve_append_reexecutes_that_resolve() {
+    install_quiet_kill_hook();
+    let s = RecoverySetup {
+        recovery: RecoveryConfig { snapshot_every: 0 },
+        ..setup()
+    };
+    let script = build_script(&s, &events(SEED ^ 23));
+    let (twin_final, _) = twin_and_sites(&s, &script);
+
+    // The Resolve append is the second site a re-solving step visits,
+    // right after its intent append. Kill at the second re-solve's, so
+    // that one answer is already logged.
+    let crash = CrashPoint::never();
+    let mut probe = JournaledLoop::new(
+        &s,
+        SharedMemStore::new(),
+        SharedFabric::new(),
+        crash.clone(),
+    );
+    let mut ordinals = Vec::new();
+    for action in &script {
+        let before = crash.visited();
+        run_script(&mut probe, std::slice::from_ref(action), 0);
+        if matches!(action, Action::Step(_)) && probe.inner().resolve_answer().is_some() {
+            ordinals.push(before + 2);
+        }
+    }
+    assert!(
+        ordinals.len() >= 2,
+        "the script re-solves {} times",
+        ordinals.len()
+    );
+    let ordinal = ordinals[1];
+    for torn in [false, true] {
+        let label = format!("resolve append ordinal {ordinal} torn {torn}");
+        let out = run_pair(&s, &script, &twin_final, ordinal, torn, &label);
+        assert_eq!(out.site, CrashSite::JournalAppend, "{label}: wrong site");
+        assert_eq!(
+            (out.logged, out.reexecuted),
+            (1, 1),
+            "{label}: the lost answer re-executes alone"
+        );
+    }
+}
+
+/// A `Resolve` record on a step that does not re-solve is corrupt state,
+/// not something to skip.
+#[test]
+fn resolve_record_on_a_step_that_does_not_resolve_is_rejected() {
+    let s = RecoverySetup {
+        recovery: RecoveryConfig { snapshot_every: 0 },
+        ..setup()
+    };
+    let store = SharedMemStore::new();
+    let mut live = JournaledLoop::new(&s, store.clone(), SharedFabric::new(), CrashPoint::never());
+    for e in &events(SEED ^ 29)[..5] {
+        live.step(e, &NOOP)
+            .expect("in-memory journal append cannot fail");
+    }
+    let mut records = journal_records(&store);
+    assert!(!records.iter().any(is_resolve), "five steps re-solved");
+    let at = records
+        .iter()
+        .position(|r| matches!(r, Record::StepIntent { seq: 3, .. }))
+        .expect("step 3 was journaled");
+    records.insert(
+        at + 1,
+        Record::Resolve {
+            seq: 3,
+            answer: ResolveAnswer::Fleet(vec![(NodeId(0), NfType::Firewall, 1)]),
+        },
+    );
+    let err = recover(&s, store_of(&records), SharedFabric::new(), &NOOP)
+        .expect_err("a stray resolve answer must not recover");
+    assert!(matches!(err, RecoveryError::State(_)), "{err}");
+}
+
+// ---------------------------------------------------------------------------
 // Pinned wire-format fixtures.
 //
 // The committed files freeze the journal and snapshot byte formats at
 // RECORD_VERSION / SNAPSHOT_VERSION 1. If either codec changes shape,
 // these tests fail — bump the version constants and regenerate with
 // `BLESS_RECOVERY_FIXTURES=1 cargo test -p apple-nfv --test recovery`.
+// A new record kind changes no existing record's bytes and needs no
+// version bump (neither fixture run reaches a re-solve, so neither holds
+// a `Resolve` record).
 // ---------------------------------------------------------------------------
 
 /// Seed and shape of the fixture run (small on purpose: the files are
@@ -683,12 +863,7 @@ fn store_failure_mid_barrier_leaves_a_repairable_plan_prefix() {
         dry.step(e, &NOOP)
             .expect("in-memory journal append cannot fail");
     }
-    let records: Vec<Record> = Journal::recover(&mut store.inner())
-        .expect("clean journal scans")
-        .records
-        .iter()
-        .map(|p| Record::decode(p).expect("record decodes"))
-        .collect();
+    let records = journal_records(&store);
     let (fail_at, seq) = records
         .iter()
         .enumerate()

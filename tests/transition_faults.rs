@@ -94,14 +94,14 @@ fn live_deployment() -> (ResourceOrchestrator, TransitionPlan, Placement) {
     let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
     let (_, small) = placement_for(2_000.0, SEED, &orch);
     let mut ops = ControlOps::reliable(SEED);
-    let bootstrap = plan_transition_from_live(&orch, &small, &mut ops.timing);
+    let bootstrap = plan_transition_from_live(&orch, small.q_entries(), &mut ops.timing);
     apply_transition(&bootstrap, &mut orch, &mut ops, &NOOP).expect("bootstrap transition");
     let (_, large) = placement_for(
         6_000.0,
         SEED ^ 1,
         &ResourceOrchestrator::with_uniform_hosts(&topo, 64),
     );
-    let plan = plan_transition_from_live(&orch, &large, &mut ops.timing);
+    let plan = plan_transition_from_live(&orch, large.q_entries(), &mut ops.timing);
     assert!(
         !plan.launches.is_empty(),
         "migration plan launches nothing; pick different loads"
