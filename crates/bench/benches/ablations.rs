@@ -1,11 +1,9 @@
 //! Ablation benches for the design choices DESIGN.md §5 calls out:
 //!
-//! * `lp_round_vs_exact` — the paper's LP-relax-and-round against exact
-//!   branch-and-bound (time; the quality gap is asserted in tests),
-//! * `aggregation` — optimisation time at per-flow-ish vs class
-//!   granularity (§IV-A's scalability argument),
-//! * `subclass_split` — consistent hashing vs prefix splitting
-//!   (sub-class derivation cost; rule-count impact is printed by `fig10`).
+//! * `aggregation_granularity` — optimisation time at per-flow-ish vs
+//!   class granularity (§IV-A's scalability argument),
+//! * `online_vs_global` — one global engine run against streaming the same
+//!   classes through the online placer.
 //!
 //! Telemetry snapshot: `target/telemetry/ablations.json`.
 
@@ -13,7 +11,6 @@ use apple_bench::harness::Bench;
 use apple_core::classes::{ClassConfig, ClassSet};
 use apple_core::engine::{EngineConfig, OptimizationEngine};
 use apple_core::orchestrator::ResourceOrchestrator;
-use apple_core::subclass::{SplitStrategy, SubclassPlan};
 use apple_topology::zoo;
 use apple_traffic::GravityModel;
 
@@ -32,19 +29,6 @@ fn small_problem(max_classes: usize) -> (ClassSet, ResourceOrchestrator) {
     (classes, orch)
 }
 
-fn bench_lp_vs_exact(bench: &Bench) {
-    let (classes, orch) = small_problem(6);
-    for (label, exact) in [("lp_round", false), ("exact_bnb", true)] {
-        let engine = OptimizationEngine::new(EngineConfig {
-            exact,
-            ..Default::default()
-        });
-        bench.iter(&format!("lp_round_vs_exact.{label}"), || {
-            engine.place(&classes, &orch).expect("feasible")
-        });
-    }
-}
-
 fn bench_aggregation(bench: &Bench) {
     // More classes = finer granularity; §IV-A argues coarse classes keep
     // the optimisation input small.
@@ -53,21 +37,6 @@ fn bench_aggregation(bench: &Bench) {
         let engine = OptimizationEngine::new(EngineConfig::default());
         bench.iter(&format!("aggregation_granularity.{classes_n}"), || {
             engine.place(&classes, &orch).expect("feasible")
-        });
-    }
-}
-
-fn bench_subclass_split(bench: &Bench) {
-    let (classes, orch) = small_problem(20);
-    let placement = OptimizationEngine::new(EngineConfig::default())
-        .place(&classes, &orch)
-        .expect("feasible");
-    for (label, strategy) in [
-        ("consistent_hash", SplitStrategy::ConsistentHash),
-        ("prefix_split", SplitStrategy::PrefixSplit),
-    ] {
-        bench.iter(&format!("subclass_split.{label}"), || {
-            SubclassPlan::derive(&classes, &placement, strategy)
         });
     }
 }
@@ -95,9 +64,7 @@ fn bench_global_vs_online(bench: &Bench) {
 
 fn main() {
     let bench = Bench::new("ablations");
-    bench_lp_vs_exact(&bench);
     bench_aggregation(&bench);
-    bench_subclass_split(&bench);
     bench_global_vs_online(&bench);
     bench.finish().expect("snapshot written");
 }

@@ -20,7 +20,8 @@ use apple_traffic::TrafficMatrix;
 pub struct AppleConfig {
     /// Class construction knobs.
     pub classes: ClassConfig,
-    /// Optimization Engine knobs.
+    /// Optimization Engine configuration. It has no settable values; the
+    /// field stays for callers outside this workspace (ROADMAP item 9(a)).
     pub engine: EngineConfig,
     /// CPU cores per APPLE host (the paper assumes 64).
     pub host_cores: u32,
@@ -52,8 +53,10 @@ impl Apple {
     /// # Errors
     ///
     /// [`EngineError`] when the optimisation fails (no classes, infeasible
-    /// resources, or solver trouble). Rule-generation errors cannot occur
-    /// here because planning always uses prefix splitting.
+    /// resources, or solver trouble). Rule generation cannot fail on its
+    /// own here: planning sets no TCAM budget, and a launch failure (which
+    /// the engine's Eq. (6) precludes) reports as
+    /// [`EngineError::Infeasible`].
     pub fn plan(
         topo: &Topology,
         tm: &TrafficMatrix,
@@ -94,9 +97,6 @@ impl Apple {
         let _rules_span = rec.span("apple.rules");
         let program = match generate(topo, &classes, &plan, &placement, &mut orchestrator) {
             Ok(p) => p,
-            Err(RuleGenError::NeedsPrefixSplit) => {
-                unreachable!("plan() always uses prefix splitting")
-            }
             Err(RuleGenError::Orchestration(_)) => {
                 // The engine's Eq. (6) guarantees resources suffice; hitting
                 // this means the host model changed between place and

@@ -15,15 +15,15 @@
 //! * Eq. (6): per-host resources: `Σ R_n · q[v][n] ≤ A_v`.
 //!
 //! Like the paper we solve the **LP relaxation** and round; the rounding
-//! (ceil of `q`, with a resource-repair re-solve) is validated against the
-//! exact branch-and-bound optimum on small instances by the test suite.
+//! (ceil of `q`, with a resource-repair re-solve) is validated by the test
+//! suite against the branch-and-bound optimum of the integer model
+//! ([`OptimizationEngine::ilp_model`]) on small instances.
 
 use crate::classes::{ClassSet, EquivalenceClass};
 use crate::orchestrator::ResourceOrchestrator;
 use apple_lp::decompose::DecomposedStats;
 use apple_lp::{
-    solve_decomposed, BranchConfig, Cmp, LpError, Model, Sense, SimplexOptions, Solution, Var,
-    WarmCache,
+    solve_decomposed, Cmp, LpError, Model, Sense, SimplexOptions, Solution, Var, WarmCache,
 };
 use apple_nf::{NfType, VnfSpec};
 use apple_telemetry::{Recorder, RecorderExt, NOOP};
@@ -70,28 +70,18 @@ impl From<LpError> for EngineError {
     }
 }
 
-/// Engine configuration.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Solve exactly with branch-and-bound instead of LP-relax + round.
-    /// Only sensible for small instances (tests, ablations).
-    pub exact: bool,
-    /// Maximum rounding-repair iterations when ceiling violates host
-    /// resources.
-    pub max_repair_rounds: usize,
-    /// Simplex options forwarded to the LP solver.
-    pub simplex: SimplexOptions,
-}
+/// Engine configuration. It has no settable values: the engine always
+/// solves the LP relaxation and rounds it (DESIGN.md §8), and the exact
+/// integer optimum is a test oracle over [`OptimizationEngine::ilp_model`].
+/// The type stays because `AppleConfig::engine`, [`OptimizationEngine::new`]
+/// and `Replanner::new` take it (ROADMAP item 9(a)).
+#[derive(Debug, Clone, Default)]
+pub struct EngineConfig {}
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            exact: false,
-            max_repair_rounds: 32,
-            simplex: SimplexOptions::default(),
-        }
-    }
-}
+/// Rounding-repair re-solves [`OptimizationEngine::place`] tries when the
+/// ceiled counts overshoot a host, before it reports
+/// [`EngineError::Infeasible`].
+const MAX_REPAIR_ROUNDS: usize = 32;
 
 /// Result of a placement run.
 #[derive(Debug, Clone)]
@@ -186,9 +176,7 @@ impl Placement {
 /// # Ok::<(), apple_core::engine::EngineError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct OptimizationEngine {
-    config: EngineConfig,
-}
+pub struct OptimizationEngine {}
 
 /// Index bookkeeping between the class set and the LP model.
 struct VarMap {
@@ -249,7 +237,9 @@ type Counts = BTreeMap<(usize, usize), u32>;
 /// Whether instance counts are decision variables or fixed data.
 enum QMode<'a> {
     /// q are integer decision variables, optionally with extra upper
-    /// bounds from the rounding-repair loop.
+    /// bounds from the rounding-repair loop ([`OptimizationEngine::ilp_model`]
+    /// sets none; the reduced-vs-full relaxation test replays each repair
+    /// round's caps).
     Variables(&'a Counts),
     /// q are constants; the model is a pure d-feasibility LP (used by the
     /// consolidation descent).
@@ -257,9 +247,9 @@ enum QMode<'a> {
 }
 
 impl OptimizationEngine {
-    /// Creates an engine with the given configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        OptimizationEngine { config }
+    /// Creates an engine.
+    pub fn new(_config: EngineConfig) -> Self {
+        OptimizationEngine {}
     }
 
     /// Computes a placement for the classes, given host resources from the
@@ -322,30 +312,11 @@ impl OptimizationEngine {
             return Err(EngineError::NoClasses);
         }
         let start = Instant::now();
-        let (q, d, sol) = if self.config.exact {
-            let no_caps = BTreeMap::new();
-            let (model, vmap) = {
-                let _s = rec.span("engine.build");
-                self.build_model(classes, orch, QMode::Variables(&no_caps))
-            };
-            let _s = rec.span("engine.solve");
-            let (sol, _stats) = model.solve_ilp(BranchConfig {
-                simplex: self.config.simplex,
-                ..BranchConfig::default()
-            })?;
-            sol.stats().record(rec, "lp");
-            let q = vmap
-                .q_vars
-                .iter()
-                .map(|(&key, &var)| (key, (sol.value(var) - 1e-9).ceil().max(0.0) as u32))
-                .collect();
-            (q, d_grid(&vmap, sol.values()), sol)
-        } else {
-            let (q_ceil, sol, vmap) = self.relax_and_round(classes, orch, rec, cache)?;
+        let (q_ceil, sol, vmap) = self.relax_and_round(classes, orch, rec, cache)?;
+        let (q, d) = {
             let _s = rec.span("engine.consolidate");
             let d = d_grid(&vmap, sol.values());
-            let (q, d) = self.consolidate(classes, orch, q_ceil, d, rec, cache);
-            (q, d, sol)
+            self.consolidate(classes, orch, q_ceil, d, rec, cache)
         };
         let placement = assemble(classes, &q, &d, sol.objective(), start, sol.stats().pivots);
         rec.gauge("engine.rounding_gap", placement.rounding_gap());
@@ -369,7 +340,7 @@ impl OptimizationEngine {
         cache: &mut WarmCache,
     ) -> Result<(Counts, Solution, VarMap), EngineError> {
         let mut extra_caps: Counts = BTreeMap::new();
-        for _round in 0..=self.config.max_repair_rounds {
+        for _round in 0..=MAX_REPAIR_ROUNDS {
             let reduced = {
                 let _s = rec.span("engine.build");
                 self.build_reduced(classes, orch, &extra_caps)
@@ -478,13 +449,14 @@ impl OptimizationEngine {
         }
     }
 
-    /// Serialises the Eq. (1)–(8) model for this input in CPLEX LP format
-    /// (see [`apple_lp::export`]) — handy for cross-checking against an
-    /// external solver.
-    pub fn export_lp(&self, classes: &ClassSet, orch: &ResourceOrchestrator) -> String {
-        let no_caps = BTreeMap::new();
-        let (model, _) = self.build_model(classes, orch, QMode::Variables(&no_caps));
-        model.to_lp_format()
+    /// The Eq. (1)–(8) integer model for this input: integer `q` and
+    /// continuous `d` over the same columns and prices the relaxation
+    /// solves. `apple export-lp` prints it in CPLEX LP format (see
+    /// [`apple_lp::export`]); the tests solve it with branch-and-bound
+    /// ([`Model::solve_ilp`]) for the exact optimum at small sizes.
+    pub fn ilp_model(&self, classes: &ClassSet, orch: &ResourceOrchestrator) -> Model {
+        self.build_model(classes, orch, QMode::Variables(&BTreeMap::new()))
+            .0
     }
 
     /// Builds the Eq. (1)–(8) model. In [`QMode::Variables`] the q are
@@ -725,7 +697,7 @@ impl OptimizationEngine {
         cache: &mut WarmCache,
         rec: &dyn Recorder,
     ) -> Result<Solution, LpError> {
-        let (sol, dstats) = solve_decomposed(model, &self.config.simplex, Some(cache))?;
+        let (sol, dstats) = solve_decomposed(model, &SimplexOptions::default(), Some(cache))?;
         record_decompose(rec, &dstats);
         sol.stats().record(rec, "lp");
         Ok(sol)
@@ -1290,7 +1262,8 @@ impl OptimizationEngine {
         ORACLE.with(|log| {
             if let Some(log) = log.borrow_mut().as_mut() {
                 let (model, _) = self.build_model(classes, orch, QMode::Fixed(q_try));
-                let lp_feasible = solve_decomposed(&model, &self.config.simplex, None).is_ok();
+                let lp_feasible =
+                    solve_decomposed(&model, &SimplexOptions::default(), None).is_ok();
                 let accept_violation =
                     accepted.map(|d| self.fixed_q_violation(classes, orch, q_try, d));
                 log.push(OracleVerdict {
@@ -1449,22 +1422,31 @@ mod tests {
         }
     }
 
+    /// The exact integer optimum `Σ q` of the Eq. (1)–(8) model, by
+    /// branch-and-bound over [`OptimizationEngine::ilp_model`].
+    fn ilp_optimum(classes: &ClassSet, orch: &ResourceOrchestrator) -> u32 {
+        let model = OptimizationEngine::default().ilp_model(classes, orch);
+        let (sol, _) = model
+            .solve_ilp(apple_lp::BranchConfig::default())
+            .expect("integer feasible");
+        model
+            .integer_vars()
+            .into_iter()
+            .map(|q| (sol.value(q) - 1e-9).ceil().max(0.0) as u32)
+            .sum()
+    }
+
     #[test]
     fn exact_matches_rounded_on_small_instance() {
         let (_t, classes, orch) = tiny();
         let rounded = OptimizationEngine::new(EngineConfig::default())
             .place(&classes, &orch)
             .unwrap();
-        let exact = OptimizationEngine::new(EngineConfig {
-            exact: true,
-            ..Default::default()
-        })
-        .place(&classes, &orch)
-        .unwrap();
-        assert!(rounded.total_instances() >= exact.total_instances());
-        assert_eq!(exact.total_instances(), 2);
+        let opt = ilp_optimum(&classes, &orch);
+        assert!(rounded.total_instances() >= opt);
+        assert_eq!(opt, 2);
         // LP bound is below both.
-        assert!(exact.lp_objective() <= f64::from(exact.total_instances()) + 1e-6);
+        assert!(rounded.lp_objective() <= f64::from(opt) + 1e-6);
     }
 
     #[test]
@@ -1511,9 +1493,9 @@ mod tests {
     /// on every ceiled q. Returns the number of repair rounds it walked.
     fn assert_reduced_matches_full(classes: &ClassSet, orch: &ResourceOrchestrator) -> usize {
         let engine = OptimizationEngine::default();
-        let simplex = engine.config.simplex;
+        let simplex = SimplexOptions::default();
         let mut extra_caps = BTreeMap::new();
-        for round in 0..=engine.config.max_repair_rounds {
+        for round in 0..=MAX_REPAIR_ROUNDS {
             let (full, full_map) = engine.build_model(classes, orch, QMode::Variables(&extra_caps));
             let full_sol = full.solve_lp_with(simplex).expect("full relaxation");
             let reduced = engine.build_reduced(classes, orch, &extra_caps);
@@ -1608,7 +1590,7 @@ mod tests {
     fn lp_feasible(classes: &ClassSet, orch: &ResourceOrchestrator, q: &Counts) -> bool {
         let engine = OptimizationEngine::default();
         let (model, _) = engine.build_model(classes, orch, QMode::Fixed(q));
-        solve_decomposed(&model, &engine.config.simplex, None).is_ok()
+        solve_decomposed(&model, &SimplexOptions::default(), None).is_ok()
     }
 
     #[test]

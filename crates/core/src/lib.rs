@@ -10,13 +10,14 @@
 //! * [`classes`] — traffic aggregation into equivalence classes (same
 //!   forwarding path + same policy chain, §IV-A),
 //! * [`engine`] — the Optimization Engine: the ILP of Eq. (1)–(8), solved
-//!   by LP relaxation + rounding (exact branch-and-bound available for
-//!   validation); every relaxation substitutes the q variables out,
+//!   by LP relaxation + rounding (the tests solve its integer model,
+//!   `OptimizationEngine::ilp_model`, by branch-and-bound as the exact
+//!   oracle); every relaxation substitutes the q variables out,
 //!   splits into independent per-class blocks and solves them through a
 //!   warm cache (DESIGN.md §8),
 //! * [`subclass`] — sub-class construction (§V-A): monotone coupling of the
 //!   per-stage spatial distributions into concrete VNF-instance sequences,
-//!   realised by consistent hashing or prefix splitting,
+//!   realised by source-prefix splitting,
 //! * [`orchestrator`] — the Resource Orchestrator: APPLE hosts, resource
 //!   accounting, instance lifecycle,
 //! * [`rules`] — the Rule Generator: Table III TCAM programs + vSwitch

@@ -575,8 +575,6 @@ pub struct OnlineConfig {
     /// perform; plans churning more are deferred to the next period
     /// (0 = unbounded).
     pub max_churn: u32,
-    /// Engine configuration for the periodic global re-solve.
-    pub engine: EngineConfig,
     /// Seed for control-plane retry jitter.
     pub seed: u64,
     /// Ignored: every loop maintains its incrementally patched rule
@@ -753,7 +751,7 @@ impl OrchestrationLoop {
             inc: IncrementalClasses::new(topo, &cfg.class_cfg),
             placer: OnlinePlacer::new(),
             orch,
-            replanner: Replanner::new(cfg.engine.clone()),
+            replanner: Replanner::new(EngineConfig::default()),
             ops,
             cfg,
             live: LiveTable::default(),

@@ -11,7 +11,7 @@
 use crate::classes::{ClassId, ClassSet, EquivalenceClass};
 use crate::engine::Placement;
 use crate::orchestrator::{OrchestratorError, ResourceOrchestrator};
-use crate::subclass::{SplitStrategy, SubclassPlan};
+use crate::subclass::SubclassPlan;
 use apple_dataplane::compiler::{compile, CompilerSnapshot, SubclassSpec};
 use apple_dataplane::walk::NetworkWalker;
 use apple_nf::{InstanceId, NfType, VnfSpec};
@@ -22,10 +22,6 @@ use std::fmt;
 /// Errors from rule generation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuleGenError {
-    /// The plan used consistent hashing, which hardware switches cannot
-    /// match on (the paper's implementation uses prefix splitting for the
-    /// same reason).
-    NeedsPrefixSplit,
     /// Instance launch failed while realising the placement.
     Orchestration(OrchestratorError),
     /// A switch's APPLE rules exceed its TCAM budget.
@@ -42,10 +38,6 @@ pub enum RuleGenError {
 impl fmt::Display for RuleGenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RuleGenError::NeedsPrefixSplit => write!(
-                f,
-                "rule generation requires prefix-split sub-classes (hardware cannot hash)"
-            ),
             RuleGenError::Orchestration(e) => write!(f, "orchestration failed: {e}"),
             RuleGenError::TcamBudgetExceeded {
                 switch,
@@ -254,8 +246,9 @@ pub fn generate(
 ///
 /// # Errors
 ///
-/// [`RuleGenError::NeedsPrefixSplit`] when the plan lacks prefix covers,
-/// [`RuleGenError::Orchestration`] when instance launch fails.
+/// [`RuleGenError::Orchestration`] when instance launch fails, and
+/// [`RuleGenError::TcamBudgetExceeded`] when a switch's entries exceed
+/// [`RuleGenConfig::tcam_budget_per_switch`].
 pub fn generate_with(
     topo: &Topology,
     classes: &ClassSet,
@@ -264,9 +257,6 @@ pub fn generate_with(
     orch: &mut ResourceOrchestrator,
     config: &RuleGenConfig,
 ) -> Result<DataPlaneProgram, RuleGenError> {
-    if plan.strategy() != SplitStrategy::PrefixSplit {
-        return Err(RuleGenError::NeedsPrefixSplit);
-    }
     // 1. Launch instances per q.
     for (v, nf, count) in placement.q_entries() {
         for _ in 0..count {
@@ -344,7 +334,8 @@ pub fn generate_with(
 ///
 /// # Errors
 ///
-/// [`RuleGenError::NeedsPrefixSplit`] when the plan lacks prefix covers.
+/// None: it is always `Ok`. The `Result` stays because callers outside
+/// this workspace handle it (ROADMAP item 9(a)).
 ///
 /// # Panics
 ///
@@ -358,9 +349,6 @@ pub fn snapshot_of(
     orch: &ResourceOrchestrator,
     config: &RuleGenConfig,
 ) -> Result<CompilerSnapshot, RuleGenError> {
-    if plan.strategy() != SplitStrategy::PrefixSplit {
-        return Err(RuleGenError::NeedsPrefixSplit);
-    }
     // §X: classes whose chain rewrites headers get globally-unique
     // sub-class tags (allocated from the top half of the tag space so they
     // never collide with per-class local ids).
@@ -582,6 +570,7 @@ mod tests {
     use super::*;
     use crate::classes::ClassConfig;
     use crate::engine::{EngineConfig, OptimizationEngine};
+    use crate::subclass::SplitStrategy;
     use apple_dataplane::packet::{HostTag, Packet};
     use apple_topology::zoo;
     use apple_traffic::GravityModel;
@@ -598,27 +587,6 @@ mod tests {
         );
         let prog = deploy(topo, &classes, &RuleGenConfig::default());
         (classes, prog)
-    }
-
-    #[test]
-    fn hash_plans_rejected() {
-        let topo = zoo::internet2();
-        let tm = GravityModel::new(1_000.0, 1).base_matrix(&topo);
-        let classes = ClassSet::build(
-            &topo,
-            &tm,
-            &ClassConfig {
-                max_classes: 5,
-                ..Default::default()
-            },
-        );
-        let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let placement = OptimizationEngine::new(EngineConfig::default())
-            .place(&classes, &orch)
-            .unwrap();
-        let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::ConsistentHash);
-        let err = generate(&topo, &classes, &plan, &placement, &mut orch);
-        assert!(matches!(err, Err(RuleGenError::NeedsPrefixSplit)));
     }
 
     /// Plans and generates `classes` on `topo` under `config`.

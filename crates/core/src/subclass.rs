@@ -12,23 +12,22 @@
 //!    `u ∈ [0,1)` yields, at every breakpoint, a *non-decreasing* sequence
 //!    of locations per stage — a valid sub-class whose fraction is the
 //!    interval length.
-//! 2. **Flow mapping.** A fraction interval becomes either a consistent-
-//!    hash range (`<class, h ∈ [0, 0.5)>` in the paper's example) or a set
-//!    of IP prefixes (`10.1.1.128/25`), the method usable on switches
-//!    without programmable hash functions. Prefix splitting may need
-//!    several rules per sub-class — the TCAM cost Fig. 10's tagging scheme
-//!    avoids re-paying at every hop.
+//! 2. **Flow mapping.** A fraction interval becomes a set of source IP
+//!    prefixes (`[0.5, 1.0)` of `10.1.1.0/24` is `10.1.1.128/25`), the
+//!    method the paper uses because switches cannot hash. Prefix splitting
+//!    may need several rules per sub-class — the TCAM cost Fig. 10's
+//!    tagging scheme avoids re-paying at every hop.
 
 use crate::classes::{ClassId, ClassSet, EquivalenceClass};
 use crate::engine::Placement;
 use std::fmt;
 
-/// How sub-class membership is expressed in the data plane.
+/// How sub-class membership is expressed in the data plane. Prefix
+/// splitting is the only strategy; the enum stays because
+/// [`SubclassPlan::derive`] takes it and callers outside this workspace
+/// name its variant (ROADMAP item 9(a)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SplitStrategy {
-    /// Consistent hashing over `[0,1)` — exact fractions, but requires
-    /// programmable hash support in switches.
-    ConsistentHash,
     /// Dyadic source-prefix splitting — supported by every TCAM, at the
     /// cost of multiple rules per sub-class and fraction quantisation.
     #[default]
@@ -43,14 +42,13 @@ pub struct Subclass {
     pub class: ClassId,
     /// Sub-class id, local to the class (multiplexed across classes).
     pub id: u16,
-    /// Half-open hash interval in `[0,1)`.
+    /// Half-open interval of the class's flow space in `[0,1)`.
     pub range: (f64, f64),
     /// For each chain stage `j`, the index `i` into the class's path where
     /// that stage is processed. Non-decreasing.
     pub stage_positions: Vec<usize>,
-    /// Source-prefix cover of the interval when using
-    /// [`SplitStrategy::PrefixSplit`] (empty for consistent hashing):
-    /// `(address, prefix_len)` pairs inside the class's /24.
+    /// Source-prefix cover of the interval: `(address, prefix_len)` pairs
+    /// inside the class's /24.
     pub prefixes: Vec<(u32, u8)>,
 }
 
@@ -97,34 +95,25 @@ impl fmt::Display for Subclass {
 #[derive(Debug, Clone, Default)]
 pub struct SubclassPlan {
     subclasses: Vec<Subclass>,
-    strategy: SplitStrategy,
 }
 
 impl SubclassPlan {
     /// Derives sub-classes from the engine's fractional distribution via
-    /// the inverse-CDF monotone coupling, then maps intervals to flows with
-    /// `strategy`.
+    /// the inverse-CDF monotone coupling, then covers each interval with
+    /// source prefixes.
     ///
     /// Fractions smaller than `1/256` are merged into their neighbour —
     /// the prefix splitter cannot express them and they carry negligible
     /// traffic.
-    pub fn derive(classes: &ClassSet, placement: &Placement, strategy: SplitStrategy) -> Self {
+    pub fn derive(classes: &ClassSet, placement: &Placement, _strategy: SplitStrategy) -> Self {
         let mut subclasses = Vec::new();
         for (h, class) in classes.iter().enumerate() {
-            subclasses.extend(Self::derive_class(h, class, placement, strategy));
+            subclasses.extend(Self::derive_class(h, class, placement));
         }
-        SubclassPlan {
-            subclasses,
-            strategy,
-        }
+        SubclassPlan { subclasses }
     }
 
-    fn derive_class(
-        h: usize,
-        class: &EquivalenceClass,
-        placement: &Placement,
-        strategy: SplitStrategy,
-    ) -> Vec<Subclass> {
+    fn derive_class(h: usize, class: &EquivalenceClass, placement: &Placement) -> Vec<Subclass> {
         let plen = class.path.len();
         let clen = class.chain.len();
         // Per-stage CDF over path positions.
@@ -178,18 +167,12 @@ impl SubclassPlan {
                 positions.windows(2).all(|p| p[0] <= p[1]),
                 "coupling not monotone for class {h}: {positions:?}"
             );
-            let prefixes = match strategy {
-                SplitStrategy::ConsistentHash => Vec::new(),
-                SplitStrategy::PrefixSplit => {
-                    dyadic_cover(lo, hi, class.src_prefix.0, class.src_prefix.1)
-                }
-            };
             out.push(Subclass {
                 class: ClassId(h),
                 id: sid,
                 range: (lo, hi),
                 stage_positions: positions,
-                prefixes,
+                prefixes: dyadic_cover(lo, hi, class.src_prefix.0, class.src_prefix.1),
             });
             sid += 1;
         }
@@ -205,10 +188,7 @@ impl SubclassPlan {
                 id: 0,
                 range: (0.0, 1.0),
                 stage_positions: positions,
-                prefixes: match strategy {
-                    SplitStrategy::ConsistentHash => Vec::new(),
-                    SplitStrategy::PrefixSplit => vec![class.src_prefix],
-                },
+                prefixes: vec![class.src_prefix],
             });
         }
         out
@@ -225,11 +205,6 @@ impl SubclassPlan {
             .iter()
             .filter(|s| s.class == class)
             .collect()
-    }
-
-    /// The strategy used for flow mapping.
-    pub fn strategy(&self) -> SplitStrategy {
-        self.strategy
     }
 
     /// Total number of sub-classes.
@@ -282,148 +257,6 @@ fn dyadic_cover(lo: f64, hi: f64, base_addr: u32, base_len: u8) -> Vec<(u32, u8)
     out
 }
 
-/// SplitMix64-style avalanche mix: every input bit affects every output
-/// bit. Local so the ring needs no external hash dependency.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// A consistent-hash ring over `[0,1)` mapping flow-space points to
-/// instances — the [`SplitStrategy::ConsistentHash`] realisation of
-/// sub-class membership, built so that instance churn moves the *minimum*
-/// share of flows.
-///
-/// Each instance owns `replicas` deterministic points on the unit circle
-/// (`mix64(instance ⊕ replica)` scaled to `[0,1)`); a flow-space point is
-/// served by the instance owning the next point clockwise. Adding an
-/// instance steals exactly the segments its new points cut off; removing
-/// one hands exactly its owned share to the clockwise successors. The
-/// minimal-churn property — re-splitting after a ±1 instance change moves
-/// exactly the entering/leaving instance's owned share and nothing else —
-/// is pinned by the `tests/subclass_churn.rs` property battery.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HashRing {
-    /// Sorted `(point, instance)` pairs; the instance owns the arc ending
-    /// at its point.
-    points: Vec<(u64, apple_nf::InstanceId)>,
-}
-
-impl HashRing {
-    /// Builds the ring for `instances` with `replicas` virtual points
-    /// each. Point collisions across instances are resolved by instance id
-    /// (deterministic, and vanishingly rare with 64-bit points).
-    pub fn new(instances: &[apple_nf::InstanceId], replicas: u32) -> HashRing {
-        let mut points: Vec<(u64, apple_nf::InstanceId)> = instances
-            .iter()
-            .flat_map(|&inst| {
-                (0..replicas.max(1))
-                    .map(move |r| (mix64(inst.0 ^ (u64::from(r) << 48) ^ 0x5ca1e), inst))
-            })
-            .collect();
-        points.sort_unstable();
-        HashRing { points }
-    }
-
-    /// The instance owning the flow-space point `u ∈ [0,1)` — the owner of
-    /// the first ring point at or after `u` (wrapping). `None` on an empty
-    /// ring.
-    pub fn owner(&self, u: f64) -> Option<apple_nf::InstanceId> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let target = (u.clamp(0.0, 1.0) * (u64::MAX as f64)) as u64;
-        let idx = self.points.partition_point(|&(p, _)| p < target);
-        let (_, inst) = self.points[idx % self.points.len()];
-        Some(inst)
-    }
-
-    /// The fraction of `[0,1)` the instance owns (the sum of its arcs).
-    pub fn share(&self, inst: apple_nf::InstanceId) -> f64 {
-        self.segments()
-            .into_iter()
-            .filter(|&(_, _, i)| i == inst)
-            .map(|(lo, hi, _)| hi - lo)
-            .sum()
-    }
-
-    /// The ring as half-open `[lo, hi)` ownership segments covering
-    /// `[0,1)` exactly, in ascending order. Empty for an empty ring.
-    pub fn segments(&self) -> Vec<(f64, f64, apple_nf::InstanceId)> {
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        let scale = u64::MAX as f64;
-        let mut out = Vec::with_capacity(self.points.len() + 1);
-        let mut lo = 0.0;
-        for &(p, inst) in &self.points {
-            let hi = p as f64 / scale;
-            if hi > lo {
-                out.push((lo, hi, inst));
-            }
-            lo = hi;
-        }
-        // Wrap-around arc: everything past the last point belongs to the
-        // first point's owner.
-        if lo < 1.0 {
-            out.push((lo, 1.0, self.points[0].1));
-        }
-        out
-    }
-
-    /// Number of virtual points on the ring.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the ring has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The fraction of flow space whose owner differs between `self` and
-    /// `other` — the churn a re-split imposes on the data plane.
-    pub fn churn_vs(&self, other: &HashRing) -> f64 {
-        let a = self.segments();
-        let b = other.segments();
-        if a.is_empty() || b.is_empty() {
-            return if a.is_empty() && b.is_empty() {
-                0.0
-            } else {
-                1.0
-            };
-        }
-        // Sweep the union of breakpoints; within each elementary interval
-        // both rings have a single owner.
-        let mut cuts: Vec<f64> = a
-            .iter()
-            .chain(b.iter())
-            .flat_map(|&(lo, hi, _)| [lo, hi])
-            .collect();
-        cuts.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
-        cuts.dedup();
-        let owner_at = |segs: &[(f64, f64, apple_nf::InstanceId)], u: f64| {
-            segs.iter()
-                .find(|&&(lo, hi, _)| lo <= u && u < hi)
-                .map(|&(_, _, i)| i)
-        };
-        let mut moved = 0.0;
-        for w in cuts.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            if hi <= lo {
-                continue;
-            }
-            let mid = lo + (hi - lo) / 2.0;
-            if owner_at(&a, mid) != owner_at(&b, mid) {
-                moved += hi - lo;
-            }
-        }
-        moved
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,7 +266,7 @@ mod tests {
     use apple_topology::zoo;
     use apple_traffic::GravityModel;
 
-    fn plan_for_internet2(strategy: SplitStrategy) -> (ClassSet, Placement, SubclassPlan) {
+    fn plan_for_internet2() -> (ClassSet, Placement, SubclassPlan) {
         let topo = zoo::internet2();
         let tm = GravityModel::new(3_000.0, 11).base_matrix(&topo);
         let classes = ClassSet::build(
@@ -448,13 +281,13 @@ mod tests {
         let placement = OptimizationEngine::new(EngineConfig::default())
             .place(&classes, &orch)
             .unwrap();
-        let plan = SubclassPlan::derive(&classes, &placement, strategy);
+        let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
         (classes, placement, plan)
     }
 
     #[test]
     fn fractions_sum_to_one_per_class() {
-        let (classes, _, plan) = plan_for_internet2(SplitStrategy::ConsistentHash);
+        let (classes, _, plan) = plan_for_internet2();
         for c in &classes {
             let total: f64 = plan.of_class(c.id).iter().map(|s| s.fraction()).sum();
             assert!((total - 1.0).abs() < 1e-9, "class {} covers {total}", c.id);
@@ -463,7 +296,7 @@ mod tests {
 
     #[test]
     fn stage_positions_monotone() {
-        let (_, _, plan) = plan_for_internet2(SplitStrategy::ConsistentHash);
+        let (_, _, plan) = plan_for_internet2();
         for s in plan.subclasses() {
             for w in s.stage_positions.windows(2) {
                 assert!(w[0] <= w[1], "non-monotone stages in {s}");
@@ -475,7 +308,7 @@ mod tests {
     fn subclass_marginals_match_placement() {
         // Summing sub-class fractions per (stage, position) must recover
         // the engine's d (up to 1/256 quantisation).
-        let (classes, placement, plan) = plan_for_internet2(SplitStrategy::ConsistentHash);
+        let (classes, placement, plan) = plan_for_internet2();
         for (h, c) in classes.iter().enumerate() {
             for j in 0..c.chain.len() {
                 for i in 0..c.path.len() {
@@ -497,7 +330,7 @@ mod tests {
 
     #[test]
     fn prefix_split_covers_interval() {
-        let (_, _, plan) = plan_for_internet2(SplitStrategy::PrefixSplit);
+        let (_, _, plan) = plan_for_internet2();
         for s in plan.subclasses() {
             assert!(!s.prefixes.is_empty(), "no prefixes for {s}");
             // Total address share of the prefixes equals the fraction.
@@ -516,7 +349,7 @@ mod tests {
 
     #[test]
     fn prefixes_disjoint_within_class() {
-        let (classes, _, plan) = plan_for_internet2(SplitStrategy::PrefixSplit);
+        let (classes, _, plan) = plan_for_internet2();
         for c in &classes {
             let mut covered = vec![false; 256];
             for s in plan.of_class(c.id) {
@@ -572,12 +405,5 @@ mod tests {
         assert_eq!(s.host_positions(), vec![0, 2]);
         assert_eq!(s.stages_at(0), vec![0, 1]);
         assert_eq!(s.stages_at(2), vec![2]);
-    }
-
-    #[test]
-    fn consistent_hash_has_no_prefixes() {
-        let (_, _, plan) = plan_for_internet2(SplitStrategy::ConsistentHash);
-        assert!(plan.subclasses().iter().all(|s| s.prefixes.is_empty()));
-        assert_eq!(plan.strategy(), SplitStrategy::ConsistentHash);
     }
 }

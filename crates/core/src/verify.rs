@@ -486,28 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_output_is_valid_too() {
-        let topo = zoo::line(3);
-        let tm = GravityModel::new(400.0, 72).base_matrix(&topo);
-        let classes = ClassSet::build(
-            &topo,
-            &tm,
-            &ClassConfig {
-                max_classes: 3,
-                ..Default::default()
-            },
-        );
-        let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let placement = OptimizationEngine::new(EngineConfig {
-            exact: true,
-            ..Default::default()
-        })
-        .place(&classes, &orch)
-        .unwrap();
-        assert!(verify_placement(&classes, &placement, &orch, 1e-6).is_empty());
-    }
-
-    #[test]
     fn tampered_q_reports_capacity() {
         let (classes, placement, orch) = solved();
         // Rebuild a placement-like report by zeroing all q: every (v, nf)

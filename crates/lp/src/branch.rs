@@ -1,9 +1,9 @@
 //! Depth-first branch-and-bound MILP solver.
 //!
-//! APPLE's paper solves the LP relaxation only; this exact solver exists to
-//! (a) produce ground-truth optima on small instances so tests can measure
-//! the rounding gap, and (b) power the `ablation_lp` bench comparing
-//! LP-relax-and-round against exact optimisation.
+//! APPLE's paper solves the LP relaxation only; this exact solver is a test
+//! oracle: it produces ground-truth optima of the integer placement model
+//! on small instances so tests can measure the rounding gap. No placement
+//! path runs it.
 
 use crate::model::{Model, Sense, Var};
 use crate::simplex::SimplexOptions;

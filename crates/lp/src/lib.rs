@@ -11,9 +11,11 @@
 //! * a dense **two-phase primal simplex** solver with Dantzig pricing and a
 //!   Bland's-rule anti-cycling fallback ([`simplex`]),
 //! * a depth-first **branch-and-bound** MILP solver for integer-marked
-//!   variables ([`branch`]), used both to get exact optima on small
-//!   instances and to validate the LP-relax-and-round pipeline the paper
-//!   uses at scale,
+//!   variables ([`branch`]). It is a test oracle, not an engine mode: the
+//!   tests solve the integer placement model (the same model `apple
+//!   export-lp` prints through [`export`]) for its exact optimum on small
+//!   instances, to check the LP-relax-and-round pipeline the paper uses at
+//!   scale,
 //! * a **decomposed solve** ([`decompose`]): forced-slack rows are
 //!   stripped, the model splits into connected components of the
 //!   variable-incidence graph, blocks solve one by one and merge in block

@@ -799,8 +799,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let tm = GravityModel::new(flags.load, flags.seed).base_matrix(&topo);
             let classes = ClassSet::build(&topo, &tm, &flags.apple_config().classes);
             let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-            let engine = OptimizationEngine::default();
-            print!("{}", engine.export_lp(&classes, &orch));
+            let model = OptimizationEngine::default().ilp_model(&classes, &orch);
+            print!("{}", model.to_lp_format());
             Ok(())
         }
         "help" | "--help" | "-h" => {

@@ -7,8 +7,8 @@ use apple_nfv::core::classes::{ClassConfig, ClassSet};
 use apple_nfv::core::controller::{Apple, AppleConfig};
 use apple_nfv::core::engine::{EngineConfig, OptimizationEngine};
 use apple_nfv::core::orchestrator::ResourceOrchestrator;
-use apple_nfv::core::subclass::{SplitStrategy, SubclassPlan};
 use apple_nfv::dataplane::packet::{HostTag, Packet};
+use apple_nfv::lp::BranchConfig;
 use apple_nfv::nf::NfType;
 use apple_nfv::topology::TopologyKind;
 use apple_nfv::traffic::{GravityModel, SeriesConfig, TmSeries};
@@ -112,19 +112,23 @@ fn exact_and_rounded_agree_on_small_instances() {
     let rounded = OptimizationEngine::new(EngineConfig::default())
         .place(&classes, &orch)
         .expect("feasible");
-    let exact = OptimizationEngine::new(EngineConfig {
-        exact: true,
-        ..Default::default()
-    })
-    .place(&classes, &orch)
-    .expect("feasible");
-    assert!(rounded.total_instances() >= exact.total_instances());
+    // The exact optimum: branch-and-bound over the Eq. (1)-(8) integer
+    // model, summing its integer instance counts.
+    let model = OptimizationEngine::default().ilp_model(&classes, &orch);
+    let (sol, _) = model
+        .solve_ilp(BranchConfig::default())
+        .expect("integer feasible");
+    let exact: u32 = model
+        .integer_vars()
+        .into_iter()
+        .map(|q| (sol.value(q) - 1e-9).ceil().max(0.0) as u32)
+        .sum();
+    assert!(rounded.total_instances() >= exact);
     // The LP-guided rounding should land within a small absolute gap.
     assert!(
-        rounded.total_instances() - exact.total_instances() <= 3,
-        "rounding gap too large: {} vs {}",
+        rounded.total_instances() - exact <= 3,
+        "rounding gap too large: {} vs {exact}",
         rounded.total_instances(),
-        exact.total_instances()
     );
 }
 
@@ -141,34 +145,6 @@ fn replan_responds_to_scaled_traffic() {
         high.placement().total_instances(),
         low.placement().total_instances()
     );
-}
-
-#[test]
-fn consistent_hash_and_prefix_split_agree_on_fractions() {
-    let topo = TopologyKind::Internet2.build();
-    let tm = GravityModel::new(1_200.0, 6).base_matrix(&topo);
-    let classes = ClassSet::build(
-        &topo,
-        &tm,
-        &ClassConfig {
-            max_classes: 10,
-            ..Default::default()
-        },
-    );
-    let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-    let placement = OptimizationEngine::new(EngineConfig::default())
-        .place(&classes, &orch)
-        .expect("feasible");
-    let hash = SubclassPlan::derive(&classes, &placement, SplitStrategy::ConsistentHash);
-    let prefix = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
-    assert_eq!(hash.len(), prefix.len());
-    for (a, b) in hash.subclasses().iter().zip(prefix.subclasses()) {
-        assert_eq!(a.class, b.class);
-        assert_eq!(a.stage_positions, b.stage_positions);
-        assert!((a.fraction() - b.fraction()).abs() < 1e-12);
-        assert!(a.prefixes.is_empty());
-        assert!(!b.prefixes.is_empty());
-    }
 }
 
 #[test]

@@ -10,9 +10,9 @@ use apple_nfv::core::verify::verify_placement;
 use apple_nfv::topology::{zoo, TopologyKind};
 use apple_nfv::traffic::GravityModel;
 
-fn assert_valid(classes: &ClassSet, topo: &apple_nfv::topology::Topology, cfg: EngineConfig) {
+fn assert_valid(classes: &ClassSet, topo: &apple_nfv::topology::Topology) {
     let orch = ResourceOrchestrator::with_uniform_hosts(topo, 64);
-    let placement = OptimizationEngine::new(cfg)
+    let placement = OptimizationEngine::new(EngineConfig::default())
         .place(classes, &orch)
         .unwrap_or_else(|e| panic!("{}: {e}", topo.kind));
     let violations = verify_placement(classes, &placement, &orch, 1e-6);
@@ -38,7 +38,7 @@ fn all_topologies_solve_validly() {
                 ..Default::default()
             },
         );
-        assert_valid(&classes, &topo, EngineConfig::default());
+        assert_valid(&classes, &topo);
     }
 }
 
@@ -55,28 +55,5 @@ fn policy_driven_classes_solve_validly() {
             ..Default::default()
         },
     );
-    assert_valid(&classes, &topo, EngineConfig::default());
-}
-
-#[test]
-fn exact_solutions_valid_on_synthetic_fabrics() {
-    for topo in [zoo::fat_tree(4), zoo::jellyfish(12, 3, 5)] {
-        let tm = GravityModel::new(600.0, 9).base_matrix(&topo);
-        let classes = ClassSet::build(
-            &topo,
-            &tm,
-            &ClassConfig {
-                max_classes: 4,
-                ..Default::default()
-            },
-        );
-        assert_valid(
-            &classes,
-            &topo,
-            EngineConfig {
-                exact: true,
-                ..Default::default()
-            },
-        );
-    }
+    assert_valid(&classes, &topo);
 }
