@@ -1,7 +1,5 @@
 //! Shared experiment harness: each function regenerates the data behind one
-//! table or figure of the paper. The `src/bin/*` binaries print the rows;
-//! `benches/ablations.rs` times the DESIGN.md §5 design choices with the
-//! [`harness`] micro-bench runner and snapshots its telemetry as JSON.
+//! table or figure of the paper. The `src/bin/*` binaries print the rows.
 //!
 //! Experiment ↔ module map (see DESIGN.md §4 and EXPERIMENTS.md):
 //!
@@ -20,8 +18,6 @@
 //! Whole-stack performance (throughput, latency, recovery, memory) is
 //! measured by the stand-alone `benchmark/` package, not here; see
 //! `benchmark/README.md`.
-
-pub mod harness;
 
 use apple_core::baselines::{
     ingress_per_class, steering_consolidation, SteeringPlan, TrafficSteering,
@@ -116,9 +112,10 @@ pub fn table1_properties(seed: u64) -> Result<PropertyCheck, EngineError> {
 
     let mut policy_enforcement = true;
     let mut interference_free = true;
+    let walker = apple.program().rules.walker();
     for class in apple.classes() {
         let p = Packet::new(class.src_prefix.0 | 3, class.dst_prefix.0 | 3, 4_000, 80, 6);
-        match apple.program().walker.walk(p, &class.path) {
+        match walker.walk(p, &class.path) {
             Ok(rec) => {
                 let nfs: Vec<_> = rec
                     .instances

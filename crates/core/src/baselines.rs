@@ -37,7 +37,7 @@ impl IngressPlan {
 /// The `ingress` strawman with per-ingress sharing: instances at the same
 /// ingress are shared between classes entering there (per-NF aggregation),
 /// but — unlike APPLE — load can never be spread along the path. This is a
-/// *stronger* baseline than the paper's and is used by the ablation bench.
+/// *stronger* baseline than the paper's.
 pub fn ingress_consolidation(classes: &ClassSet) -> IngressPlan {
     // Aggregate demand per (ingress, NF).
     let mut demand: BTreeMap<(usize, NfType), f64> = BTreeMap::new();

@@ -60,11 +60,6 @@ impl EquivalenceClass {
     pub fn od_pair(&self) -> (NodeId, NodeId) {
         (self.path.first(), self.path.last())
     }
-
-    /// Rate in packets/second assuming `packet_bytes` packets.
-    pub fn rate_pps(&self, packet_bytes: u32) -> f64 {
-        self.rate_mbps * 1e6 / (f64::from(packet_bytes) * 8.0)
-    }
 }
 
 /// Configuration for class construction.
@@ -955,13 +950,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rate_pps_conversion() {
-        let (_, cs) = internet2_classes();
-        let c = &cs.classes()[0];
-        let pps = c.rate_pps(1500);
-        assert!((pps - c.rate_mbps * 1e6 / 12_000.0).abs() < 1e-6);
     }
 }

@@ -134,7 +134,8 @@ impl Apple {
         &self.plan
     }
 
-    /// The programmed data plane (walker, assignment, TCAM accounting).
+    /// The programmed data plane (rule program, assignment, TCAM
+    /// accounting).
     pub fn program(&self) -> &DataPlaneProgram {
         &self.program
     }
@@ -144,8 +145,8 @@ impl Apple {
         &self.orchestrator
     }
 
-    /// Mutable orchestrator access (the simulator drives failover through
-    /// it).
+    /// Mutable orchestrator access, for launching instances beyond the
+    /// plan (an online placer) or driving a Dynamic Handler by hand.
     pub fn orchestrator_mut(&mut self) -> &mut ResourceOrchestrator {
         &mut self.orchestrator
     }
@@ -217,6 +218,7 @@ mod tests {
         let series = TmSeries::generate(&topo, &SeriesConfig::small(42));
         let apple = Apple::plan(&topo, &series.mean(), &small_config()).unwrap();
         // Every class's representative packet completes its chain.
+        let walker = apple.program().rules.walker();
         for class in apple.classes() {
             let p = Packet::new(
                 class.src_prefix.0 | 7,
@@ -225,7 +227,7 @@ mod tests {
                 443,
                 6,
             );
-            let rec = apple.program().walker.walk(p, &class.path).unwrap();
+            let rec = walker.walk(p, &class.path).unwrap();
             assert_eq!(rec.packet.host_tag, HostTag::Fin);
             assert_eq!(rec.instances.len(), class.chain.len());
         }

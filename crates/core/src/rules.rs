@@ -12,8 +12,7 @@ use crate::classes::{ClassId, ClassSet, EquivalenceClass};
 use crate::engine::Placement;
 use crate::orchestrator::{OrchestratorError, ResourceOrchestrator};
 use crate::subclass::SubclassPlan;
-use apple_dataplane::compiler::{compile, CompilerSnapshot, SubclassSpec};
-use apple_dataplane::walk::NetworkWalker;
+use apple_dataplane::compiler::{compile, CompilerSnapshot, RuleProgram, SubclassSpec};
 use apple_nf::{InstanceId, NfType, VnfSpec};
 use apple_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
@@ -188,11 +187,14 @@ impl TcamReport {
     }
 }
 
-/// The generated data plane: programmed walker + assignment + accounting.
+/// The generated data plane: compiled rule program + assignment +
+/// accounting.
 #[derive(Debug, Clone)]
 pub struct DataPlaneProgram {
-    /// Programmed switches and hosts, ready to walk packets.
-    pub walker: NetworkWalker,
+    /// The compiled rules of every switch and host. Walk packets through
+    /// [`RuleProgram::walker`] (the linear reference) or
+    /// `CompiledProgram::new` (the fast path).
+    pub rules: RuleProgram,
     /// Instance serving each sub-class stage.
     pub assignment: InstanceAssignment,
     /// TCAM accounting.
@@ -311,7 +313,7 @@ pub fn generate_with(
         .map(|&billable| billable * routing_rules.max(1))
         .sum();
     Ok(DataPlaneProgram {
-        walker: program.walker(),
+        rules: program,
         assignment,
         tcam: TcamReport {
             tagged_per_switch,
@@ -650,6 +652,7 @@ mod tests {
 
         for (name, topo, classes, config) in cases {
             let prog = deploy(&topo, &classes, &config);
+            let walker = prog.rules.walker();
             for class in &classes {
                 // Port-less classes get a port no example policy matches.
                 let port = class.dst_ports.first().copied().unwrap_or(9);
@@ -661,7 +664,7 @@ mod tests {
                     port,
                     proto,
                 );
-                let rec = prog.walker.walk(p, &class.path).unwrap();
+                let rec = walker.walk(p, &class.path).unwrap();
                 // Policy enforcement: NF sequence matches the chain.
                 let nfs: Vec<NfType> = rec
                     .instances
@@ -785,7 +788,7 @@ mod tests {
         let (classes, prog) = nat_deployment(&RuleGenConfig::default());
         let class = &classes.classes()[0];
         let p = Packet::new(class.src_prefix.0 | 1, class.dst_prefix.0 | 1, 1, 80, 6);
-        let rec = prog.walker.walk(p, &class.path).unwrap();
+        let rec = prog.rules.walker().walk(p, &class.path).unwrap();
         assert_eq!(rec.instances.len(), 2, "chain incomplete");
         assert_eq!(rec.packet.host_tag, HostTag::Fin);
         // The NAT actually rewrote the source out of the class prefix.
@@ -809,7 +812,7 @@ mod tests {
         let class = &classes.classes()[0];
         let p = Packet::new(class.src_prefix.0 | 1, class.dst_prefix.0 | 1, 1, 80, 6);
         assert_eq!(
-            prog.walker.walk(p, &class.path),
+            prog.rules.walker().walk(p, &class.path),
             Err(WalkError::VSwitchNoMatch(0))
         );
     }
@@ -842,10 +845,11 @@ mod tests {
             off.tcam.tagged_total
         );
         // Semantics: identical walks either way.
+        let (on, off) = (on.rules.walker(), off.rules.walker());
         for class in &classes {
             let p = Packet::new(class.src_prefix.0 | 200, class.dst_prefix.0 | 3, 5, 80, 6);
-            let a = on.walker.walk(p, &class.path).unwrap();
-            let b = off.walker.walk(p, &class.path).unwrap();
+            let a = on.walk(p, &class.path).unwrap();
+            let b = off.walk(p, &class.path).unwrap();
             assert_eq!(a.switches, b.switches);
             assert_eq!(a.packet.host_tag, HostTag::Fin);
             assert_eq!(b.packet.host_tag, HostTag::Fin);
@@ -961,7 +965,7 @@ mod tests {
         // Source outside any class prefix.
         let path = &classes.classes()[0].path;
         let p = Packet::new(0xc0a80001, 0xc0a80002, 1, 2, 6);
-        let rec = prog.walker.walk(p, path).unwrap();
+        let rec = prog.rules.walker().walk(p, path).unwrap();
         assert!(rec.instances.is_empty());
     }
 }

@@ -54,7 +54,7 @@ use crate::switch::{
     apply_actions, apply_vswitch_rule, SwitchVerdict, VPort, VSwitchRule, VSwitchVerdict,
 };
 use crate::tcam::TcamRule;
-use crate::walk::{NetworkWalker, WalkEngine, WalkError, WalkRecord, NAT_POOL_PREFIX};
+use crate::walk::{WalkEngine, WalkError, WalkRecord, NAT_POOL_PREFIX};
 use apple_nf::InstanceId;
 use apple_topology::Path;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -298,8 +298,8 @@ impl CompiledHost {
 
 /// A whole rule program compiled into per-device fast-path lookup
 /// structures. Implements [`WalkEngine`] with verdicts bitwise-identical
-/// to [`NetworkWalker`], and supports per-barrier incremental patching via
-/// [`CompiledProgram::rebuild_delta`].
+/// to [`NetworkWalker`](crate::walk::NetworkWalker), and supports
+/// per-barrier incremental patching via [`CompiledProgram::rebuild_delta`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompiledProgram {
     switches: BTreeMap<usize, CompiledSwitch>,
@@ -322,30 +322,6 @@ impl CompiledProgram {
                 .map(|(&v, rules)| (v, CompiledHost::build(v, rules.clone())))
                 .collect(),
             rewriters: prog.rewriters.clone(),
-        }
-    }
-
-    /// Compiles a materialised [`NetworkWalker`] (e.g. the controller's
-    /// installed program object) instead of a [`RuleProgram`].
-    pub fn from_walker(w: &NetworkWalker) -> CompiledProgram {
-        CompiledProgram {
-            switches: w
-                .switches()
-                .map(|sw| {
-                    let rules: Vec<TcamRule> = sw.apple_table.iter().cloned().collect();
-                    (sw.id, CompiledSwitch::build(sw.id, &rules, sw.has_host))
-                })
-                .collect(),
-            hosts: w
-                .hosts()
-                .map(|vs| {
-                    (
-                        vs.attached_to,
-                        CompiledHost::build(vs.attached_to, vs.iter().cloned().collect()),
-                    )
-                })
-                .collect(),
-            rewriters: w.rewriters().collect(),
         }
     }
 
@@ -489,6 +465,7 @@ mod tests {
     use crate::compiler::{compile, CompilerSnapshot, SubclassSpec};
     use crate::diff::{apply_batch_unchecked, diff};
     use crate::tcam::{Action, MatchSpec};
+    use crate::walk::NetworkWalker;
     use apple_nf::NfType;
     use apple_topology::NodeId;
 
@@ -561,15 +538,6 @@ mod tests {
                 "engines diverge on {p:?}"
             );
         }
-    }
-
-    #[test]
-    fn from_walker_equals_from_program() {
-        let prog = compile(&line_snapshot(3, 4));
-        assert_eq!(
-            CompiledProgram::new(&prog),
-            CompiledProgram::from_walker(&prog.walker())
-        );
     }
 
     #[test]

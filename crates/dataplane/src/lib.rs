@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod compiler;
-pub mod counters;
 pub mod diff;
 pub mod fastpath;
 pub mod packet;
@@ -46,8 +45,6 @@ pub mod southbound;
 pub mod switch;
 pub mod tcam;
 pub mod walk;
-
-pub use counters::PortCounters;
 
 pub use compiler::{compile, CompilerSnapshot, RuleProgram, SubclassSpec};
 pub use diff::{diff, ApplyError, UpdateBatch, UpdatePlan, UpdateStats};

@@ -51,11 +51,6 @@ impl PhysicalSwitch {
         };
         apply_actions(&rule.actions, p)
     }
-
-    /// Number of APPLE TCAM entries on this switch.
-    pub fn tcam_entries(&self) -> usize {
-        self.apple_table.entry_count()
-    }
 }
 
 /// Applies a matched APPLE rule's action list to a packet and returns the

@@ -135,27 +135,6 @@ impl fmt::Display for TcamRule {
 /// Fig. 10 entry counts both exclude it.
 pub const PASS_BY_LABEL: &str = "pass-by";
 
-/// An install was refused because the table's slot capacity is exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TcamCapacityError {
-    /// The configured slot capacity.
-    pub capacity: usize,
-    /// Billable slots the install would have needed.
-    pub needed: usize,
-}
-
-impl fmt::Display for TcamCapacityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "TCAM capacity exhausted: need {} slots, capacity {}",
-            self.needed, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for TcamCapacityError {}
-
 /// A priority-ordered TCAM flow table.
 ///
 /// # Example
@@ -178,9 +157,6 @@ impl std::error::Error for TcamCapacityError {}
 #[derive(Debug, Clone, Default)]
 pub struct TcamTable {
     rules: Vec<TcamRule>,
-    /// Hardware slot capacity (`None` = unlimited). Only billable rules
-    /// (label ≠ [`PASS_BY_LABEL`]) occupy slots.
-    capacity: Option<usize>,
 }
 
 impl TcamTable {
@@ -189,86 +165,11 @@ impl TcamTable {
         TcamTable::default()
     }
 
-    /// Creates an empty table with a hardware slot capacity.
-    pub fn with_capacity(capacity: usize) -> TcamTable {
-        TcamTable {
-            rules: Vec::new(),
-            capacity: Some(capacity),
-        }
-    }
-
-    /// Sets or clears the slot capacity. Shrinking below the current
-    /// occupancy does not evict rules; further installs fail instead.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity;
-    }
-
-    /// The configured slot capacity, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Billable slots in use: entries excluding the free table-miss
-    /// default ([`PASS_BY_LABEL`]).
-    pub fn slots_used(&self) -> usize {
-        self.rules
-            .iter()
-            .filter(|r| r.label != PASS_BY_LABEL)
-            .count()
-    }
-
     /// Installs a rule, keeping the table sorted by descending priority
     /// (stable for equal priorities).
-    ///
-    /// # Panics
-    ///
-    /// When a slot capacity is configured and exhausted; capacity-aware
-    /// callers use [`TcamTable::try_install`] or
-    /// [`TcamTable::modify_where`] instead.
     pub fn install(&mut self, rule: TcamRule) {
-        self.try_install(rule).expect("TCAM capacity exceeded");
-    }
-
-    /// Installs a rule if a billable slot is free (the table-miss default
-    /// is always free), keeping the table sorted by descending priority.
-    ///
-    /// # Errors
-    ///
-    /// [`TcamCapacityError`] when the capacity is exhausted; the table is
-    /// unchanged.
-    pub fn try_install(&mut self, rule: TcamRule) -> Result<(), TcamCapacityError> {
-        if rule.label != PASS_BY_LABEL {
-            if let Some(cap) = self.capacity {
-                let needed = self.slots_used() + 1;
-                if needed > cap {
-                    return Err(TcamCapacityError {
-                        capacity: cap,
-                        needed,
-                    });
-                }
-            }
-        }
         let pos = self.rules.partition_point(|r| r.priority >= rule.priority);
         self.rules.insert(pos, rule);
-        Ok(())
-    }
-
-    /// Replaces the first rule matching the predicate with `new`,
-    /// re-sorting by priority. A modify occupies **one** slot throughout:
-    /// the old rule's slot is freed and reused atomically, so a table at
-    /// full capacity can always modify a rule (counting the modify as a
-    /// remove *plus* an add would transiently need two slots and spuriously
-    /// reject the update — the double-count this method exists to avoid).
-    ///
-    /// Returns whether a rule matched (and was replaced).
-    pub fn modify_where(&mut self, pred: impl FnMut(&TcamRule) -> bool, new: TcamRule) -> bool {
-        let Some(i) = self.rules.iter().position(pred) else {
-            return false;
-        };
-        self.rules.remove(i);
-        let pos = self.rules.partition_point(|r| r.priority >= new.priority);
-        self.rules.insert(pos, new);
-        true
     }
 
     /// Removes all rules whose label matches the predicate; returns how
@@ -292,11 +193,6 @@ impl TcamTable {
     /// Iterates over the rules in priority order.
     pub fn iter(&self) -> std::slice::Iter<'_, TcamRule> {
         self.rules.iter()
-    }
-
-    /// Clears the table.
-    pub fn clear(&mut self) {
-        self.rules.clear();
     }
 }
 
@@ -404,68 +300,5 @@ mod tests {
     #[should_panic(expected = "prefix length")]
     fn bad_prefix_len_panics() {
         let _ = MatchSpec::any().src(0, 40);
-    }
-
-    fn rule(priority: u16, label: &str) -> TcamRule {
-        TcamRule {
-            priority,
-            spec: MatchSpec::any(),
-            actions: vec![Action::GotoNextTable],
-            label: label.into(),
-        }
-    }
-
-    #[test]
-    fn capacity_rejects_install_beyond_slots() {
-        let mut t = TcamTable::with_capacity(2);
-        t.try_install(rule(10, "a")).unwrap();
-        t.try_install(rule(9, "b")).unwrap();
-        let err = t.try_install(rule(8, "c")).unwrap_err();
-        assert_eq!(
-            err,
-            TcamCapacityError {
-                capacity: 2,
-                needed: 3
-            }
-        );
-        // The failed install left the table unchanged.
-        assert_eq!(t.slots_used(), 2);
-        assert_eq!(t.entry_count(), 2);
-    }
-
-    #[test]
-    fn pass_by_default_is_free() {
-        let mut t = TcamTable::with_capacity(1);
-        t.try_install(rule(10, "billable")).unwrap();
-        // Table-miss default never consumes a slot.
-        t.try_install(rule(0, PASS_BY_LABEL)).unwrap();
-        assert_eq!(t.slots_used(), 1);
-        assert_eq!(t.entry_count(), 2);
-    }
-
-    /// Regression: a modify must occupy one slot throughout. The old
-    /// accounting path (remove + add as two operations) transiently needed
-    /// a second slot and spuriously rejected updates on full tables.
-    #[test]
-    fn modify_at_full_capacity_succeeds() {
-        let mut t = TcamTable::with_capacity(2);
-        t.try_install(rule(10, "a")).unwrap();
-        t.try_install(rule(9, "b")).unwrap();
-        assert_eq!(t.slots_used(), t.capacity().unwrap());
-        // In-place retarget of "b", including a priority move.
-        assert!(t.modify_where(|r| r.label == "b", rule(20, "b")));
-        assert_eq!(t.slots_used(), 2);
-        assert_eq!(t.iter().next().unwrap().label, "b");
-        // No phantom slot was consumed: another modify still works...
-        assert!(t.modify_where(|r| r.label == "a", rule(15, "a")));
-        // ...while a genuine install still fails.
-        assert!(t.try_install(rule(1, "c")).is_err());
-    }
-
-    #[test]
-    fn modify_missing_rule_reports_false() {
-        let mut t = TcamTable::with_capacity(1);
-        assert!(!t.modify_where(|r| r.label == "ghost", rule(1, "ghost")));
-        assert_eq!(t.entry_count(), 0);
     }
 }

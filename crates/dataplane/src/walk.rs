@@ -131,63 +131,9 @@ impl NetworkWalker {
         self.rewriters.contains(&id)
     }
 
-    /// Mutable access to a switch's table (for failover rule updates).
-    pub fn switch_mut(&mut self, id: usize) -> Option<&mut PhysicalSwitch> {
-        self.switches.get_mut(&id)
-    }
-
-    /// Mutable access to a host vSwitch.
-    pub fn host_mut(&mut self, id: usize) -> Option<&mut VSwitch> {
-        self.hosts.get_mut(&id)
-    }
-
     /// Shared access to a switch.
     pub fn switch(&self, id: usize) -> Option<&PhysicalSwitch> {
         self.switches.get(&id)
-    }
-
-    /// Shared access to a host vSwitch.
-    pub fn host(&self, id: usize) -> Option<&VSwitch> {
-        self.hosts.get(&id)
-    }
-
-    /// Iterates over all physical switches in id order.
-    pub fn switches(&self) -> impl Iterator<Item = &PhysicalSwitch> {
-        self.switches.values()
-    }
-
-    /// Iterates over all host vSwitches in attachment order.
-    pub fn hosts(&self) -> impl Iterator<Item = &VSwitch> {
-        self.hosts.values()
-    }
-
-    /// Iterates over the registered header-rewriting instances in id order.
-    pub fn rewriters(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.rewriters.iter().copied()
-    }
-
-    /// Removes a switch (e.g. when an update plan drops it entirely).
-    pub fn remove_switch(&mut self, id: usize) -> Option<PhysicalSwitch> {
-        self.switches.remove(&id)
-    }
-
-    /// Removes a host vSwitch.
-    pub fn remove_host(&mut self, id: usize) -> Option<VSwitch> {
-        self.hosts.remove(&id)
-    }
-
-    /// Unregisters a header rewriter (e.g. after its NAT instance retires).
-    pub fn remove_rewriter(&mut self, id: InstanceId) -> bool {
-        self.rewriters.remove(&id)
-    }
-
-    /// Total APPLE TCAM entries across all physical switches — the Fig. 10
-    /// metric.
-    pub fn total_tcam_entries(&self) -> usize {
-        self.switches
-            .values()
-            .map(PhysicalSwitch::tcam_entries)
-            .sum()
     }
 
     /// Walks `packet` along `path`, applying switch and vSwitch rules, and
@@ -387,17 +333,10 @@ mod tests {
     fn vswitch_no_match_is_error() {
         let mut w = two_switch_walker();
         // Break the vSwitch: wrong subclass in rules.
-        let vs = w.host_mut(1).unwrap();
+        let vs = w.hosts.get_mut(&1).unwrap();
         vs.remove_where(|_| true);
         let p = Packet::new(0x0a010101, 0x0b000001, 1, 2, 6);
         assert_eq!(w.walk(p, &path01()), Err(WalkError::VSwitchNoMatch(1)));
-    }
-
-    #[test]
-    fn tcam_totals_sum_over_switches() {
-        let w = two_switch_walker();
-        // s0 has 3 rules (classify + host-match + pass-by), s1 has 2.
-        assert_eq!(w.total_tcam_entries(), 5);
     }
 
     #[test]
@@ -428,7 +367,7 @@ mod tests {
         let mut w = two_switch_walker();
         // Turn the single-instance host into a two-stage chain whose second
         // hop matches on the (pre-rewrite) source prefix.
-        let vs = w.host_mut(1).unwrap();
+        let vs = w.hosts.get_mut(&1).unwrap();
         vs.remove_where(|r| r.label == "fw-out");
         vs.install(VSwitchRule {
             in_port: VPort::FromVnf(InstanceId(7)),

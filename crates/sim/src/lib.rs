@@ -18,14 +18,11 @@
 //! * [`online`] — drive a flow arrival/departure timeline through the
 //!   online orchestration loop and summarise placements, re-solves and
 //!   shedding,
-//! * [`detector`] — the counter-based overload detector behind the Fig. 9
-//!   timeline,
-//! * [`packet_replay`] — the packet-level replay, the batched parallel
-//!   [`walk_batch`] replay engine over the compiled fast path, and the
-//!   [`conformance`] battery over compiled rule programs: every probe
-//!   walked after every barrier of an update plan, or at every scheduler
-//!   tick while the plan is in flight on the seeded southbound channel
-//!   (DESIGN.md §10, §12 and §13).
+//! * [`packet_replay`] — the batched parallel [`walk_batch`] replay engine
+//!   over the compiled fast path, and the [`conformance`] battery over
+//!   compiled rule programs: every probe walked after every barrier of an
+//!   update plan, or at every scheduler tick while the plan is in flight on
+//!   the seeded southbound channel (DESIGN.md §10, §12 and §13).
 //!
 //! # Example
 //!
@@ -40,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod detector;
 pub mod failover_lab;
 pub mod metrics;
 pub mod online;

@@ -1,53 +1,31 @@
-//! Packet-level replay: the high-fidelity variant of the Fig. 12 pipeline.
+//! Batched packet replay over a rule program, and the **conformance
+//! battery** for the incremental rule compiler.
 //!
-//! Where [`crate::replay`] tracks loads analytically through the Dynamic
-//! Handler's shares, this module drives the **actual data plane**: every
-//! tick it walks representative packets of every sub-class through the
-//! programmed switches/vSwitches, credits the per-port counters the
-//! prototype polls (§VII-B), and runs the counter-based detector. It
-//! validates the full chain
+//! [`conformance`] replays a seeded probe set through the programs before
+//! and after an update and through the partially applied fabric at every
+//! observation point of a [`Schedule`] — after every barrier of the update
+//! plan, or at every tick of a seeded asynchronous southbound channel
+//! (DESIGN.md §13) — and checks the three-tier update guarantee documented
+//! in `apple_dataplane::diff`.
 //!
-//! > controller plan → TCAM/vSwitch rules → packet walks → port counters
-//! > → rate differencing → hysteresis detection
-//!
-//! end-to-end. Mitigation (re-balancing) is the analytic replay's job;
-//! here the interesting outputs are the detection events and the
-//! counter-derived loss curve.
-//!
-//! The module also hosts the **conformance battery** for the incremental
-//! rule compiler ([`conformance`]): replay a seeded probe set through the
-//! programs before and after an update and through the partially applied
-//! fabric at every observation point of a [`Schedule`] — after every
-//! barrier of the update plan, or at every tick of a seeded asynchronous
-//! southbound channel (DESIGN.md §13) — and check the three-tier update
-//! guarantee documented in `apple_dataplane::diff`.
-//!
-//! Both the per-tick replay batteries and the conformance walks run
-//! through [`walk_batch`]: contiguous chunks across scoped worker threads
-//! with a deterministic by-index merge, generic over the [`WalkEngine`] in
-//! use. Both walk the compiled fast path of DESIGN.md §12, which
-//! `apple_dataplane`'s `fuzz_walk` battery holds bitwise-equal to the
-//! linear reference walker; the battery patches it barrier by barrier
-//! through `rebuild_delta`, so every run also exercises the incremental
-//! fast-path maintenance the online loop relies on.
+//! The conformance walks run through [`walk_batch`]: contiguous chunks
+//! across scoped worker threads with a deterministic by-index merge,
+//! generic over the [`WalkEngine`] in use. They walk the compiled fast path
+//! of DESIGN.md §12, which `apple_dataplane`'s `fuzz_walk` battery holds
+//! bitwise-equal to the linear reference walker; the battery patches it
+//! barrier by barrier through `rebuild_delta`, so every run also exercises
+//! the incremental fast-path maintenance the online loop relies on.
 
-use apple_core::controller::{Apple, AppleConfig};
-use apple_core::engine::EngineError;
 use apple_dataplane::compiler::{compile, CompilerSnapshot, RuleProgram};
 use apple_dataplane::diff::{apply_batch_unchecked, diff, UpdateBatch};
 use apple_dataplane::fastpath::CompiledProgram;
 use apple_dataplane::packet::{HostTag, Packet};
 use apple_dataplane::southbound::{SouthboundChannel, SouthboundConfig, SouthboundEvent};
 use apple_dataplane::walk::{WalkEngine, WalkError, WalkRecord};
-use apple_dataplane::PortCounters;
-use apple_nf::{InstanceId, NfType, OverloadModel};
-use apple_topology::{NodeId, Path, Topology};
-use apple_traffic::TmSeries;
+use apple_nf::{InstanceId, NfType};
+use apple_topology::{NodeId, Path};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-use crate::detector::{CounterDetector, DetectionEvent};
-use crate::metrics::Series;
 
 /// Worker-thread budget for batched walks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,146 +80,6 @@ pub fn walk_batch<E: WalkEngine + Sync + ?Sized>(
             out.extend(w.join().expect("walk worker panicked"));
         }
         out
-    })
-}
-
-/// Configuration for a packet-level replay.
-#[derive(Debug, Clone)]
-pub struct PacketReplayConfig {
-    /// Planning knobs.
-    pub apple: AppleConfig,
-    /// Packet size for Mbps → pps conversion.
-    pub packet_bytes: u32,
-    /// Seconds per tick (= detector poll interval).
-    pub tick_secs: f64,
-    /// Thread budget for the per-tick packet batteries.
-    pub engine: WalkEngineConfig,
-}
-
-impl Default for PacketReplayConfig {
-    fn default() -> Self {
-        PacketReplayConfig {
-            apple: AppleConfig::default(),
-            packet_bytes: 1500,
-            tick_secs: 1.0,
-            engine: WalkEngineConfig::default(),
-        }
-    }
-}
-
-/// Outcome of a packet-level replay.
-#[derive(Debug, Clone)]
-pub struct PacketReplayOutcome {
-    /// Counter-derived network loss rate per tick.
-    pub loss: Series,
-    /// Overload notifications the detector raised.
-    pub trips: usize,
-    /// Roll-back events.
-    pub clears: usize,
-    /// Total packets walked (sanity/scale indicator).
-    pub packets_walked: u64,
-}
-
-/// Runs the packet-level replay.
-///
-/// # Errors
-///
-/// Propagates [`EngineError`] from planning; panics only on internal
-/// inconsistencies (a mis-programmed data plane fails loudly in walks).
-pub fn packet_replay(
-    topo: &Topology,
-    series: &TmSeries,
-    cfg: &PacketReplayConfig,
-) -> Result<PacketReplayOutcome, EngineError> {
-    let apple = Apple::plan(topo, &series.mean(), &cfg.apple)?;
-
-    // Register every instance with the detector.
-    let mut detector = CounterDetector::new(cfg.tick_secs);
-    for inst in apple.orchestrator().instances() {
-        detector.register(
-            inst.id(),
-            OverloadModel::for_capacity(inst.spec().capacity_pps(cfg.packet_bytes)),
-        );
-    }
-
-    let mut counters = PortCounters::new();
-    let mut prev_counters = counters.clone();
-    let mut loss = Series::new("packet-loss");
-    let mut trips = 0usize;
-    let mut clears = 0usize;
-    let mut packets_walked = 0u64;
-    // Compile the programmed data plane once for the whole series: the
-    // replay only reads it.
-    let engine = CompiledProgram::from_walker(&apple.program().walker);
-
-    for (tick, tm) in series.iter().enumerate() {
-        let scoped = apple.classes().with_rates_from(tm);
-        // Walk one representative packet per (sub-class, prefix), credited
-        // with the prefix's share of the sub-class packet count. The tick's
-        // battery is collected first, then walked as one chunked batch.
-        let mut jobs: Vec<(Packet, &Path)> = Vec::new();
-        let mut credits: Vec<u64> = Vec::new();
-        for class in &scoped {
-            let pps = class.rate_pps(cfg.packet_bytes) * cfg.tick_secs;
-            for sub in apple.subclasses().of_class(class.id) {
-                let sub_packets = pps * sub.fraction();
-                if sub_packets < 1.0 {
-                    continue;
-                }
-                let total_share: f64 = sub
-                    .prefixes
-                    .iter()
-                    .map(|&(_, len)| 2f64.powi(-(i32::from(len) - 24)))
-                    .sum();
-                for &(addr, len) in &sub.prefixes {
-                    let share = 2f64.powi(-(i32::from(len) - 24)) / total_share;
-                    let count = (sub_packets * share).round() as u64;
-                    if count == 0 {
-                        continue;
-                    }
-                    // A host inside this prefix (host bits = 1 where room).
-                    let host_bit = if len < 32 { 1 } else { 0 };
-                    let p = Packet::new(addr | host_bit, class.dst_prefix.0 | 9, 40_000, 80, 6);
-                    jobs.push((p, &class.path));
-                    credits.push(count);
-                }
-            }
-        }
-        let recs = walk_batch(&engine, &jobs, cfg.engine.threads);
-        for (rec, count) in recs.iter().zip(&credits) {
-            let rec = rec.as_ref().expect("programmed data plane walks cleanly");
-            counters.observe_many(rec, *count);
-            packets_walked += count;
-        }
-        // Poll: detection events + counter-derived loss.
-        for (_, event) in detector.poll(&counters) {
-            match event {
-                DetectionEvent::Tripped => trips += 1,
-                DetectionEvent::Cleared => clears += 1,
-            }
-        }
-        let rates = counters.instance_rates_pps(&prev_counters, cfg.tick_secs);
-        let mut offered = 0.0;
-        let mut lost = 0.0;
-        for (id, rate) in rates {
-            let Some(inst) = apple.orchestrator().instance(id) else {
-                continue;
-            };
-            let model = OverloadModel::for_capacity(inst.spec().capacity_pps(cfg.packet_bytes));
-            offered += rate;
-            lost += rate * model.loss_rate(rate);
-        }
-        loss.push(
-            tick as f64,
-            if offered > 0.0 { lost / offered } else { 0.0 },
-        );
-        prev_counters = counters.clone();
-    }
-    Ok(PacketReplayOutcome {
-        loss,
-        trips,
-        clears,
-        packets_walked,
     })
 }
 
@@ -683,103 +521,6 @@ fn commit(fabric: &mut RuleProgram, engine: &mut CompiledProgram, batch: &Update
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apple_core::classes::ClassConfig;
-    use apple_topology::zoo;
-    use apple_traffic::SeriesConfig;
-
-    fn cfg() -> PacketReplayConfig {
-        PacketReplayConfig {
-            apple: AppleConfig {
-                classes: ClassConfig {
-                    max_classes: 8,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-    }
-
-    fn bursty() -> (apple_topology::Topology, TmSeries) {
-        let topo = zoo::internet2();
-        let series = TmSeries::generate(
-            &topo,
-            &SeriesConfig {
-                snapshots: 40,
-                burst_pairs: 2,
-                burst_scale: 10.0,
-                ..SeriesConfig::paper(91)
-            },
-        );
-        (topo, series)
-    }
-
-    #[test]
-    fn walks_packets_and_detects_bursts() {
-        let (topo, series) = bursty();
-        let out = packet_replay(&topo, &series, &cfg()).unwrap();
-        assert_eq!(out.loss.len(), series.len());
-        assert!(out.packets_walked > 0);
-        // The 10x bursts must overload something.
-        assert!(out.trips > 0, "detector never fired");
-        // And the roll-back thresholds must clear after bursts subside.
-        assert!(out.clears > 0, "detector never cleared");
-        for (_, v) in out.loss.samples() {
-            assert!((0.0..=1.0).contains(v));
-        }
-    }
-
-    #[test]
-    fn quiet_series_stays_clean() {
-        let topo = zoo::internet2();
-        let series = TmSeries::generate(
-            &topo,
-            &SeriesConfig {
-                snapshots: 20,
-                burst_pairs: 0,
-                total_mbps: 800.0,
-                mvr_a: 0.1,
-                ..SeriesConfig::paper(92)
-            },
-        );
-        let out = packet_replay(&topo, &series, &cfg()).unwrap();
-        assert_eq!(out.trips, 0, "phantom overload at low load");
-        assert!(out.loss.max() < 0.02, "loss {} at low load", out.loss.max());
-    }
-
-    #[test]
-    fn counter_rates_track_offered_load() {
-        // With a constant series, the counter-derived per-tick total must
-        // match the analytic offered load of the deployment.
-        let topo = zoo::internet2();
-        let series = TmSeries::generate(
-            &topo,
-            &SeriesConfig {
-                snapshots: 6,
-                burst_pairs: 0,
-                mvr_a: 0.0, // no noise
-                diurnal_depth: 0.0,
-                weekly_depth: 0.0,
-                total_mbps: 1_500.0,
-                ..SeriesConfig::paper(93)
-            },
-        );
-        // All classes (no truncation) so the walked volume covers the full
-        // matrix.
-        let full_cfg = PacketReplayConfig {
-            apple: AppleConfig::default(),
-            ..PacketReplayConfig::default()
-        };
-        let out = packet_replay(&topo, &series, &full_cfg).unwrap();
-        // Sub-1-packet sub-classes and rounding cause small undercount;
-        // just require the order of magnitude to be right.
-        let expected_pps = 1_500.0 * 1e6 / (1_500.0 * 8.0); // = 125_000
-        let per_tick = out.packets_walked as f64 / series.len() as f64;
-        assert!(
-            per_tick > 0.5 * expected_pps && per_tick < 2.0 * expected_pps,
-            "per-tick packets {per_tick} vs expected ~{expected_pps}"
-        );
-    }
 
     use apple_dataplane::compiler::SubclassSpec;
 
@@ -898,7 +639,7 @@ mod tests {
     }
 
     /// Neither the thread budget nor the schedule's walk fan-out may change
-    /// what the battery or the packet replay observes.
+    /// what the battery observes.
     #[test]
     fn reports_identical_across_threads_and_schedules() {
         let old = line_snapshot(3, 0, 1);
@@ -911,23 +652,6 @@ mod tests {
             for threads in [2, 8] {
                 assert_eq!(run(threads), base, "{schedule:?} threads {threads}");
             }
-        }
-        let (topo, series) = bursty();
-        let base = packet_replay(&topo, &series, &cfg()).unwrap();
-        for threads in [2, 8] {
-            let out = packet_replay(
-                &topo,
-                &series,
-                &PacketReplayConfig {
-                    engine: WalkEngineConfig { threads },
-                    ..cfg()
-                },
-            )
-            .unwrap();
-            assert_eq!(out.packets_walked, base.packets_walked);
-            assert_eq!(out.trips, base.trips);
-            assert_eq!(out.clears, base.clears);
-            assert_eq!(out.loss.samples(), base.loss.samples(), "threads {threads}");
         }
     }
 

@@ -2,12 +2,12 @@
 //! holding times.
 //!
 //! The snapshot-level [`crate::series::TmSeries`] is what the paper's
-//! evaluation replays; finer-grained experiments (the online placer, the
-//! packet-level replay) need individual flows arriving and departing. This
-//! module generates a deterministic M/M/∞-style timeline per OD pair:
-//! arrivals at rate `λ`, independent exponential durations with mean `D`,
-//! so the expected number of concurrent flows is `λ·D` (Little's law —
-//! which the tests check).
+//! evaluation replays; finer-grained experiments (the online placer and
+//! the online orchestration loop) need individual flows arriving and
+//! departing. This module generates a deterministic M/M/∞-style timeline
+//! per OD pair: arrivals at rate `λ`, independent exponential durations
+//! with mean `D`, so the expected number of concurrent flows is `λ·D`
+//! (Little's law — which the tests check).
 
 use crate::flows::Flow;
 use apple_rng::rngs::StdRng;

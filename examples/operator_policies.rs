@@ -73,6 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let src = first.src_prefix.0 | 10;
     let dst = first.dst_prefix.0 | 20;
     println!("one host pair, different applications:");
+    let walker = program.rules.walker();
     for (label, port, proto) in [
         ("http", 80u16, 6u8),
         ("https", 443, 6),
@@ -94,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         };
         let packet = Packet::new(src, dst, 55_000, port, proto);
-        let rec = program.walker.walk(packet, &owner.path)?;
+        let rec = walker.walk(packet, &owner.path)?;
         let chain: Vec<String> = rec
             .instances
             .iter()

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         80,
         6,
     );
-    let record = apple.program().walker.walk(packet, &class.path)?;
+    let record = apple.program().rules.walker().walk(packet, &class.path)?;
     println!(
         "switch trajectory: {:?} (identical to the routing path)",
         record.switches

@@ -40,11 +40,10 @@ fn full_pipeline_on_all_four_topologies() {
             "{kind}: orchestrator out of sync with placement"
         );
         // Every class is walkable and policy-complete.
+        let walker = apple.program().rules.walker();
         for class in apple.classes() {
             let p = Packet::new(class.src_prefix.0 | 9, class.dst_prefix.0 | 9, 1, 80, 6);
-            let rec = apple
-                .program()
-                .walker
+            let rec = walker
                 .walk(p, &class.path)
                 .unwrap_or_else(|e| panic!("{kind}: walk failed for {}: {e}", class.id));
             assert_eq!(

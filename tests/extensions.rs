@@ -36,6 +36,7 @@ fn nat_classes_complete_chains_despite_rewrites() {
     // must demonstrably leave the class's source prefix.
     let apple = plan(TopologyKind::Geant, 61, 25);
     let mut nat_classes = 0;
+    let walker = apple.program().rules.walker();
     for class in apple.classes() {
         let has_nat = class
             .chain
@@ -43,9 +44,7 @@ fn nat_classes_complete_chains_despite_rewrites() {
             .iter()
             .any(|&nf| VnfSpec::of(nf).rewrites_headers());
         let p = Packet::new(class.src_prefix.0 | 4, class.dst_prefix.0 | 4, 7, 80, 6);
-        let rec = apple
-            .program()
-            .walker
+        let rec = walker
             .walk(p, &class.path)
             .unwrap_or_else(|e| panic!("{}: {e}", class.id));
         assert_eq!(rec.packet.host_tag, HostTag::Fin);
@@ -133,21 +132,41 @@ fn online_placer_extends_a_global_plan() {
 
 #[test]
 fn engine_model_survives_lp_export() {
-    // Build the real Eq. (1)-(8) model via the facade, export it, and check
-    // the exported model still solves.
-    use apple_nfv::lp::{Cmp, Model, Sense};
-    let mut m = Model::new(Sense::Min);
-    let q1 = m.add_int_var("q_v0_FW", 0.0, 16.0, 1.0);
-    let d1 = m.add_var("d_c0_0_0", 0.0, 1.0, 0.0);
-    let d2 = m.add_var("d_c0_1_0", 0.0, 1.0, 0.0);
-    m.add_constraint([(d1, 1.0), (d2, 1.0)], Cmp::Eq, 1.0)
-        .unwrap();
-    m.add_constraint([(d1, 500.0), (q1, -900.0)], Cmp::Le, 0.0)
-        .unwrap();
-    let text = m.to_lp_format();
-    assert!(text.contains("q_v0_FW_0") && text.contains("General"));
-    // All of the class can ride d2, so no firewall core is needed.
-    assert!(m.solve_lp().unwrap().objective().abs() < 1e-7);
+    // The engine's Eq. (1)-(8) integer model for the instance `apple
+    // export-lp internet2 --classes 4` prints: every instance count `q` is
+    // exported as an integer column, the file is complete, and the model's
+    // LP relaxation solves.
+    use apple_nfv::core::engine::OptimizationEngine;
+    use apple_nfv::core::orchestrator::ResourceOrchestrator;
+    use std::collections::BTreeSet;
+    let topo = TopologyKind::Internet2.build();
+    let tm = GravityModel::new(2_000.0, 0).base_matrix(&topo);
+    let classes = ClassSet::build(
+        &topo,
+        &tm,
+        &ClassConfig {
+            max_classes: 4,
+            ..Default::default()
+        },
+    );
+    let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
+    let model = OptimizationEngine::default().ilp_model(&classes, &orch);
+    let text = model.to_lp_format();
+    let (body, general) = text
+        .split_once("\nGeneral\n")
+        .expect("integer q columns need a General section");
+    let integers: BTreeSet<&str> = general.split_whitespace().collect();
+    let q_columns: BTreeSet<&str> = body
+        .split_whitespace()
+        .filter(|t| t.starts_with("q_"))
+        .collect();
+    assert!(!q_columns.is_empty(), "no q column exported");
+    for q in &q_columns {
+        assert!(integers.contains(q), "{q} is not under General");
+    }
+    assert_eq!(text.lines().last(), Some("End"));
+    let relaxed = model.solve_lp().expect("the LP relaxation solves");
+    assert!(relaxed.objective() > 0.0, "4 classes need some instance");
 }
 
 #[test]

@@ -50,6 +50,7 @@ fn apple_internet2(seed: u64) -> Apple {
 fn arbitrary_packets_never_break_the_data_plane() {
     // One deployment reused across cases (deterministic seed).
     let apple = apple_internet2(77);
+    let walker = apple.program().rules.walker();
     for case in 0..48u64 {
         let mut rng = StdRng::seed_from_u64(SEED ^ case);
         let src = rng.next_u64() as u32;
@@ -67,9 +68,7 @@ fn arbitrary_packets_never_break_the_data_plane() {
 
         let class = &apple.classes().classes()[class_idx % apple.classes().len()];
         let p = Packet::new(src, dst, sport, dport, proto);
-        let rec = apple
-            .program()
-            .walker
+        let rec = walker
             .walk(p, &class.path)
             .unwrap_or_else(|e| panic!("case {case}: walk error: {e}"));
         // Interference freedom holds for *any* packet.
@@ -89,6 +88,7 @@ fn in_prefix_packets_always_complete() {
     // in-prefix hosts across every class.
     for seed in 0..5u64 {
         let apple = apple_internet2(100 + seed);
+        let walker = apple.program().rules.walker();
         let mut rng = StdRng::seed_from_u64(SEED ^ (0x100 + seed));
         for _ in 0..10 {
             let host = rng.gen_range(1u32..255);
@@ -102,9 +102,7 @@ fn in_prefix_packets_always_complete() {
                 80,
                 6,
             );
-            let rec = apple
-                .program()
-                .walker
+            let rec = walker
                 .walk(p, &class.path)
                 .unwrap_or_else(|e| panic!("seed {seed}: walk error: {e}"));
             assert_eq!(rec.packet.host_tag, HostTag::Fin);

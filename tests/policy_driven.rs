@@ -11,13 +11,14 @@ use apple_nfv::core::policy_spec::PolicySpec;
 use apple_nfv::core::rules::generate;
 use apple_nfv::core::subclass::{SplitStrategy, SubclassPlan};
 use apple_nfv::dataplane::packet::{HostTag, Packet};
+use apple_nfv::dataplane::walk::NetworkWalker;
 use apple_nfv::nf::NfType;
 use apple_nfv::topology::zoo;
 use apple_nfv::traffic::GravityModel;
 
 struct PolicyDeployment {
     classes: ClassSet,
-    program: apple_nfv::core::rules::DataPlaneProgram,
+    walker: NetworkWalker,
     orch: ResourceOrchestrator,
 }
 
@@ -45,7 +46,7 @@ fn deploy_with(spec: PolicySpec) -> PolicyDeployment {
     let program = generate(&topo, &classes, &plan, &placement, &mut orch).expect("rule generation");
     PolicyDeployment {
         classes,
-        program,
+        walker: program.rules.walker(),
         orch,
     }
 }
@@ -55,7 +56,6 @@ fn deploy_with(spec: PolicySpec) -> PolicyDeployment {
 fn walked_chain(d: &PolicyDeployment, class_idx: usize, packet: Packet) -> Vec<NfType> {
     let class = &d.classes.classes()[class_idx];
     let rec = d
-        .program
         .walker
         .walk(packet, &class.path)
         .expect("programmed data plane walks cleanly");

@@ -64,6 +64,7 @@ fn three_properties_hold_on_random_networks() {
             Err(EngineError::Infeasible) => continue,
             Err(e) => panic!("case {case}: plan failed: {e}"),
         };
+        let walker = apple.program().rules.walker();
         for class in apple.classes() {
             let p = Packet::new(
                 class.src_prefix.0 | host_octet,
@@ -72,9 +73,7 @@ fn three_properties_hold_on_random_networks() {
                 443,
                 6,
             );
-            let rec = apple
-                .program()
-                .walker
+            let rec = walker
                 .walk(p, &class.path)
                 .unwrap_or_else(|e| panic!("case {case}: walk failed: {e}"));
 
