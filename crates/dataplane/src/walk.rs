@@ -54,8 +54,9 @@ pub struct WalkRecord {
     pub switches: Vec<usize>,
     /// VNF instances traversed, in order.
     pub instances: Vec<InstanceId>,
-    /// APPLE hosts (by attached switch) the packet was punted into, in
-    /// order — what the per-port packet counters of §VII-B count.
+    /// APPLE hosts (by attached switch) whose vSwitch the walk consulted,
+    /// in order. Both walk engines fill it, and their bitwise-equality
+    /// checks compare it.
     pub hosts_visited: Vec<usize>,
     /// Final state of the packet (tags included).
     pub packet: Packet,

@@ -427,6 +427,7 @@ impl Decomposition {
             }
             agg.pivots += r.stats.pivots;
             agg.phase1_pivots += r.stats.phase1_pivots;
+            agg.build_elapsed += r.stats.build_elapsed;
             agg.phase1_elapsed += r.stats.phase1_elapsed;
             stats.block_pivots.push(r.stats.pivots);
         }

@@ -45,7 +45,11 @@ pub struct SolveStats {
     pub phase1_pivots: usize,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
-    /// Wall-clock time spent in phase 1 (zero when the initial basis was
+    /// Wall-clock time spent building the standard-form tableau, the
+    /// phase-1 pricing included.
+    pub build_elapsed: Duration,
+    /// Wall-clock time spent in phase 1, from its first pivot through the
+    /// drive-out of the artificials (zero when the initial basis was
     /// already feasible).
     pub phase1_elapsed: Duration,
 }
@@ -54,7 +58,8 @@ impl SolveStats {
     /// Records this run's pivots and per-phase timings under `prefix`
     /// (conventionally `"lp"`): counters `<prefix>.pivots`,
     /// `<prefix>.phase1_pivots` and `<prefix>.solves`, plus millisecond
-    /// histograms `<prefix>.phase1_ms` and `<prefix>.phase2_ms`.
+    /// histograms `<prefix>.build_ms`, `<prefix>.phase1_ms` and
+    /// `<prefix>.phase2_ms` (the rest of `elapsed`).
     pub fn record(&self, rec: &dyn apple_telemetry::Recorder, prefix: &str) {
         if !rec.enabled() {
             return;
@@ -65,10 +70,13 @@ impl SolveStats {
             self.phase1_pivots as u64,
         );
         rec.counter(&format!("{prefix}.solves"), 1);
+        rec.observe_duration(&format!("{prefix}.build_ms"), self.build_elapsed);
         rec.observe_duration(&format!("{prefix}.phase1_ms"), self.phase1_elapsed);
         rec.observe_duration(
             &format!("{prefix}.phase2_ms"),
-            self.elapsed.saturating_sub(self.phase1_elapsed),
+            self.elapsed
+                .saturating_sub(self.build_elapsed)
+                .saturating_sub(self.phase1_elapsed),
         );
     }
 }

@@ -97,6 +97,7 @@ fn pivot_counters_match_reported_solver_work() {
     );
     assert!(solves >= 1);
     // Every solve contributed one sample to each per-phase histogram.
+    assert_eq!(snap.histogram("lp.build_ms").unwrap().count, solves);
     assert_eq!(snap.histogram("lp.phase1_ms").unwrap().count, solves);
     assert_eq!(snap.histogram("lp.phase2_ms").unwrap().count, solves);
 }
