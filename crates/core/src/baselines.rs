@@ -1,8 +1,8 @@
 //! Baselines used by the paper's evaluation:
 //!
-//! * [`ingress_consolidation`] — the `ingress` strawman of Fig. 11: all
-//!   VNFs of a class's chain are consolidated at its ingress switch; no
-//!   instance sharing across classes at different switches,
+//! * [`ingress_per_class`] — the `ingress` strawman of Fig. 11: each
+//!   class's chain gets its own instances at its ingress switch; no
+//!   instance is shared between classes,
 //! * [`TrafficSteering`] — a StEERING/SIMPLE-style model that routes flows
 //!   *to* statically-placed middleboxes, used by the Table I property
 //!   tests to show what interference looks like (paths change).
@@ -12,7 +12,7 @@ use apple_nf::{NfType, VnfSpec};
 use apple_topology::{NodeId, Path, Topology};
 use std::collections::BTreeMap;
 
-/// Result of the ingress-consolidation strawman.
+/// Result of the `ingress` strawman.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngressPlan {
     /// Instances per (ingress switch, NF).
@@ -20,11 +20,6 @@ pub struct IngressPlan {
 }
 
 impl IngressPlan {
-    /// Total instances.
-    pub fn total_instances(&self) -> u32 {
-        self.q.values().sum()
-    }
-
     /// Total CPU cores — the Fig. 11 comparison metric.
     pub fn total_cores(&self) -> u32 {
         self.q
@@ -32,29 +27,6 @@ impl IngressPlan {
             .map(|(&(_, nf), &c)| VnfSpec::of(nf).cores * c)
             .sum()
     }
-}
-
-/// The `ingress` strawman with per-ingress sharing: instances at the same
-/// ingress are shared between classes entering there (per-NF aggregation),
-/// but — unlike APPLE — load can never be spread along the path. This is a
-/// *stronger* baseline than the paper's.
-pub fn ingress_consolidation(classes: &ClassSet) -> IngressPlan {
-    // Aggregate demand per (ingress, NF).
-    let mut demand: BTreeMap<(usize, NfType), f64> = BTreeMap::new();
-    for c in classes {
-        let ingress = c.path.first().0;
-        for &nf in c.chain.nfs() {
-            *demand.entry((ingress, nf)).or_insert(0.0) += c.rate_mbps;
-        }
-    }
-    let q = demand
-        .into_iter()
-        .map(|((v, nf), load)| {
-            let cap = VnfSpec::of(nf).capacity_mbps;
-            ((v, nf), ((load / cap) - 1e-9).ceil().max(1.0) as u32)
-        })
-        .collect();
-    IngressPlan { q }
 }
 
 /// The paper's `ingress` strawman (Fig. 11): "consolidates all the VNFs of
@@ -243,7 +215,7 @@ mod tests {
     fn ingress_plan_covers_every_class() {
         let topo = zoo::internet2();
         let classes = classes_for(&topo, 31, 20);
-        let plan = ingress_consolidation(&classes);
+        let plan = ingress_per_class(&classes);
         for c in &classes {
             for &nf in c.chain.nfs() {
                 assert!(
@@ -258,15 +230,15 @@ mod tests {
 
     #[test]
     fn apple_beats_ingress_on_backbone() {
-        // The Fig. 11 claim: APPLE multiplexes instances along paths,
-        // ingress consolidation cannot.
+        // The Fig. 11 claim: APPLE multiplexes instances across classes,
+        // the per-class ingress strawman cannot.
         let topo = zoo::internet2();
         let classes = classes_for(&topo, 32, 25);
         let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
         let apple = OptimizationEngine::new(EngineConfig::default())
             .place(&classes, &orch)
             .unwrap();
-        let ingress = ingress_consolidation(&classes);
+        let ingress = ingress_per_class(&classes);
         assert!(
             apple.total_cores() < ingress.total_cores(),
             "APPLE {} >= ingress {}",
@@ -344,7 +316,7 @@ mod tests {
             proto: None,
             dst_ports: Vec::new(),
         };
-        let plan = ingress_consolidation(&ClassSet::from_classes(vec![class]));
+        let plan = ingress_per_class(&ClassSet::from_classes(vec![class]));
         assert_eq!(plan.q[&(0, NfType::Firewall)], 3);
         assert_eq!(plan.total_cores(), 12);
     }

@@ -22,7 +22,9 @@
 //!   over the compiled fast path, and the [`conformance`] battery over
 //!   compiled rule programs: every probe walked after every barrier of an
 //!   update plan, or at every scheduler tick while the plan is in flight on
-//!   the seeded southbound channel (DESIGN.md §10, §12 and §13).
+//!   the seeded southbound channel (DESIGN.md §10, §12 and §13),
+//! * [`paper`] — the paper's evaluation, one registered experiment per
+//!   table or figure (`apple paper <NAME>`, committed in `results/`).
 //!
 //! # Example
 //!
@@ -41,6 +43,7 @@ pub mod failover_lab;
 pub mod metrics;
 pub mod online;
 pub mod packet_replay;
+pub mod paper;
 pub mod replay;
 
 pub use chaos::{run_chaos, run_schedule, ChaosReport};

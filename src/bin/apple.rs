@@ -10,10 +10,13 @@
 //! apple compile <TOPO> [--classes K] [--load MBPS] [--seed S] [--incremental]
 //! apple walk   <TOPO> [--threads N] [--repeats N]
 //! apple export-lp <TOPO> [--classes K] [--load MBPS] [--seed S]
+//! apple paper  <NAME>
 //! ```
 //!
 //! `<TOPO>` is `internet2`, `geant`, `univ1`, `as3679`, `fat-tree:K`, or
-//! `jellyfish:N:D`.
+//! `jellyfish:N:D`. `<NAME>` is a paper artifact (`table1`, `table5`,
+//! `fig6` … `fig12`, the names in `apple_sim::paper::EXPERIMENTS`);
+//! `results/<NAME>.txt` holds its stdout.
 
 use apple_nfv::core::classes::{ClassConfig, ClassSet};
 use apple_nfv::core::controller::{Apple, AppleConfig};
@@ -37,6 +40,7 @@ use apple_nfv::nf::InstanceId;
 use apple_nfv::sim::chaos::run_schedule;
 use apple_nfv::sim::online::{build_timeline, run_timeline, OnlineRunConfig};
 use apple_nfv::sim::packet_replay::{conformance, conformance_probes, walk_batch, Schedule};
+use apple_nfv::sim::paper::EXPERIMENTS;
 use apple_nfv::sim::replay::{replay, ReplayConfig};
 use apple_nfv::telemetry::{MemoryRecorder, Recorder, NOOP};
 use apple_nfv::topology::{zoo, Topology};
@@ -70,8 +74,10 @@ const USAGE: &str = "usage:
   apple walk   <TOPO> [--threads N] [--repeats N] [--classes K] [--load MBPS] [--seed S]
   apple southbound <TOPO> [--classes K] [--load MBPS] [--seed S] [--threads N]
   apple export-lp <TOPO> [--classes K] [--load MBPS] [--seed S]
+  apple paper  <NAME>
 
 TOPO: internet2 | geant | univ1 | as3679 | fat-tree:K | jellyfish:N:D
+NAME: table1 | table5 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12
 
 --telemetry json prints the run's metric snapshot (counters, gauges,
 histograms) as JSON on stdout after the normal output.
@@ -115,7 +121,11 @@ reordering, explicit barrier acks; DESIGN.md 13) while walking the full
 packet-probe battery at every 10 ms scheduler tick. Prints the in-flight
 walk classification (bitwise-old / bitwise-new / chain-consistent) and
 the virtual drain time; exits non-zero if any tick observes a transient
-chain bypass.";
+chain bypass.
+
+paper regenerates one table or figure of the paper's evaluation with its
+fixed seeds and sizes. Its stdout is deterministic and committed as
+results/NAME.txt; wall-clock times (Table V's) go to stderr.";
 
 /// Parsed optional flags.
 struct Flags {
@@ -213,6 +223,23 @@ fn planned_snapshot(topo: &Topology, flags: &Flags) -> Result<CompilerSnapshot, 
     let prog = generate_with(topo, &classes, &plan, &placement, &mut orch, &config)
         .map_err(|e| e.to_string())?;
     snapshot_of(topo, &classes, &plan, &prog.assignment, &orch, &config).map_err(|e| e.to_string())
+}
+
+/// The single-sub-class churn step `compile --incremental` and `southbound`
+/// model: the first sub-class's first chain stage re-served by a fresh
+/// instance.
+fn churn_one_stage(snap: &CompilerSnapshot) -> Result<CompilerSnapshot, String> {
+    let fresh = snap
+        .subclasses
+        .iter()
+        .flat_map(|s| s.instances.iter())
+        .map(|i| i.0)
+        .max()
+        .ok_or("snapshot has no instances to churn")?
+        + 1;
+    let mut churned = snap.clone();
+    churned.subclasses[0].instances[0] = InstanceId(fresh);
+    Ok(churned)
 }
 
 /// In-memory recorder when `--telemetry json` was given, `None` otherwise;
@@ -316,11 +343,27 @@ fn parse_topo(spec: &str) -> Result<Topology, String> {
 
 fn run(args: &[String]) -> Result<(), String> {
     let (cmd, rest) = args.split_first().ok_or("missing command")?;
+    match (cmd.as_str(), rest) {
+        ("help" | "--help" | "-h", _) => {
+            println!("{USAGE}");
+            return Ok(());
+        }
+        ("paper", [name]) => {
+            let (_, experiment) = EXPERIMENTS
+                .iter()
+                .find(|(n, _)| n == name)
+                .ok_or_else(|| format!("unknown paper artifact `{name}`"))?;
+            experiment();
+            return Ok(());
+        }
+        ("paper", _) => return Err("paper takes exactly one artifact name".into()),
+        _ => {}
+    }
+    let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
+    let topo = parse_topo(spec)?;
+    let flags = parse_flags(flag_args)?;
     match cmd.as_str() {
         "topo" => {
-            let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
-            let topo = parse_topo(spec)?;
-            let flags = parse_flags(flag_args)?;
             if flags.dot {
                 print!("{}", topo.graph.to_dot());
             } else if flags.edges {
@@ -350,9 +393,6 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "plan" => {
-            let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
-            let topo = parse_topo(spec)?;
-            let flags = parse_flags(flag_args)?;
             let tm = GravityModel::new(flags.load, flags.seed).base_matrix(&topo);
             let mem = make_recorder(&flags);
             let apple = Apple::plan_recorded(&topo, &tm, &flags.apple_config(), recorder_ref(&mem))
@@ -385,9 +425,6 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "replay" => {
-            let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
-            let topo = parse_topo(spec)?;
-            let flags = parse_flags(flag_args)?;
             let series = TmSeries::generate(
                 &topo,
                 &SeriesConfig {
@@ -425,9 +462,6 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "chaos" => {
-            let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
-            let topo = parse_topo(spec)?;
-            let flags = parse_flags(flag_args)?;
             let tm = GravityModel::new(flags.load, flags.seed).base_matrix(&topo);
             let mem = make_recorder(&flags);
             let rec = recorder_ref(&mem);
@@ -481,9 +515,6 @@ fn run(args: &[String]) -> Result<(), String> {
             }
         }
         "online" => {
-            let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
-            let topo = parse_topo(spec)?;
-            let flags = parse_flags(flag_args)?;
             let cfg = flags.online_run_config();
             let timeline = build_timeline(&topo, &cfg);
             let mem = make_recorder(&flags);
@@ -514,9 +545,6 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "recover" => {
-            let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
-            let topo = parse_topo(spec)?;
-            let flags = parse_flags(flag_args)?;
             let cfg = flags.online_run_config();
             let timeline = build_timeline(&topo, &cfg);
             let setup = RecoverySetup {
@@ -651,9 +679,6 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "compile" => {
-            let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
-            let topo = parse_topo(spec)?;
-            let flags = parse_flags(flag_args)?;
             let snap = planned_snapshot(&topo, &flags)?;
             let mem = make_recorder(&flags);
             let rec = recorder_ref(&mem);
@@ -669,16 +694,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 compiled.rewriters.len()
             );
             if flags.incremental {
-                let mut churned = snap.clone();
-                let fresh = snap
-                    .subclasses
-                    .iter()
-                    .flat_map(|s| s.instances.iter())
-                    .map(|i| i.0)
-                    .max()
-                    .ok_or("snapshot has no instances to churn")?
-                    + 1;
-                churned.subclasses[0].instances[0] = InstanceId(fresh);
+                let churned = churn_one_stage(&snap)?;
                 let target = compile_recorded(&churned, rec);
                 let update = diff_recorded(&compiled, &target, rec);
                 let full_ops = target.rule_count();
@@ -694,9 +710,6 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "walk" => {
-            let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
-            let topo = parse_topo(spec)?;
-            let flags = parse_flags(flag_args)?;
             let snap = planned_snapshot(&topo, &flags)?;
             let program = compile_recorded(&snap, &NOOP);
             let probes = conformance_probes(&snap, &snap);
@@ -739,22 +752,8 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "southbound" => {
-            let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
-            let topo = parse_topo(spec)?;
-            let flags = parse_flags(flag_args)?;
             let snap = planned_snapshot(&topo, &flags)?;
-            // The same single-sub-class churn step `compile --incremental`
-            // models: one chain stage re-served by a fresh instance.
-            let mut churned = snap.clone();
-            let fresh = snap
-                .subclasses
-                .iter()
-                .flat_map(|s| s.instances.iter())
-                .map(|i| i.0)
-                .max()
-                .ok_or("snapshot has no instances to churn")?
-                + 1;
-            churned.subclasses[0].instances[0] = InstanceId(fresh);
+            let churned = churn_one_stage(&snap)?;
             let southbound = SouthboundConfig::paper(flags.seed);
             let schedule = Schedule::Inflight {
                 southbound,
@@ -793,18 +792,11 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "export-lp" => {
-            let (spec, flag_args) = rest.split_first().ok_or("missing topology")?;
-            let topo = parse_topo(spec)?;
-            let flags = parse_flags(flag_args)?;
             let tm = GravityModel::new(flags.load, flags.seed).base_matrix(&topo);
             let classes = ClassSet::build(&topo, &tm, &flags.apple_config().classes);
             let orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
             let model = OptimizationEngine::default().ilp_model(&classes, &orch);
             print!("{}", model.to_lp_format());
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command `{other}`")),
