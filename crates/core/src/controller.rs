@@ -10,7 +10,7 @@ use crate::classes::{ClassConfig, ClassSet};
 use crate::engine::{EngineConfig, EngineError, OptimizationEngine, Placement};
 use crate::failover::{DynamicHandler, FailoverError};
 use crate::orchestrator::ResourceOrchestrator;
-use crate::rules::{generate, DataPlaneProgram, RuleGenError};
+use crate::rules::{generate, DataPlaneProgram};
 use crate::subclass::{SplitStrategy, SubclassPlan};
 use apple_topology::Topology;
 use apple_traffic::TrafficMatrix;
@@ -23,19 +23,10 @@ pub struct AppleConfig {
     /// Optimization Engine configuration. It has no settable values; the
     /// field stays for callers outside this workspace (ROADMAP item 9(a)).
     pub engine: EngineConfig,
-    /// CPU cores per APPLE host (the paper assumes 64).
-    pub host_cores: u32,
 }
 
-impl AppleConfig {
-    fn host_cores(&self) -> u32 {
-        if self.host_cores == 0 {
-            64
-        } else {
-            self.host_cores
-        }
-    }
-}
+/// CPU cores per APPLE host (the paper assumes 64).
+const HOST_CORES: u32 = 64;
 
 /// A planned APPLE deployment.
 #[derive(Debug, Clone)]
@@ -54,9 +45,8 @@ impl Apple {
     ///
     /// [`EngineError`] when the optimisation fails (no classes, infeasible
     /// resources, or solver trouble). Rule generation cannot fail on its
-    /// own here: planning sets no TCAM budget, and a launch failure (which
-    /// the engine's Eq. (6) precludes) reports as
-    /// [`EngineError::Infeasible`].
+    /// own here: a launch failure (which the engine's Eq. (6) precludes)
+    /// reports as [`EngineError::Infeasible`].
     pub fn plan(
         topo: &Topology,
         tm: &TrafficMatrix,
@@ -87,7 +77,7 @@ impl Apple {
             ClassSet::build(topo, tm, &config.classes)
         };
         rec.gauge("apple.classes_built", classes.len() as f64);
-        let mut orchestrator = ResourceOrchestrator::with_uniform_hosts(topo, config.host_cores());
+        let mut orchestrator = ResourceOrchestrator::with_uniform_hosts(topo, HOST_CORES);
         let engine = OptimizationEngine::new(config.engine.clone());
         let placement = engine.place_recorded(&classes, &orchestrator, rec)?;
         let plan = {
@@ -95,18 +85,11 @@ impl Apple {
             SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit)
         };
         let _rules_span = rec.span("apple.rules");
-        let program = match generate(topo, &classes, &plan, &placement, &mut orchestrator) {
-            Ok(p) => p,
-            Err(RuleGenError::Orchestration(_)) => {
-                // The engine's Eq. (6) guarantees resources suffice; hitting
-                // this means the host model changed between place and
-                // generate, which plan() precludes.
-                return Err(EngineError::Infeasible);
-            }
-            Err(RuleGenError::TcamBudgetExceeded { .. }) => {
-                unreachable!("plan() does not set a TCAM budget")
-            }
-        };
+        // The engine's Eq. (6) guarantees resources suffice; a launch
+        // failure would mean the host model changed between place and
+        // generate, which plan() precludes.
+        let program = generate(topo, &classes, &plan, &placement, &mut orchestrator)
+            .map_err(|_| EngineError::Infeasible)?;
         drop(_rules_span);
         rec.gauge("tcam.rules_installed", program.tcam.tagged_total as f64);
         rec.gauge("tcam.reduction_ratio", program.tcam.reduction_ratio());
@@ -255,11 +238,5 @@ mod tests {
         assert!(!plan.is_empty());
         assert!(program.tcam.tagged_total > 0);
         assert_eq!(orch.instance_count() as u32, n);
-    }
-
-    #[test]
-    fn zero_host_cores_defaults_to_64() {
-        let cfg = AppleConfig::default();
-        assert_eq!(cfg.host_cores(), 64);
     }
 }

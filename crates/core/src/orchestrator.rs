@@ -346,11 +346,6 @@ impl ResourceOrchestrator {
         self.instances.get(&id)
     }
 
-    /// Mutable access to an instance (load updates).
-    pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut VnfInstance> {
-        self.instances.get_mut(&id)
-    }
-
     /// All instances, ordered by id.
     pub fn instances(&self) -> impl Iterator<Item = &VnfInstance> {
         self.instances.values()

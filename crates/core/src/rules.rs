@@ -23,29 +23,12 @@ use std::fmt;
 pub enum RuleGenError {
     /// Instance launch failed while realising the placement.
     Orchestration(OrchestratorError),
-    /// A switch's APPLE rules exceed its TCAM budget.
-    TcamBudgetExceeded {
-        /// The over-budget switch.
-        switch: usize,
-        /// Entries the program needs there.
-        entries: usize,
-        /// The configured budget.
-        budget: usize,
-    },
 }
 
 impl fmt::Display for RuleGenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuleGenError::Orchestration(e) => write!(f, "orchestration failed: {e}"),
-            RuleGenError::TcamBudgetExceeded {
-                switch,
-                entries,
-                budget,
-            } => write!(
-                f,
-                "switch {switch} needs {entries} TCAM entries but the budget is {budget}"
-            ),
         }
     }
 }
@@ -58,59 +41,14 @@ impl From<OrchestratorError> for RuleGenError {
     }
 }
 
-/// Whether the switch hardware supports flow-table pipelining (§V-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TcamMode {
-    /// Table III semantics with two pipelined tables (the normal case).
-    #[default]
-    Pipelined,
-    /// No pipelining: the APPLE table and the routing table are merged by
-    /// cross-product, multiplying the TCAM footprint — the paper's stated
-    /// fallback for switches without pipeline support.
-    CrossProduct,
-}
-
-/// Rule-generation options.
-#[derive(Debug, Clone)]
-pub struct RuleGenConfig {
-    /// TCAM accounting mode.
-    pub tcam_mode: TcamMode,
-    /// §X: allocate *global* sub-class tags for classes whose chain
-    /// contains a header-rewriting NF, and match only on the tag downstream
-    /// — prefix classification would break after the rewrite.
-    pub global_tags: bool,
-    /// Model the header rewrite itself in the packet walker (source NAT
-    /// moves sources into the 11/8 pool). Disabling this together with
-    /// `global_tags` reproduces the naive-broken configuration the §X
-    /// discussion warns about.
-    pub model_rewrites: bool,
-    /// Routing-table size per switch used by the cross-product accounting;
-    /// 0 means "one rule per destination switch" (n − 1).
-    pub routing_rules_per_switch: usize,
-    /// Classification compression: install the sub-class with the most
-    /// prefix rules as a single lower-priority *catch-all* for its class
-    /// (the other sub-classes' higher-priority rules carve out their
-    /// shares). Standard TCAM default-rule optimisation; semantics are
-    /// unchanged.
-    pub compress_classification: bool,
-    /// Per-switch TCAM entry budget for APPLE rules (0 = unlimited). TCAM
-    /// is the "power-hungry and expensive" resource of §III; exceeding a
-    /// hardware budget is a hard deployment error, not a soft metric.
-    pub tcam_budget_per_switch: usize,
-}
-
-impl Default for RuleGenConfig {
-    fn default() -> Self {
-        RuleGenConfig {
-            tcam_mode: TcamMode::Pipelined,
-            global_tags: true,
-            model_rewrites: true,
-            routing_rules_per_switch: 0,
-            compress_classification: true,
-            tcam_budget_per_switch: 0,
-        }
-    }
-}
+/// Rule-generation options. It has no settable values: the generator
+/// always pipelines the Table III tables (§V-B), gives the sub-classes of
+/// header-rewriting chains global tags (§X), models the rewrite and
+/// compresses classification. The type stays only because callers outside
+/// this workspace pass it to [`generate_with`] and [`snapshot_of`]
+/// (ROADMAP item 9(a)).
+#[derive(Debug, Clone, Default)]
+pub struct RuleGenConfig {}
 
 /// Which VNF instance serves each (class, sub-class, chain stage).
 #[derive(Debug, Clone, Default)]
@@ -218,29 +156,6 @@ pub fn online_rule_cost(class: &EquivalenceClass, stage_positions: &[usize]) -> 
     classification + hops.len()
 }
 
-/// Generates the data plane with default options (pipelined TCAM, global
-/// tags for header-rewriting chains, rewrites modelled).
-///
-/// # Errors
-///
-/// Same as [`generate_with`].
-pub fn generate(
-    topo: &Topology,
-    classes: &ClassSet,
-    plan: &SubclassPlan,
-    placement: &Placement,
-    orch: &mut ResourceOrchestrator,
-) -> Result<DataPlaneProgram, RuleGenError> {
-    generate_with(
-        topo,
-        classes,
-        plan,
-        placement,
-        orch,
-        &RuleGenConfig::default(),
-    )
-}
-
 /// Generates the data plane from classes, sub-classes and a placement.
 ///
 /// The orchestrator is mutated: instances are launched according to the
@@ -248,16 +163,13 @@ pub fn generate(
 ///
 /// # Errors
 ///
-/// [`RuleGenError::Orchestration`] when instance launch fails, and
-/// [`RuleGenError::TcamBudgetExceeded`] when a switch's entries exceed
-/// [`RuleGenConfig::tcam_budget_per_switch`].
-pub fn generate_with(
+/// [`RuleGenError::Orchestration`] when instance launch fails.
+pub fn generate(
     topo: &Topology,
     classes: &ClassSet,
     plan: &SubclassPlan,
     placement: &Placement,
     orch: &mut ResourceOrchestrator,
-    config: &RuleGenConfig,
 ) -> Result<DataPlaneProgram, RuleGenError> {
     // 1. Launch instances per q.
     for (v, nf, count) in placement.q_entries() {
@@ -278,39 +190,18 @@ pub fn generate_with(
         plan,
         &assignment,
         orch,
-        config,
+        &RuleGenConfig::default(),
     )?);
     let tagged_per_switch = program.billable_per_switch();
     let tagged_total = tagged_per_switch.values().sum();
+    let untagged_total = untagged_estimate(topo, classes, plan);
     // §V-B fallback: without pipelining, every APPLE entry is multiplied by
-    // the routing table it must be cross-producted with.
-    let routing_rules = if config.routing_rules_per_switch == 0 {
-        topo.graph.node_count().saturating_sub(1)
-    } else {
-        config.routing_rules_per_switch
-    };
-    if config.tcam_budget_per_switch > 0 {
-        // A switch without pipelining must fit the cross-product, not just
-        // the APPLE table.
-        let factor = match config.tcam_mode {
-            TcamMode::Pipelined => 1,
-            TcamMode::CrossProduct => routing_rules.max(1),
-        };
-        for (&switch, &entries) in &tagged_per_switch {
-            let billable = entries * factor;
-            if billable > config.tcam_budget_per_switch {
-                return Err(RuleGenError::TcamBudgetExceeded {
-                    switch,
-                    entries: billable,
-                    budget: config.tcam_budget_per_switch,
-                });
-            }
-        }
-    }
-    let untagged_total = untagged_estimate(topo, classes, plan, config.compress_classification);
+    // the routing table it must be cross-producted with, one rule per
+    // destination switch.
+    let routing_rules = topo.graph.node_count().saturating_sub(1).max(1);
     let cross_product_total: usize = tagged_per_switch
         .values()
-        .map(|&billable| billable * routing_rules.max(1))
+        .map(|&billable| billable * routing_rules)
         .sum();
     Ok(DataPlaneProgram {
         rules: program,
@@ -324,71 +215,85 @@ pub fn generate_with(
     })
 }
 
-/// Lowers the deployed state into a plain-data [`CompilerSnapshot`] for
-/// the data-plane compiler.
+/// [`generate`]; `config` is ignored. Kept only because callers outside
+/// this workspace call it by name (ROADMAP item 9(a)).
 ///
-/// `assignment` and `orch` must come from a prior [`generate_with`] run on
-/// the same plan (the snapshot captures which instance serves each stage
-/// and which hosts are in use). [`generate_with`] builds its own program
-/// as [`compile`] of this snapshot, so transitions and the online loop
-/// that compile later snapshots install deltas against the very rules the
+/// # Errors
+///
+/// Same as [`generate`].
+pub fn generate_with(
+    topo: &Topology,
+    classes: &ClassSet,
+    plan: &SubclassPlan,
+    placement: &Placement,
+    orch: &mut ResourceOrchestrator,
+    _config: &RuleGenConfig,
+) -> Result<DataPlaneProgram, RuleGenError> {
+    generate(topo, classes, plan, placement, orch)
+}
+
+/// Lowers the deployed state into a plain-data [`CompilerSnapshot`] for
+/// the data-plane compiler; `config` is ignored.
+///
+/// `assignment` and `orch` must come from a prior [`generate`] run on the
+/// same plan (the snapshot captures which instance serves each stage and
+/// which hosts are in use). [`generate`] builds its own program as
+/// [`compile`] of this snapshot, so transitions and the online loop that
+/// compile later snapshots install deltas against the very rules the
 /// generator produced.
 ///
 /// # Errors
 ///
-/// None: it is always `Ok`. The `Result` stays because callers outside
-/// this workspace handle it (ROADMAP item 9(a)).
+/// None: it is always `Ok`. The `Result` and `config` stay only because
+/// callers outside this workspace use them (ROADMAP item 9(a)).
 ///
 /// # Panics
 ///
 /// When `assignment` does not cover every stage of every sub-class in the
-/// plan (it always does for a matching [`generate_with`] output).
+/// plan (it always does for a matching [`generate`] output).
 pub fn snapshot_of(
     topo: &Topology,
     classes: &ClassSet,
     plan: &SubclassPlan,
     assignment: &InstanceAssignment,
     orch: &ResourceOrchestrator,
-    config: &RuleGenConfig,
+    _config: &RuleGenConfig,
 ) -> Result<CompilerSnapshot, RuleGenError> {
     // §X: classes whose chain rewrites headers get globally-unique
     // sub-class tags (allocated from the top half of the tag space so they
-    // never collide with per-class local ids).
+    // never collide with per-class local ids), and the walker models the
+    // rewrite at every instance of a rewriting NF.
     let mut global_tag: BTreeMap<(ClassId, u16), u16> = BTreeMap::new();
-    if config.global_tags {
-        let mut next: u16 = 0x8000;
-        for s in plan.subclasses() {
-            let class = classes
-                .class(s.class)
-                .expect("plan refers to known classes");
-            let rewrites = class
-                .chain
-                .nfs()
-                .iter()
-                .any(|&nf| VnfSpec::of(nf).rewrites_headers());
-            if rewrites {
-                global_tag.insert((s.class, s.id), next);
-                next = next
-                    .checked_add(1)
-                    .expect("fewer than 32k rewritten sub-classes");
-            }
+    let mut next: u16 = 0x8000;
+    for s in plan.subclasses() {
+        let class = classes
+            .class(s.class)
+            .expect("plan refers to known classes");
+        let rewrites = class
+            .chain
+            .nfs()
+            .iter()
+            .any(|&nf| VnfSpec::of(nf).rewrites_headers());
+        if rewrites {
+            global_tag.insert((s.class, s.id), next);
+            next = next
+                .checked_add(1)
+                .expect("fewer than 32k rewritten sub-classes");
         }
     }
     let mut rewriters: Vec<InstanceId> = Vec::new();
-    if config.model_rewrites {
-        for (&(class, _sub, stage), &inst) in assignment.entries() {
-            let nf = classes
-                .class(class)
-                .expect("assignment refers to known classes")
-                .chain
-                .nfs()[stage];
-            if VnfSpec::of(nf).rewrites_headers() {
-                rewriters.push(inst);
-            }
+    for (&(class, _sub, stage), &inst) in assignment.entries() {
+        let nf = classes
+            .class(class)
+            .expect("assignment refers to known classes")
+            .chain
+            .nfs()[stage];
+        if VnfSpec::of(nf).rewrites_headers() {
+            rewriters.push(inst);
         }
-        rewriters.sort_unstable();
-        rewriters.dedup();
     }
+    rewriters.sort_unstable();
+    rewriters.dedup();
     let subclasses = plan
         .subclasses()
         .iter()
@@ -426,7 +331,7 @@ pub fn snapshot_of(
         hosts: orch.hosts_in_use().into_iter().collect(),
         rewriters,
         subclasses,
-        compress: config.compress_classification,
+        compress: true,
     })
 }
 
@@ -526,12 +431,7 @@ fn ecmp_siblings(classes: &ClassSet) -> BTreeMap<SiblingKey<'_>, usize> {
 /// replicated across all ECMP sibling paths of the class, because the
 /// hash-selected path is unknown to the controller — the Fig. 10 reason
 /// UNIV1 benefits most.
-fn untagged_estimate(
-    topo: &Topology,
-    classes: &ClassSet,
-    plan: &SubclassPlan,
-    compress: bool,
-) -> usize {
+fn untagged_estimate(topo: &Topology, classes: &ClassSet, plan: &SubclassPlan) -> usize {
     let siblings = ecmp_siblings(classes);
     // Per-class rule counts, with the same default-rule compression the
     // tagging scheme benefits from (fair comparison).
@@ -551,7 +451,7 @@ fn untagged_estimate(
         let class = classes
             .class(class_id)
             .expect("plan refers to known classes");
-        let rules = if compress && rules_max > 1 {
+        let rules = if rules_max > 1 {
             rules_total - rules_max + 1
         } else {
             rules_total
@@ -587,18 +487,31 @@ mod tests {
                 ..Default::default()
             },
         );
-        let prog = deploy(topo, &classes, &RuleGenConfig::default());
+        let prog = deploy(topo, &classes, |_| {});
         (classes, prog)
     }
 
-    /// Plans and generates `classes` on `topo` under `config`.
-    fn deploy(topo: &Topology, classes: &ClassSet, config: &RuleGenConfig) -> DataPlaneProgram {
+    /// Plans and generates `classes` on `topo`, then recompiles the rules
+    /// from the generator's snapshot after `edit` has changed it. Editing
+    /// the snapshot is how the tests reach the rule shapes the generator
+    /// itself never emits. The TCAM report stays the generator's.
+    fn deploy(
+        topo: &Topology,
+        classes: &ClassSet,
+        edit: impl FnOnce(&mut CompilerSnapshot),
+    ) -> DataPlaneProgram {
         let mut orch = ResourceOrchestrator::with_uniform_hosts(topo, 64);
         let placement = OptimizationEngine::new(EngineConfig::default())
             .place(classes, &orch)
             .unwrap();
         let plan = SubclassPlan::derive(classes, &placement, SplitStrategy::PrefixSplit);
-        generate_with(topo, classes, &plan, &placement, &mut orch, config).unwrap()
+        let mut prog = generate(topo, classes, &plan, &placement, &mut orch).unwrap();
+        let config = RuleGenConfig::default();
+        let mut snapshot =
+            snapshot_of(topo, classes, &plan, &prog.assignment, &orch, &config).unwrap();
+        edit(&mut snapshot);
+        prog.rules = compile(&snapshot);
+        prog
     }
 
     /// A semantic oracle independent of how rules are lowered: a probe
@@ -619,16 +532,12 @@ mod tests {
                 ..Default::default()
             };
             for compress in [true, false] {
-                let config = RuleGenConfig {
-                    compress_classification: compress,
-                    ..RuleGenConfig::default()
-                };
                 let name = format!("{kind} compress={compress}");
                 cases.push((
                     name,
                     topo.clone(),
                     ClassSet::build(&topo, &tm, &cfg),
-                    config,
+                    compress,
                 ));
             }
         }
@@ -643,15 +552,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        cases.push((
-            "Internet2 policies".into(),
-            topo,
-            policies,
-            RuleGenConfig::default(),
-        ));
+        cases.push(("Internet2 policies".into(), topo, policies, true));
 
-        for (name, topo, classes, config) in cases {
-            let prog = deploy(&topo, &classes, &config);
+        for (name, topo, classes, compress) in cases {
+            let prog = deploy(&topo, &classes, |s| s.compress = compress);
             let walker = prog.rules.walker();
             for class in &classes {
                 // Port-less classes get a port no example policy matches.
@@ -761,7 +665,7 @@ mod tests {
 
     /// Builds a deployment with a single NAT -> Firewall class so the §X
     /// header-rewrite machinery is exercised deterministically.
-    fn nat_deployment(config: &RuleGenConfig) -> (ClassSet, DataPlaneProgram) {
+    fn nat_deployment(edit: impl FnOnce(&mut CompilerSnapshot)) -> (ClassSet, DataPlaneProgram) {
         use crate::classes::{ClassId, EquivalenceClass};
         use crate::policy::PolicyChain;
         use apple_topology::Path;
@@ -779,13 +683,13 @@ mod tests {
             dst_ports: Vec::new(),
         };
         let classes = ClassSet::from_classes(vec![class]);
-        let prog = deploy(&topo, &classes, config);
+        let prog = deploy(&topo, &classes, edit);
         (classes, prog)
     }
 
     #[test]
     fn rewriting_chain_completes_with_global_tags() {
-        let (classes, prog) = nat_deployment(&RuleGenConfig::default());
+        let (classes, prog) = nat_deployment(|_| {});
         let class = &classes.classes()[0];
         let p = Packet::new(class.src_prefix.0 | 1, class.dst_prefix.0 | 1, 1, 80, 6);
         let rec = prog.rules.walker().walk(p, &class.path).unwrap();
@@ -799,16 +703,18 @@ mod tests {
 
     #[test]
     fn rewriting_chain_breaks_without_global_tags() {
-        // The §X failure mode: every vSwitch rule after the NAT still
-        // matches on the class's source prefix, which the rewrite has just
-        // left — so even with both stages co-located, the rule steering the
-        // packet on from the NAT at the first host (switch 0) misses.
+        // The §X failure mode: with class-local tags every vSwitch rule
+        // after the NAT still matches on the class's source prefix, which
+        // the rewrite has just left — so even with both stages co-located,
+        // the rule steering the packet on from the NAT at the first host
+        // (switch 0) misses.
         use apple_dataplane::walk::WalkError;
-        let cfg = RuleGenConfig {
-            global_tags: false,
-            ..RuleGenConfig::default()
-        };
-        let (classes, prog) = nat_deployment(&cfg);
+        let (classes, prog) = nat_deployment(|snapshot| {
+            for spec in &mut snapshot.subclasses {
+                spec.tag = spec.sub;
+                spec.global = false;
+            }
+        });
         let class = &classes.classes()[0];
         let p = Packet::new(class.src_prefix.0 | 1, class.dst_prefix.0 | 1, 1, 80, 6);
         assert_eq!(
@@ -829,23 +735,18 @@ mod tests {
                 ..Default::default()
             },
         );
-        let build_with = |compress: bool| {
-            let config = RuleGenConfig {
-                compress_classification: compress,
-                ..RuleGenConfig::default()
-            };
-            deploy(&topo, &classes, &config)
-        };
+        let build_with = |compress: bool| deploy(&topo, &classes, |s| s.compress = compress).rules;
         let on = build_with(true);
         let off = build_with(false);
+        let billed = |rules: &RuleProgram| rules.billable_per_switch().values().sum::<usize>();
         assert!(
-            on.tcam.tagged_total <= off.tcam.tagged_total,
+            billed(&on) <= billed(&off),
             "compression grew the table: {} vs {}",
-            on.tcam.tagged_total,
-            off.tcam.tagged_total
+            billed(&on),
+            billed(&off)
         );
         // Semantics: identical walks either way.
-        let (on, off) = (on.rules.walker(), off.rules.walker());
+        let (on, off) = (on.walker(), off.walker());
         for class in &classes {
             let p = Packet::new(class.src_prefix.0 | 200, class.dst_prefix.0 | 3, 5, 80, 6);
             let a = on.walk(p, &class.path).unwrap();
@@ -864,83 +765,6 @@ mod tests {
         let p = t.power_watts(12.0);
         assert!((p - t.tagged_total as f64 * 0.012).abs() < 1e-12);
         assert!(t.untagged_power_watts(12.0) > p, "tagging must save power");
-    }
-
-    #[test]
-    fn tcam_budget_enforced() {
-        let topo = zoo::internet2();
-        let tm = GravityModel::new(2_000.0, 18).base_matrix(&topo);
-        let classes = ClassSet::build(
-            &topo,
-            &tm,
-            &ClassConfig {
-                max_classes: 12,
-                ..Default::default()
-            },
-        );
-        let mut orch = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let placement = OptimizationEngine::new(EngineConfig::default())
-            .place(&classes, &orch)
-            .unwrap();
-        let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
-        // A budget of 1 entry per switch is impossible (ingress switches
-        // carry multiple classification rules).
-        let err = super::generate_with(
-            &topo,
-            &classes,
-            &plan,
-            &placement,
-            &mut orch,
-            &RuleGenConfig {
-                tcam_budget_per_switch: 1,
-                ..RuleGenConfig::default()
-            },
-        );
-        assert!(
-            matches!(err, Err(RuleGenError::TcamBudgetExceeded { budget: 1, .. })),
-            "{err:?}"
-        );
-        // A generous budget passes.
-        let mut orch2 = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let ok = super::generate_with(
-            &topo,
-            &classes,
-            &plan,
-            &placement,
-            &mut orch2,
-            &RuleGenConfig {
-                tcam_budget_per_switch: 10_000,
-                ..RuleGenConfig::default()
-            },
-        );
-        assert!(ok.is_ok());
-        // The same budget can fail when the switch cannot pipeline: the
-        // cross-product (×11 on Internet2) must fit instead.
-        let mut orch3 = ResourceOrchestrator::with_uniform_hosts(&topo, 64);
-        let ok_entries = ok
-            .unwrap()
-            .tcam
-            .tagged_per_switch
-            .values()
-            .copied()
-            .max()
-            .unwrap();
-        let cp = super::generate_with(
-            &topo,
-            &classes,
-            &plan,
-            &placement,
-            &mut orch3,
-            &RuleGenConfig {
-                tcam_mode: TcamMode::CrossProduct,
-                tcam_budget_per_switch: ok_entries, // fits pipelined, not ×11
-                ..RuleGenConfig::default()
-            },
-        );
-        assert!(
-            matches!(cp, Err(RuleGenError::TcamBudgetExceeded { .. })),
-            "{cp:?}"
-        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Running VNF instances: load accounting and hysteresis overload state.
+//! Running VNF instances: identity, NF type and hosting switch.
 
 use crate::catalog::{NfType, VnfSpec};
-use crate::overload::OverloadModel;
 use std::fmt;
 
 /// Identifier of a VNF instance, unique within an orchestration run.
@@ -14,66 +13,35 @@ impl fmt::Display for InstanceId {
     }
 }
 
-/// Lifecycle state of an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InstanceState {
-    /// VM creation requested; not yet forwarding packets. Carries the
-    /// simulation time (ms) at which boot completes.
-    Booting { ready_at_ms: u64 },
-    /// Forwarding packets, under the overload trip threshold.
-    Running,
-    /// Above the trip threshold; the Dynamic Handler has been notified.
-    Overloaded,
-    /// Torn down (e.g. a failover helper cancelled after roll-back).
-    Cancelled,
-}
-
-/// One running (or booting) VNF instance — a VM on an APPLE host.
+/// One running VNF instance — a VM on an APPLE host.
 ///
 /// # Example
 ///
 /// ```
 /// use apple_nf::{InstanceId, NfType, VnfInstance};
 ///
-/// let mut inst = VnfInstance::new(InstanceId(1), NfType::Firewall, 0);
-/// inst.set_offered_pps(1_000.0);
-/// assert!(inst.loss_rate() < 0.01);
+/// let inst = VnfInstance::new(InstanceId(1), NfType::Firewall, 0);
+/// assert_eq!(inst.spec().cores, 4);
+/// assert_eq!(inst.host_switch(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct VnfInstance {
     id: InstanceId,
     nf: NfType,
     spec: VnfSpec,
-    overload: OverloadModel,
     /// Switch index this instance's APPLE host hangs off.
     host_switch: usize,
-    state: InstanceState,
-    offered_pps: f64,
 }
 
 impl VnfInstance {
-    /// Creates an instance in `Running` state attached to `host_switch`,
-    /// with capacity/thresholds derived from the Table IV spec (1500 B
-    /// packets).
+    /// Creates an instance of `nf` attached to `host_switch`.
     pub fn new(id: InstanceId, nf: NfType, host_switch: usize) -> VnfInstance {
-        let spec = VnfSpec::of(nf);
-        let overload = OverloadModel::for_capacity(spec.capacity_pps(1500));
         VnfInstance {
             id,
             nf,
-            spec,
-            overload,
+            spec: VnfSpec::of(nf),
             host_switch,
-            state: InstanceState::Running,
-            offered_pps: 0.0,
         }
-    }
-
-    /// Creates an instance that will finish booting at `ready_at_ms`.
-    pub fn booting(id: InstanceId, nf: NfType, host_switch: usize, ready_at_ms: u64) -> Self {
-        let mut inst = Self::new(id, nf, host_switch);
-        inst.state = InstanceState::Booting { ready_at_ms };
-        inst
     }
 
     /// Instance id.
@@ -95,68 +63,6 @@ impl VnfInstance {
     pub fn host_switch(&self) -> usize {
         self.host_switch
     }
-
-    /// Current lifecycle state.
-    pub fn state(&self) -> InstanceState {
-        self.state
-    }
-
-    /// Overload model (capacity and thresholds).
-    pub fn overload_model(&self) -> &OverloadModel {
-        &self.overload
-    }
-
-    /// Current offered load in packets per second.
-    pub fn offered_pps(&self) -> f64 {
-        self.offered_pps
-    }
-
-    /// Marks boot complete (no-op unless `Booting`).
-    pub fn finish_boot(&mut self) {
-        if matches!(self.state, InstanceState::Booting { .. }) {
-            self.state = InstanceState::Running;
-        }
-    }
-
-    /// Cancels the instance (releases its resources at the orchestrator).
-    pub fn cancel(&mut self) {
-        self.state = InstanceState::Cancelled;
-    }
-
-    /// Updates the offered load and recomputes the hysteresis overload
-    /// state. Returns `true` when this update *newly trips* overload —
-    /// i.e. the moment an overloading notification would be sent to the
-    /// Dynamic Handler.
-    pub fn set_offered_pps(&mut self, pps: f64) -> bool {
-        self.offered_pps = pps.max(0.0);
-        match self.state {
-            InstanceState::Running if self.overload.is_overloaded(self.offered_pps) => {
-                self.state = InstanceState::Overloaded;
-                true
-            }
-            InstanceState::Overloaded if self.overload.is_cleared(self.offered_pps) => {
-                self.state = InstanceState::Running;
-                false
-            }
-            _ => false,
-        }
-    }
-
-    /// Loss rate at the current offered load (0 while booting — no traffic
-    /// reaches a booting instance because rules are installed afterwards in
-    /// the wait-for-boot strategy; the *naive* strategy models loss at the
-    /// simulation layer instead).
-    pub fn loss_rate(&self) -> f64 {
-        match self.state {
-            InstanceState::Booting { .. } | InstanceState::Cancelled => 0.0,
-            _ => self.overload.loss_rate(self.offered_pps),
-        }
-    }
-
-    /// Packets per second actually processed.
-    pub fn goodput_pps(&self) -> f64 {
-        self.offered_pps * (1.0 - self.loss_rate())
-    }
 }
 
 #[cfg(test)]
@@ -164,64 +70,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fresh_instance_is_running_and_idle() {
+    fn new_instance_keeps_its_identity() {
         let i = VnfInstance::new(InstanceId(1), NfType::Nat, 3);
-        assert_eq!(i.state(), InstanceState::Running);
-        assert_eq!(i.offered_pps(), 0.0);
+        assert_eq!(i.id(), InstanceId(1));
         assert_eq!(i.host_switch(), 3);
         assert_eq!(i.nf(), NfType::Nat);
-    }
-
-    #[test]
-    fn overload_trips_once() {
-        let mut i = VnfInstance::new(InstanceId(2), NfType::Firewall, 0);
-        let cap = i.overload_model().capacity_pps;
-        assert!(i.set_offered_pps(cap)); // above 85 % trip
-        assert_eq!(i.state(), InstanceState::Overloaded);
-        // Staying overloaded does not re-notify.
-        assert!(!i.set_offered_pps(cap * 1.1));
-    }
-
-    #[test]
-    fn hysteresis_roll_back() {
-        let mut i = VnfInstance::new(InstanceId(3), NfType::Firewall, 0);
-        let m = *i.overload_model();
-        i.set_offered_pps(m.trip_pps * 1.2);
-        assert_eq!(i.state(), InstanceState::Overloaded);
-        // Dropping into the hysteresis band keeps it overloaded...
-        i.set_offered_pps((m.clear_pps + m.trip_pps) / 2.0);
-        assert_eq!(i.state(), InstanceState::Overloaded);
-        // ...only below the clear threshold does it roll back.
-        i.set_offered_pps(m.clear_pps * 0.5);
-        assert_eq!(i.state(), InstanceState::Running);
-    }
-
-    #[test]
-    fn booting_then_ready() {
-        let mut i = VnfInstance::booting(InstanceId(4), NfType::Proxy, 1, 4_200);
-        assert!(matches!(
-            i.state(),
-            InstanceState::Booting { ready_at_ms: 4_200 }
-        ));
-        assert_eq!(i.loss_rate(), 0.0);
-        i.finish_boot();
-        assert_eq!(i.state(), InstanceState::Running);
-    }
-
-    #[test]
-    fn cancelled_instances_stay_cancelled() {
-        let mut i = VnfInstance::new(InstanceId(5), NfType::Ids, 2);
-        i.cancel();
-        i.finish_boot();
-        assert_eq!(i.state(), InstanceState::Cancelled);
-        assert_eq!(i.loss_rate(), 0.0);
-    }
-
-    #[test]
-    fn negative_load_clamped() {
-        let mut i = VnfInstance::new(InstanceId(6), NfType::Ids, 2);
-        i.set_offered_pps(-10.0);
-        assert_eq!(i.offered_pps(), 0.0);
+        assert_eq!(i.spec().cores, VnfSpec::of(NfType::Nat).cores);
     }
 
     #[test]

@@ -4,12 +4,10 @@
 //! The `apple online` CLI command and the whole-stack benchmark
 //! (`benchmark/`) need the same scaffolding — build a merged
 //! [`EventTimeline`] over a topology's edge pairs, feed it event by event
-//! into the loop, optionally verify after every step — so it lives here
-//! once.
+//! into the loop — so it lives here once.
 
 use apple_core::online::{OnlineConfig, OrchestrationLoop, StepReport};
 use apple_core::orchestrator::ResourceOrchestrator;
-use apple_core::verify::verify_shares;
 use apple_telemetry::Recorder;
 use apple_topology::{NodeId, Topology};
 use apple_traffic::arrivals::{ArrivalConfig, EventTimeline};
@@ -26,9 +24,6 @@ pub struct OnlineRunConfig {
     pub host_cores: u32,
     /// Loop configuration (re-solve period, churn bound, engine).
     pub online: OnlineConfig,
-    /// Verify the placement ([`verify_shares`]) after every event —
-    /// expensive; tests only.
-    pub verify_every_event: bool,
 }
 
 impl Default for OnlineRunConfig {
@@ -38,7 +33,6 @@ impl Default for OnlineRunConfig {
             horizon_secs: 120.0,
             host_cores: 64,
             online: OnlineConfig::default(),
-            verify_every_event: false,
         }
     }
 }
@@ -72,9 +66,6 @@ pub struct OnlineRunReport {
     pub final_instances: usize,
     /// Classes still shed when the timeline drained.
     pub final_shed: usize,
-    /// `verify_shares` violations seen (only counted when
-    /// `verify_every_event` is set).
-    pub violations: u64,
 }
 
 /// All ordered edge-to-edge OD pairs of a topology — the workload the
@@ -129,11 +120,6 @@ where
         report.resolves_repacked += u64::from(step.resolve_repacked);
         report.peak_instances = report.peak_instances.max(looper.instance_count());
         report.peak_live_classes = report.peak_live_classes.max(looper.live_count());
-        if cfg.verify_every_event {
-            let (classes, handler) = looper.snapshot();
-            report.violations +=
-                verify_shares(&classes, &handler, looper.orchestrator(), 1e-6).len() as u64;
-        }
         after_step(n, &step);
     }
     report.final_instances = looper.instance_count();

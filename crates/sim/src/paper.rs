@@ -70,7 +70,6 @@ fn apple_config(kind: TopologyKind) -> AppleConfig {
             ..Default::default()
         },
         engine: EngineConfig::default(),
-        host_cores: 64,
     }
 }
 

@@ -65,6 +65,9 @@ impl From<FailoverError> for ReplayError {
     }
 }
 
+/// Packet size for the Mbps → pps conversion (1500 B in the prototype).
+const PACKET_BYTES: u32 = 1500;
+
 /// Replay configuration.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
@@ -73,8 +76,6 @@ pub struct ReplayConfig {
     /// Enable the Dynamic Handler (fast failover). Disabling it gives the
     /// "without fast failover" curve of Fig. 12.
     pub fast_failover: bool,
-    /// Packet size for Mbps → pps conversion (1500 B in the prototype).
-    pub packet_bytes: u32,
     /// Seed for the timing model's boot jitter.
     pub seed: u64,
 }
@@ -84,7 +85,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             apple: AppleConfig::default(),
             fast_failover: true,
-            packet_bytes: 1500,
             seed: 0,
         }
     }
@@ -161,8 +161,8 @@ pub fn replay(
             let Some(vi) = orch.instance(inst) else {
                 continue;
             };
-            let model = OverloadModel::for_capacity(vi.spec().capacity_pps(cfg.packet_bytes));
-            let pps = mbps * 1e6 / (f64::from(cfg.packet_bytes) * 8.0);
+            let model = OverloadModel::for_capacity(vi.spec().capacity_pps(PACKET_BYTES));
+            let pps = mbps * 1e6 / (f64::from(PACKET_BYTES) * 8.0);
             // A still-booting helper forwards nothing; its share is lost
             // outright (this is why ClickOS reconfiguration matters).
             if booting.contains_key(&inst) {

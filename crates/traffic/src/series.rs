@@ -7,6 +7,16 @@ use apple_rng::rngs::StdRng;
 use apple_rng::{Rng, SeedableRng};
 use apple_topology::{NodeId, Topology};
 
+/// Depth of the diurnal swing, 0..1 (0.4 ⇒ valley is 60 % of peak).
+const DIURNAL_DEPTH: f64 = 0.4;
+/// Depth of the weekday/weekend swing, 0..1.
+const WEEKLY_DEPTH: f64 = 0.15;
+/// MVR coefficient `a` in `var = a · mean^b`.
+const MVR_A: f64 = 1.0;
+/// MVR exponent `b` (measurements on backbones report ~1.5; 2.0 would
+/// mean no smoothing from aggregation).
+const MVR_B: f64 = 1.5;
+
 /// Configuration of a [`TmSeries`] generation run.
 #[derive(Debug, Clone)]
 pub struct SeriesConfig {
@@ -15,15 +25,6 @@ pub struct SeriesConfig {
     pub snapshots: usize,
     /// Network-wide mean total load in Mbps.
     pub total_mbps: f64,
-    /// Depth of the diurnal swing, 0..1 (0.4 ⇒ valley is 60 % of peak).
-    pub diurnal_depth: f64,
-    /// Depth of the weekday/weekend swing, 0..1.
-    pub weekly_depth: f64,
-    /// MVR coefficient `a` in `var = a · mean^b`.
-    pub mvr_a: f64,
-    /// MVR exponent `b` (measurements on backbones report ~1.5; 2.0 would
-    /// mean no smoothing from aggregation).
-    pub mvr_b: f64,
     /// Number of OD pairs that receive sudden bursts, emulating the
     /// "fiercely changed traffic" of Fig 12.
     pub burst_pairs: usize,
@@ -40,10 +41,6 @@ impl SeriesConfig {
         SeriesConfig {
             snapshots: 672,
             total_mbps: 8_000.0,
-            diurnal_depth: 0.4,
-            weekly_depth: 0.15,
-            mvr_a: 1.0,
-            mvr_b: 1.5,
             burst_pairs: 3,
             burst_scale: 4.0,
             seed,
@@ -106,7 +103,7 @@ impl TmSeries {
                 let level = mean * season;
                 // MVR noise: std = sqrt(a · level^b); truncated at ±3σ and
                 // floored at 5 % of the level.
-                let std = (cfg.mvr_a * level.powf(cfg.mvr_b)).sqrt();
+                let std = (MVR_A * level.powf(MVR_B)).sqrt();
                 let z = sample_normal(&mut rng).clamp(-3.0, 3.0);
                 let rate = (level + std * z).max(0.05 * level);
                 tm.set(s, d, rate);
@@ -174,10 +171,10 @@ fn seasonal_factor(t: usize, cfg: &SeriesConfig) -> f64 {
     let hour = (day_frac.fract()) * 24.0;
     // Peak around 14:00, valley around 02:00.
     let diurnal =
-        1.0 - cfg.diurnal_depth * 0.5 * (1.0 + ((hour - 2.0) / 24.0 * std::f64::consts::TAU).cos());
+        1.0 - DIURNAL_DEPTH * 0.5 * (1.0 + ((hour - 2.0) / 24.0 * std::f64::consts::TAU).cos());
     let weekday = day_frac as usize % 7;
     let weekly = if weekday >= 5 {
-        1.0 - cfg.weekly_depth
+        1.0 - WEEKLY_DEPTH
     } else {
         1.0
     };

@@ -27,7 +27,7 @@ use apple_nfv::core::recovery::{
     encode_state, reconcile, recover, state_digest, JournaledLoop, RecoveryConfig, RecoverySetup,
     SharedFabric,
 };
-use apple_nfv::core::rules::{generate_with, snapshot_of, RuleGenConfig};
+use apple_nfv::core::rules::{generate, snapshot_of, RuleGenConfig};
 use apple_nfv::core::subclass::{SplitStrategy, SubclassPlan};
 use apple_nfv::dataplane::compiler::{compile, compile_recorded, CompilerSnapshot};
 use apple_nfv::dataplane::diff::diff_recorded;
@@ -219,9 +219,8 @@ fn planned_snapshot(topo: &Topology, flags: &Flags) -> Result<CompilerSnapshot, 
         .place(&classes, &orch)
         .map_err(|e| e.to_string())?;
     let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
+    let prog = generate(topo, &classes, &plan, &placement, &mut orch).map_err(|e| e.to_string())?;
     let config = RuleGenConfig::default();
-    let prog = generate_with(topo, &classes, &plan, &placement, &mut orch, &config)
-        .map_err(|e| e.to_string())?;
     snapshot_of(topo, &classes, &plan, &prog.assignment, &orch, &config).map_err(|e| e.to_string())
 }
 

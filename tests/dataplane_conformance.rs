@@ -23,7 +23,7 @@ use apple_nfv::core::classes::{ClassConfig, ClassSet};
 use apple_nfv::core::engine::{EngineConfig, OptimizationEngine};
 use apple_nfv::core::online::{OnlineConfig, OrchestrationLoop};
 use apple_nfv::core::orchestrator::ResourceOrchestrator;
-use apple_nfv::core::rules::{generate_with, snapshot_of, RuleGenConfig};
+use apple_nfv::core::rules::{generate, snapshot_of, RuleGenConfig};
 use apple_nfv::core::subclass::{SplitStrategy, SubclassPlan};
 use apple_nfv::dataplane::compiler::{compile, CompilerSnapshot};
 use apple_nfv::dataplane::diff::diff;
@@ -54,9 +54,9 @@ fn offline_snapshot(topo: &Topology, tm_seed: u64, max_classes: usize) -> Compil
         .place(&classes, &orch)
         .expect("pinned conformance seeds are feasible");
     let plan = SubclassPlan::derive(&classes, &placement, SplitStrategy::PrefixSplit);
-    let config = RuleGenConfig::default();
-    let prog = generate_with(topo, &classes, &plan, &placement, &mut orch, &config)
+    let prog = generate(topo, &classes, &plan, &placement, &mut orch)
         .expect("rule generation succeeds on a feasible placement");
+    let config = RuleGenConfig::default();
     snapshot_of(topo, &classes, &plan, &prog.assignment, &orch, &config)
         .expect("snapshot lowering succeeds")
 }
